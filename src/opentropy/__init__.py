@@ -8,7 +8,6 @@ positive definite matrices, against a commuting scalar oracle.
 
 __version__ = "0.1.0"
 
-from ._accel import ACCELERATED
 from .bounds import (
     BOUND_KINDS,
     SUITE_NAMES,
@@ -56,7 +55,6 @@ from .matio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix
 from .perspective import PerspectiveSpec, PowerFrame, congruence, perspective
 
 __all__ = [
-    "ACCELERATED",
     "BOUND_KINDS",
     "SUITE_NAMES",
     "SUITES",

@@ -20,6 +20,7 @@ from .matcore import (
     OperatorError,
     SpectrumError,
     SymMatrix,
+    _power,
     _resym,
     apply_fn,
     loewner_leq,
@@ -157,10 +158,6 @@ def scalar_generator(kind: str, alpha: float = 0.0, delta: float = 1.0,
     if delta <= 0.0:
         raise OperatorError(f"delta must be positive, got {delta!r}")
     return ScalarFn(kind=kind, alpha=alpha, delta=delta, lam=lam)
-
-
-def _power(exponent: float):
-    return lambda x: np.power(x, exponent)
 
 
 def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,

@@ -53,25 +53,32 @@ EXIT_USAGE = 2
 ORACLE_CONTRACT = 1e-10
 
 
+def _number(cast, token: str):
+    try:
+        return cast(token)
+    except ValueError:
+        raise OperatorError(f"not a number: {token!r}") from None
+
+
 def _parse_dims(text: str) -> list[int]:
     dims: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
             lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _number(int, lo_s), _number(int, hi_s)
             if hi < lo:
                 raise OperatorError(f"bad dim range {part!r}")
             dims.extend(range(lo, hi + 1))
         elif part:
-            dims.append(int(part))
+            dims.append(_number(int, part))
     if not dims:
         raise OperatorError(f"no dims in {text!r}")
     return dims
 
 
 def _parse_floats(text: str) -> list[float]:
-    vals = [float(p) for p in text.split(",") if p.strip()]
+    vals = [_number(float, p) for p in text.split(",") if p.strip()]
     if not vals:
         raise OperatorError(f"no values in {text!r}")
     return vals
@@ -94,6 +101,16 @@ class RunConfig:
     deltas: tuple[float, ...] = (1.0,)
     lams: tuple[float, ...] = (0.5,)
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise OperatorError(
+                f"trials must be nonnegative, got {self.trials!r}")
+        for name in ("tol", "spectrum_lo", "spectrum_hi", "alphas", "betas",
+                     "deltas", "lams"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise OperatorError(f"{name} must be finite, got {value!r}")
 
     def combos(self):
         return list(itertools.product(self.dims, self.alphas, self.betas,
@@ -198,7 +215,7 @@ def _oracle_deviation(mat, expected: np.ndarray) -> float:
 
 def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     dim, alpha, beta, delta, lam = cfg.combos()[trial % len(cfg.combos())]
-    if delta < 1.0:
+    if 0.0 < delta < 1.0:
         delta = 1.0 / delta  # primed generators only need delta > 0
     gcfg = GenConfig(dim=dim, field=cfg.field, spectrum_lo=cfg.spectrum_lo,
                      spectrum_hi=cfg.spectrum_hi, master_seed=cfg.seed)
@@ -301,7 +318,8 @@ def _compute(args) -> dict:
 # wiring
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

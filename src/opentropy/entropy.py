@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import POSITIVE, OperatorError, SymMatrix, mat_pow
+from .matcore import POSITIVE, OperatorError, SymMatrix, _power, mat_pow
 from .perspective import PerspectiveSpec, perspective
-
-
-def _power(exponent: float):
-    fn = lambda x: np.power(x, exponent)  # noqa: E731
-    fn.domain = POSITIVE
-    fn.name = f"x**{exponent}"
-    return fn
 
 
 def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float,

@@ -21,10 +21,11 @@ UNIT_CUTOFF = 1e-12
 
 
 def _validate(alpha: float, x: float) -> None:
-    if x <= 0.0:
-        raise OperatorError(f"x must be positive, got {x!r}")
-    if alpha < 0.0:
-        raise OperatorError(f"alpha must be nonnegative, got {alpha!r}")
+    if not 0.0 < x < np.inf:
+        raise OperatorError(f"x must be positive and finite, got {x!r}")
+    if not 0.0 <= alpha < np.inf:
+        raise OperatorError(
+            f"alpha must be nonnegative and finite, got {alpha!r}")
 
 
 def l_of_lambda(alpha: float, x: float, lam):

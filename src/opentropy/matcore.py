@@ -14,12 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._accel import jacobi_herm, jacobi_real
-
 # Self-adjointness admission tolerance (relative to max(1, Frobenius norm)).
 HERMITICITY_TOL = 1e-13
-# Jacobi sweep target: off-diagonal Frobenius norm <= SWEEP_TOL * ||M||_F.
-SWEEP_TOL = 1e-13
+# Sweep limit of the reference Jacobi solver (jacobi_real, jacobi_herm).
 MAX_SWEEPS = 64
 # Default Loewner comparison tolerance (relative, scale-aware).
 DEFAULT_LOEWNER_TOL = 1e-8
@@ -45,7 +42,7 @@ class SpectrumError(OperatorError):
 
 
 class ConvergenceError(OperatorError):
-    """The Jacobi sweep limit was reached before the off-diagonal target."""
+    """The eigensolver did not converge."""
 
 
 def _resym(arr: np.ndarray) -> np.ndarray:
@@ -56,7 +53,8 @@ def _resym(arr: np.ndarray) -> np.ndarray:
 class SymMatrix:
     """A dense self-adjoint matrix over the reals or the complex numbers.
 
-    Construction validates self-adjointness (max entrywise asymmetry must
+    Construction rejects NaN and infinite entries (and a Frobenius norm that
+    overflows), validates self-adjointness (max entrywise asymmetry must
     not exceed ``1e-13 * max(1, ||M||_F)``), then stores the exactly
     Hermitian average ``(M + M*) / 2`` as a read-only float64/complex128
     array.  The scalar field is carried by the dtype.
@@ -70,7 +68,11 @@ class SymMatrix:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype, order="C")
-        scale = max(1.0, float(np.linalg.norm(arr)))
+        fro = float(np.linalg.norm(arr))
+        if not np.isfinite(fro):
+            raise OperatorError(
+                f"matrix entries must be finite: Frobenius norm is {fro!r}")
+        scale = max(1.0, fro)
         asym = float(np.max(np.abs(arr - arr.conj().T)))
         if asym > HERMITICITY_TOL * scale:
             raise SelfAdjointError(
@@ -142,58 +144,121 @@ class EigenPair:
 
 
 def sym_eig(m: SymMatrix) -> EigenPair:
-    """Eigendecompose a self-adjoint matrix by cyclic Jacobi rotations.
+    """Eigendecompose a self-adjoint matrix with LAPACK ``?syevd``/``?heevd``.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``1e-13 * ||M||_F`` (at most 64 sweeps).  Eigenvalues are sorted
-    ascending; each eigenvector is normalized so its largest-magnitude
-    component is real and positive, which makes the output a pure function
-    of the input bits.
+    Eigenvalues come back ascending; each eigenvector is normalized so its
+    largest-magnitude component (the first one, on ties) is real and
+    positive.  The output is a pure function of the input bits on a given
+    numpy/LAPACK build.
 
     Raises
     ------
     ConvergenceError
-        If the sweep limit is reached first (not observed at desk scale).
+        If LAPACK reports that the decomposition did not converge.
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
-    work = np.array(m.data)  # kernel overwrites
-    thresh = SWEEP_TOL * float(np.linalg.norm(work))
-    if m.field == "complex":
-        w, v, _, off = jacobi_herm(work, thresh, MAX_SWEEPS)
-    else:
-        w, v, _, off = jacobi_real(work, thresh, MAX_SWEEPS)
-    if off > thresh:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
-            f"above target {thresh:.3e} after {MAX_SWEEPS} sweeps"
-        )
-    order = np.argsort(w, kind="stable")
-    w = np.ascontiguousarray(w[order])
-    v = np.ascontiguousarray(v[:, order])
-    for col in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, col])))
-        pivot = v[lead, col]
-        mag = abs(pivot)
-        if mag > 0.0:
-            v[:, col] = v[:, col] * (np.conj(pivot) / mag)
-    if m.field == "real":
-        v = v.real if np.iscomplexobj(v) else v
+    try:
+        w, v = np.linalg.eigh(m.data)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    # an orthonormal column has an entry of magnitude >= 1/sqrt(n), so the
+    # pivot is never zero
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(m.dim)]
+    v *= np.conj(pivot) / np.abs(pivot)
     w.flags.writeable = False
     v.flags.writeable = False
     return EigenPair(eigenvalues=w, eigenvectors=v)
+
+
+def _jacobi(a: np.ndarray, thresh: float, max_sweeps: int):
+    """Cyclic Jacobi sweeps on a copy of ``a``, real or complex.
+
+    Each rotation is the unitary block ``[[c, s], [-s conj(u), c conj(u)]]``
+    with ``u = a[p, q] / |a[p, q]|``, which zeroes ``a[p, q]``; for real
+    input ``u = +-1`` and the arithmetic stays real.
+    """
+    a = a.copy()
+    n = a.shape[0]
+    v = np.eye(n, dtype=a.dtype)
+    sweeps = 0
+
+    def off(m):
+        o = m - np.diag(np.diagonal(m))
+        return float(np.sqrt(np.sum((o * o.conj()).real)))
+
+    current = off(a)
+    while current > thresh and sweeps < max_sweeps:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r == 0.0:
+                    continue
+                phase = apq / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                uqp = -s * np.conj(phase)
+                uqq = c * np.conj(phase)
+                ap = c * a[:, p] + uqp * a[:, q]
+                aq = s * a[:, p] + uqq * a[:, q]
+                a[:, p] = ap
+                a[:, q] = aq
+                rp = c * a[p, :] + np.conj(uqp) * a[q, :]
+                rq = s * a[p, :] + np.conj(uqq) * a[q, :]
+                a[p, :] = rp
+                a[q, :] = rq
+                vp = c * v[:, p] + uqp * v[:, q]
+                vq = s * v[:, p] + uqq * v[:, q]
+                v[:, p] = vp
+                v[:, q] = vq
+        sweeps += 1
+        current = off(a)
+    return np.diagonal(a).real.copy(), v, sweeps, current
+
+
+def jacobi_real(a, thresh: float, max_sweeps: int = MAX_SWEEPS):
+    """Reference eigensolver for a real symmetric array; ``sym_eig`` does
+    not call it, tests check ``sym_eig`` against it.
+
+    Returns ``(diag, vectors, sweeps, offnorm)``: unsorted eigenvalues, the
+    accumulated rotations, the sweep count, and the final off-diagonal
+    Frobenius norm, which is ``<= thresh`` unless ``max_sweeps`` ran out.
+    The input is not modified.
+    """
+    return _jacobi(np.asarray(a, dtype=np.float64), thresh, max_sweeps)
+
+
+def jacobi_herm(a, thresh: float, max_sweeps: int = MAX_SWEEPS):
+    """Reference eigensolver for a complex Hermitian array; see
+    ``jacobi_real`` for the return contract."""
+    return _jacobi(np.asarray(a, dtype=np.complex128), thresh, max_sweeps)
 
 
 def _check_domain(eigenvalues: np.ndarray, domain, name: str) -> None:
     if domain is None:
         return
     lo, hi = domain
-    for val in eigenvalues:
-        if not (lo < val < hi):
-            raise SpectrumError(
-                f"eigenvalue {val!r} outside the open domain ({lo}, {hi}) "
-                f"of {name or 'the scalar function'}"
-            )
+    inside = (lo < eigenvalues) & (eigenvalues < hi)
+    if not inside.all():
+        val = eigenvalues[np.argmin(inside)]
+        raise SpectrumError(
+            f"eigenvalue {val!r} outside the open domain ({lo}, {hi}) "
+            f"of {name or 'the scalar function'}"
+        )
+
+
+def _power(exponent: float):
+    """``x -> x**exponent`` as a named scalar function on ``POSITIVE``."""
+    fn = lambda x: np.power(x, exponent)  # noqa: E731
+    fn.domain = POSITIVE
+    fn.name = f"x**{exponent}"
+    return fn
 
 
 def apply_fn(
@@ -222,8 +287,7 @@ def apply_fn(
 
 def mat_pow(m: SymMatrix, exponent: float) -> SymMatrix:
     """Real matrix power of a strictly positive matrix."""
-    return apply_fn(m, lambda x: np.power(x, exponent), domain=POSITIVE,
-                    name=f"x**{exponent}")
+    return apply_fn(m, _power(exponent), domain=POSITIVE)
 
 
 @dataclasses.dataclass(frozen=True)

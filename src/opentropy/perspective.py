@@ -13,10 +13,10 @@ from typing import Callable
 import numpy as np
 
 from .matcore import (
-    POSITIVE,
     EigenPair,
     SpectrumError,
     SymMatrix,
+    _check_domain,
     _resym,
     sym_eig,
 )
@@ -58,7 +58,7 @@ def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
     ``x`` is self-adjoint, ``y`` strictly positive.  The whitened middle
     matrix is re-symmetrized before its eigendecomposition to keep rounding
-    drift out of the Jacobi input; its spectrum is validated against the
+    drift out of the eigensolver input; its spectrum is validated against the
     domain of ``f`` at evaluation time.
     """
     pair = _positive_pair(y, "perspective base")
@@ -72,16 +72,8 @@ def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
     h_ihalf = pair.rebuild(1.0 / np.sqrt(hvals))
     inner = SymMatrix(_resym(h_ihalf @ x.data @ h_ihalf))
     ip = sym_eig(inner)
-    domain = spec.resolved_domain()
-    if domain is not None:
-        lo, hi = domain
-        for val in ip.eigenvalues:
-            if not (lo < val < hi):
-                raise SpectrumError(
-                    f"whitened spectrum leaves the domain of "
-                    f"{spec.name or 'f'}: eigenvalue {val!r} outside "
-                    f"({lo}, {hi})"
-                )
+    _check_domain(ip.eigenvalues, spec.resolved_domain(),
+                  f"{spec.name or 'f'} on the whitened spectrum")
     mid = ip.rebuild(spec.f(ip.eigenvalues))
     return SymMatrix(_resym(h_half @ mid @ h_half))
 

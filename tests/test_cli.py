@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import opentropy as op
-from opentropy.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from opentropy.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _emit, main
 from opentropy.matio import load_matrix, save_matrix
 
 
@@ -98,6 +98,36 @@ def test_verify_zero_trials_vacuous_pass(tmp_path, capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "--suite", "thm-main99"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--alpha", "nan"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--beta", "1,inf"],
+    ["verify", "--suite", "cor-delta-le", "--trials", "3", "--delta", "-inf"],
+    ["verify", "--suite", "prop-means", "--trials", "3", "--lam", "nan"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--tol", "nan"],
+    ["verify", "--suite", "thm-main1", "--trials", "-3"],
+    ["oracle", "--trials", "3", "--spec-lo", "nan"],
+    ["oracle", "--trials", "3", "--spec-hi", "inf"],
+    ["oracle", "--trials", "3", "--alpha", "0,nan"],
+    ["oracle", "--trials", "-1"],
+    ["oracle", "--trials", "3", "--delta", "0"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "x"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "2-y"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--alpha", "1,x"],
+    ["hh", "--alpha", "nan", "--x", "4"],
+    ["hh", "--alpha", "0", "--x", "inf"],
+])
+def test_malformed_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "trials pass" not in captured.out
+
+
+def test_reports_never_carry_nan_tokens(tmp_path):
+    with pytest.raises(ValueError):
+        _emit({"margin": float("nan")}, str(tmp_path / "r.json"))
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import opentropy as op
 from opentropy.gen import GenConfig, random_partner, random_spd
 from opentropy.matcore import POSITIVE
+from opentropy.perspective import PowerFrame
 
 RECON_TOL = 1e-10
 ORTHO_TOL = 1e-11
@@ -73,23 +74,85 @@ def test_eig_deterministic_for_identical_bits():
     assert np.array_equal(p1.eigenvectors, p2.eigenvectors)
 
 
-def test_accel_lanes_agree():
-    # the jitted loop kernels and the vectorized numpy lane run the same
-    # rotation sequence; eigensystems must coincide to rounding
-    from opentropy import _accel
+def _jacobi_reference(m):
+    kernel = op.matcore.jacobi_herm if m.field == "complex" \
+        else op.matcore.jacobi_real
+    thresh = 1e-13 * max(1.0, m.fro)
+    w, v, sweeps, off = kernel(m.data, thresh)
+    assert off <= thresh and sweeps <= op.matcore.MAX_SWEEPS
+    return w, v
 
+
+def _repeated_eigenvalue(rng, field):
+    # eigenspaces of dimension 2 and 3 in a random frame
+    frame = np.linalg.qr(_random_sym(rng, 7, field).data)[0]
+    vals = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 5.0])
+    return op.SymMatrix((frame * vals) @ frame.conj().T)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sym_eig_agrees_with_jacobi_reference(field):
+    # sym_eig runs LAPACK; the cyclic Jacobi kernels are an independent
+    # solver, so eigenvalues and every spectral function must agree
     rng = np.random.default_rng(17)
-    for field, kernel in (("real", _accel.jacobi_real_numpy),
-                          ("complex", _accel.jacobi_herm_numpy)):
-        m = _random_sym(rng, 7, field)
-        thresh = 1e-13 * float(np.linalg.norm(m.data))
-        w_np, v_np, _, off = kernel(np.array(m.data), thresh, 64)
-        assert off <= thresh
+    cases = [_random_sym(rng, dim, field) for dim in (1, 2, 7, 32)]
+    cases.append(_repeated_eigenvalue(rng, field))
+    for m in cases:
+        scale = max(1.0, m.fro)
+        w_ref, v_ref = _jacobi_reference(m)
         pair = op.sym_eig(m)
-        np.testing.assert_allclose(np.sort(w_np), pair.eigenvalues,
-                                   atol=1e-13 * max(1.0, m.fro))
-        recon = (v_np * w_np) @ v_np.conj().T
-        assert np.linalg.norm(recon - m.data) <= 1e-10 * max(1.0, m.fro)
+        np.testing.assert_allclose(pair.eigenvalues, np.sort(w_ref),
+                                   rtol=0.0, atol=1e-12 * scale)
+        # exp(M / scale) does not depend on the basis of any eigenspace
+        f_ref = (v_ref * np.exp(w_ref / scale)) @ v_ref.conj().T
+        f_mine = pair.rebuild(np.exp(pair.eigenvalues / scale))
+        assert np.linalg.norm(f_mine - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
+        # phase rule: the largest-magnitude entry of each column is real
+        # and positive, up to the rounding of one complex product
+        u = pair.eigenvectors
+        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(m.dim)]
+        assert np.all(pivots.real > 0.0)
+        assert np.all(np.abs(pivots.imag) <= 1e-15)
+
+
+def test_functional_calculus_ignores_eigenspace_basis():
+    # the boundary partner B = delta A^beta whitens to delta I up to
+    # rounding; eigh then picks an arbitrary basis of a near-degenerate
+    # eigenspace, and every chain term must still be g(delta) A^beta
+    delta, beta = 2.0, 1.5
+    for field in ("real", "complex"):
+        cfg = GenConfig(dim=8, field=field, master_seed=23)
+        a = random_spd(cfg, 0)
+        b = random_partner(a, beta, delta, "dominating", cfg, 0)
+        frame = PowerFrame(a, beta)
+        c = frame.whiten(b)
+        assert np.linalg.norm(c.data - delta * np.eye(8)) <= 1e-12
+        a_beta = frame.power(beta)
+        for kind in op.SUITES["cor-delta-le"].terms:
+            g = op.scalar_generator(kind, delta=delta)
+            term = frame.conjugate(op.apply_fn(c, g, domain=POSITIVE))
+            expected = float(g(np.array([delta]))[0]) * a_beta.data
+            assert np.linalg.norm(term.data - expected) \
+                <= 1e-10 * max(1.0, np.linalg.norm(expected)), kind
+
+
+def test_sym_eig_reports_lapack_failure_as_convergence_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(op.matcore.ConvergenceError, match="did not converge"):
+        op.sym_eig(op.SymMatrix.identity(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_entries(bad):
+    for arr in (np.array([[1.0, bad], [bad, 2.0]]),
+                np.array([[bad, 0.0], [0.0, 1.0]], dtype=np.complex128)):
+        with pytest.raises(op.OperatorError, match="finite"):
+            op.SymMatrix(arr)
+        with pytest.raises(op.OperatorError, match="finite"):
+            op.sym_eig(arr)
 
 
 def test_rejects_non_self_adjoint():
