@@ -407,8 +407,7 @@ def _check_relation(spec: SuiteSpec, a: SymMatrix, b: SymMatrix,
 def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
                 params: ChainParams | None = None,
                 tol: float = DEFAULT_LOEWNER_TOL,
-                trial_seed: int = 0,
-                embed_on_fail: bool = True) -> ChainReport:
+                trial_seed: int = 0) -> ChainReport:
     """Verify one suite on one pair ``(A, B)`` and report every margin.
 
     The suite hypothesis (parameter constraints plus the dominance relation,
@@ -444,7 +443,7 @@ def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
     ok = all(link.holds for link in links)
     report = ChainReport(suite=spec.name, trial_seed=trial_seed, params=p,
                          links=links, verdict="pass" if ok else "fail")
-    if not ok and embed_on_fail:
+    if not ok:
         from .matio import matrix_to_obj
 
         report.matrices = {"A": matrix_to_obj(a), "B": matrix_to_obj(b)}

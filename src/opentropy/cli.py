@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -100,7 +98,6 @@ class RunConfig:
     betas: tuple[float, ...] = (1.0,)
     deltas: tuple[float, ...] = (1.0,)
     lams: tuple[float, ...] = (0.5,)
-    jobs: int = 1
 
     def __post_init__(self):
         if self.trials < 0:
@@ -111,16 +108,28 @@ class RunConfig:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise OperatorError(f"{name} must be finite, got {value!r}")
+        for dim in self.dims:
+            self._gen_config(dim)
 
-    def combos(self):
-        return list(itertools.product(self.dims, self.alphas, self.betas,
-                                      self.deltas, self.lams))
+    def _gen_config(self, dim: int) -> GenConfig:
+        return GenConfig(dim, self.field, spectrum_lo=self.spectrum_lo,
+                         spectrum_hi=self.spectrum_hi, master_seed=self.seed)
+
+    def decode(self, k: int) -> tuple[GenConfig, ChainParams]:
+        """Trial ``k``'s inputs: item ``k % n`` of ``itertools.product(dims,
+        alphas, betas, deltas, lams)``, read in mixed radix, last fastest."""
+        picks = []
+        for axis in (self.lams, self.deltas, self.betas, self.alphas,
+                     self.dims):
+            k, digit = divmod(k, len(axis))
+            picks.append(axis[digit])
+        lam, delta, beta, alpha, dim = picks
+        return self._gen_config(dim), ChainParams(alpha, beta, delta, lam)
 
     def to_json_dict(self) -> dict:
         out = dataclasses.asdict(self)
         for key in ("dims", "alphas", "betas", "deltas", "lams"):
             out[key] = list(out[key])
-        del out["jobs"]  # execution detail; reports are thread-count invariant
         return out
 
 
@@ -138,16 +147,12 @@ def _config_from_args(args, suite: str = "") -> RunConfig:
         betas=tuple(_parse_floats(args.beta)),
         deltas=tuple(_parse_floats(args.delta)),
         lams=tuple(_parse_floats(args.lam)),
-        jobs=args.jobs,
     )
 
 
 def _run_trial(cfg: RunConfig, trial: int):
     spec = SUITES[cfg.suite]
-    dim, alpha, beta, delta, lam = cfg.combos()[trial % len(cfg.combos())]
-    gcfg = GenConfig(dim=dim, field=cfg.field, spectrum_lo=cfg.spectrum_lo,
-                     spectrum_hi=cfg.spectrum_hi, master_seed=cfg.seed)
-    params = ChainParams(alpha=alpha, beta=beta, delta=delta, lam=lam)
+    gcfg, params = cfg.decode(trial)
     eff = spec.effective(params)
     a = random_spd(gcfg, trial)
     if spec.relation == "none":
@@ -160,16 +165,11 @@ def _run_trial(cfg: RunConfig, trial: int):
 def run_suite(cfg: RunConfig) -> dict:
     """Run ``cfg.trials`` instances through one suite; aggregate a report.
 
-    Trials are pure functions of ``(seed, trial index)``; with ``jobs > 1``
-    they are evaluated on a thread pool and reassembled by index, so the
-    report does not depend on scheduling.
+    Trials run serially in index order; each is a pure function of
+    ``(seed, trial index)``, so the report is byte-identical for fixed
+    flags on one build.
     """
-    indices = range(cfg.trials)
-    if cfg.jobs > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(lambda t: _run_trial(cfg, t), indices))
-    else:
-        reports = [_run_trial(cfg, t) for t in indices]
+    reports = [_run_trial(cfg, t) for t in range(cfg.trials)]
 
     passed = sum(1 for r in reports if r.passed)
     worst: dict[str, float] = {}
@@ -214,11 +214,10 @@ def _oracle_deviation(mat, expected: np.ndarray) -> float:
 
 
 def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
-    dim, alpha, beta, delta, lam = cfg.combos()[trial % len(cfg.combos())]
+    gcfg, p = cfg.decode(trial)
+    alpha, beta, delta, lam = p.alpha, p.beta, p.delta, p.lam
     if 0.0 < delta < 1.0:
         delta = 1.0 / delta  # primed generators only need delta > 0
-    gcfg = GenConfig(dim=dim, field=cfg.field, spectrum_lo=cfg.spectrum_lo,
-                     spectrum_hi=cfg.spectrum_hi, master_seed=cfg.seed)
     a, b = random_diag_pair(gcfg, trial)
     avals = np.diagonal(a.data).real
     bvals = np.diagonal(b.data).real
@@ -247,7 +246,7 @@ def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     return {
         "trial_seed": trial,
         "params": {"alpha": alpha, "beta": beta, "delta": delta,
-                   "lambda": lam, "dim": dim},
+                   "lambda": lam, "dim": gcfg.dim},
         "max_rel_dev": max(devs.values()),
         "deviations": devs,
     }
@@ -351,7 +350,8 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", default="1")
     p.add_argument("--delta", default="1")
     p.add_argument("--lam", "--lambda", default="0.5", dest="lam")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored; trials always run serially")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 

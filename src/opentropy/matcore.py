@@ -248,7 +248,7 @@ def _check_domain(eigenvalues: np.ndarray, domain, name: str) -> None:
     if not inside.all():
         val = eigenvalues[np.argmin(inside)]
         raise SpectrumError(
-            f"eigenvalue {val!r} outside the open domain ({lo}, {hi}) "
+            f"eigenvalue {float(val)!r} outside the open domain ({lo}, {hi}) "
             f"of {name or 'the scalar function'}"
         )
 

@@ -1,32 +1,43 @@
-"""The span hooks of the benchmark harness must all resolve.
+"""The benchmark harness must keep working against the package.
 
 ``perfbench/spans.py`` wraps package functions by module and attribute
 name; a name that disappears makes its per-layer metrics read ``null``
-instead of a number.  This test loads the hook table read-only and checks
-every entry against the package.
+instead of a number.  ``perfbench/workloads.py`` drives the CLI with fixed
+command lines; a removed or renamed flag makes every benchmark run fail.
+These tests load both files read-only and check them against the package.
 """
 
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
-SPANS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                     "perfbench", "spans.py")
+from opentropy.cli import build_parser
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # dataclasses look their defining module up while the class is built
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
     return module
 
 
 @pytest.mark.skipif(not os.path.exists(SPANS),
                     reason="benchmark harness not in this checkout")
 def test_every_benchmark_hook_resolves():
-    spans = _load_spans()
+    spans = _load(SPANS, "_perfbench_spans")
     unresolved = []
     for name, module, path in spans.HOOKS:
         importlib.import_module(module)
@@ -34,3 +45,16 @@ def test_every_benchmark_hook_resolves():
         if attr is None or not callable(getattr(owner, attr)):
             unresolved.append(f"{name}: {module}.{path}")
     assert unresolved == []
+
+
+@pytest.mark.skipif(not os.path.exists(WORKLOADS),
+                    reason="benchmark harness not in this checkout")
+def test_every_benchmark_command_line_parses(tmp_path):
+    workloads = _load(WORKLOADS, "_perfbench_workloads")
+    parser = build_parser()
+    for name, workload in workloads.WORKLOADS.items():
+        calls = workload.cycle(1, 0, False, str(tmp_path))
+        assert calls, name
+        for call in calls:
+            args = parser.parse_args(list(call.argv))
+            assert args.command == call.kind, (name, call.argv)

@@ -1,12 +1,16 @@
+import itertools
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import opentropy as op
-from opentropy.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _emit, main
+from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, _emit,
+                           main)
 from opentropy.matio import load_matrix, save_matrix
 
 
@@ -115,6 +119,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "x"],
     ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "2-y"],
     ["verify", "--suite", "thm-main1", "--trials", "3", "--alpha", "1,x"],
+    ["verify", "--suite", "thm-main1", "--trials", "4", "--dim", "1,99",
+     "--alpha", "0,1,2,3"],
+    ["verify", "--suite", "thm-main1", "--trials", "0", "--dim", "0",
+     "--spec-lo", "5", "--spec-hi", "1"],
     ["hh", "--alpha", "nan", "--x", "4"],
     ["hh", "--alpha", "0", "--x", "inf"],
 ])
@@ -123,6 +131,25 @@ def test_malformed_flags_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "trials pass" not in captured.out
+
+
+@given(lengths=st.tuples(*[st.integers(1, 4)] * 5),
+       k=st.integers(0, 10_000))
+def test_decode_follows_product_order(lengths, k):
+    # reports stay byte-identical only while trial k gets the k-th item of
+    # the product, cycled; distinct values per list expose any swapped digit
+    dims, alphas, betas, deltas, lams = (
+        tuple(range(1, lengths[0] + 1)),
+        tuple(float(i) for i in range(lengths[1])),
+        tuple(10.0 + i for i in range(lengths[2])),
+        tuple(1.0 + 0.5 * i for i in range(lengths[3])),
+        tuple(0.25 * i for i in range(lengths[4])))
+    cfg = RunConfig(trials=1, dims=dims, alphas=alphas, betas=betas,
+                    deltas=deltas, lams=lams)
+    combos = list(itertools.product(dims, alphas, betas, deltas, lams))
+    gcfg, p = cfg.decode(k)
+    assert ((gcfg.dim, p.alpha, p.beta, p.delta, p.lam)
+            == combos[k % len(combos)])
 
 
 def test_reports_never_carry_nan_tokens(tmp_path):
