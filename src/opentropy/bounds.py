@@ -18,10 +18,9 @@ from .matcore import (
     DEFAULT_LOEWNER_TOL,
     POSITIVE,
     OperatorError,
-    SpectrumError,
     SymMatrix,
+    _check_domain,
     _power,
-    _resym,
     apply_fn,
     loewner_leq,
     mat_pow,
@@ -177,12 +176,12 @@ def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
 def _lu_inv(m: SymMatrix) -> SymMatrix:
     # LU-based inverse: keeps the explicit route off the eigendecomposition
     # path shared with the perspective route.
-    return SymMatrix(_resym(np.linalg.inv(m.data)))
+    return SymMatrix._computed(np.linalg.inv(m.data))
 
 
 def _mul(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     # product of commuting self-adjoint factors; resymmetrized
-    return SymMatrix(_resym(x.data @ y.data))
+    return SymMatrix._computed(x.data @ y.data)
 
 
 def bound_explicit(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
@@ -417,6 +416,7 @@ def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
     replayed from the report alone.
     """
     spec = SUITES[suite] if isinstance(suite, str) else suite
+    a._same_shape(b)
     p = spec.effective(params or ChainParams())
     _validate_params(spec, p)
 
@@ -424,15 +424,14 @@ def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
     _check_relation(spec, a, b, frame, p, tol)
     c = frame.whiten(b)
     cp = sym_eig(c)
-    if cp.eigenvalues[0] <= 0.0:
-        raise SpectrumError(
-            f"suite {spec.name}: B must be strictly positive (whitened "
-            f"eigenvalue {float(cp.eigenvalues[0])!r})")
+    _check_domain(cp.eigenvalues, POSITIVE, f"the whitened B of suite "
+                  f"{spec.name}, which must be strictly positive")
 
     terms = {}
     for label in spec.terms:
         g = scalar_generator(label, alpha=p.alpha, delta=p.delta, lam=p.lam)
-        terms[label] = frame.conjugate(SymMatrix(cp.rebuild(g(cp.eigenvalues))))
+        terms[label] = frame.conjugate(
+            SymMatrix._computed(cp.rebuild(g(cp.eigenvalues))))
 
     links = []
     for i, j in spec.links:

@@ -96,8 +96,7 @@ def random_spd(cfg: GenConfig, trial: int, salt: int = 0) -> SymMatrix:
     rng = _rng(cfg, trial, salt)
     vals = _log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi, cfg.dim)
     frame = _random_frame(rng, cfg.dim, cfg.field)
-    arr = (frame * vals) @ frame.conj().T
-    return SymMatrix((arr + arr.conj().T) / 2.0)
+    return SymMatrix._computed((frame * vals) @ frame.conj().T)
 
 
 def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
@@ -124,19 +123,17 @@ def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
         inner = delta * eye
     elif direction == "dominating":
         g = _gaussian(rng, dim, field)
-        w = g @ g.conj().T
-        w = (w + w.conj().T) / 2.0
-        top = float(sym_eig(SymMatrix(w)).eigenvalues[-1])
+        w = SymMatrix._computed(g @ g.conj().T)
+        top = float(sym_eig(w).eigenvalues[-1])
         target = cfg.spectrum_hi * rng.uniform(0.0, 1.0)
-        w = w * (target / top) if top > 0.0 else w * 0.0
-        inner = delta * eye + w
+        inner = delta * eye + w.data * (target / top if top > 0.0 else 0.0)
     else:
         vals = _log_uniform(rng, delta / DOMINATED_SPREAD, delta, dim)
         frame = _random_frame(rng, dim, field)
         inner = (frame * vals) @ frame.conj().T
 
     frame_a = PowerFrame(a, beta)
-    b = frame_a.conjugate(SymMatrix((inner + inner.conj().T) / 2.0))
+    b = frame_a.conjugate(SymMatrix._computed(inner))
 
     a_beta = delta * frame_a.power(beta)
     if direction == "dominating":

@@ -20,20 +20,24 @@ from .matcore import OperatorError
 UNIT_CUTOFF = 1e-12
 
 
-def _validate(alpha: float, x: float) -> None:
+def _validate(alpha: float, x: float, lam=None):
     if not 0.0 < x < np.inf:
         raise OperatorError(f"x must be positive and finite, got {x!r}")
     if not 0.0 <= alpha < np.inf:
         raise OperatorError(
             f"alpha must be nonnegative and finite, got {alpha!r}")
+    if lam is None:
+        return None
+    lam = np.asarray(lam, dtype=np.float64)
+    # written so that NaN fails
+    if not np.all((0.0 <= lam) & (lam <= 1.0)):
+        raise OperatorError("lambda must lie in [0, 1]")
+    return lam
 
 
 def l_of_lambda(alpha: float, x: float, lam):
     """Lower interpolant l(lambda) of the refined chain; vectorized in lam."""
-    _validate(alpha, x)
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise OperatorError("lambda must lie in [0, 1]")
+    lam = _validate(alpha, x, lam)
     xa = x ** alpha
     if x >= 1.0:
         out = (2.0 * lam * xa / (lam * (x - 1.0) + 2.0)
@@ -46,10 +50,7 @@ def l_of_lambda(alpha: float, x: float, lam):
 
 def L_of_lambda(alpha: float, x: float, lam):
     """Upper interpolant L(lambda) of the refined chain; vectorized in lam."""
-    _validate(alpha, x)
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0.0) or np.any(lam > 1.0):
-        raise OperatorError("lambda must lie in [0, 1]")
+    lam = _validate(alpha, x, lam)
     xa = x ** alpha
     if x >= 1.0:
         out = 0.5 * (xa / (lam * (x - 1.0) + 1.0)

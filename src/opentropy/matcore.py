@@ -53,11 +53,13 @@ def _resym(arr: np.ndarray) -> np.ndarray:
 class SymMatrix:
     """A dense self-adjoint matrix over the reals or the complex numbers.
 
-    Construction rejects NaN and infinite entries (and a Frobenius norm that
-    overflows), validates self-adjointness (max entrywise asymmetry must
-    not exceed ``1e-13 * max(1, ||M||_F)``), then stores the exactly
-    Hermitian average ``(M + M*) / 2`` as a read-only float64/complex128
-    array.  The scalar field is carried by the dtype.
+    Matrices entering the package get full admission: NaN and infinite
+    entries (or an overflowing Frobenius norm) are rejected, and the max
+    entrywise asymmetry must not exceed ``1e-13 * max(1, ||M||_F)``.
+    Results computed from admitted matrices (``_computed``) are checked for
+    finiteness only.  Both store the exactly Hermitian average
+    ``(M + M*) / 2`` as a read-only float64/complex128 array; the dtype
+    carries the scalar field.
     """
 
     data: np.ndarray
@@ -68,20 +70,31 @@ class SymMatrix:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype, order="C")
-        fro = float(np.linalg.norm(arr))
-        if not np.isfinite(fro):
-            raise OperatorError(
-                f"matrix entries must be finite: Frobenius norm is {fro!r}")
-        scale = max(1.0, fro)
+        scale = max(1.0, self._store(arr))  # a failed check below discards
         asym = float(np.max(np.abs(arr - arr.conj().T)))
         if asym > HERMITICITY_TOL * scale:
             raise SelfAdjointError(
                 f"matrix is not self-adjoint: max asymmetry {asym:.3e} "
                 f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}"
             )
-        arr = _resym(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+
+    def _store(self, arr: np.ndarray) -> float:
+        """Finiteness check, then freeze (arr + arr*)/2; returns ||arr||_F."""
+        fro = float(np.linalg.norm(arr))
+        if not np.isfinite(fro):
+            raise OperatorError(
+                f"matrix entries must be finite: Frobenius norm is {fro!r}")
+        sym = _resym(arr)
+        sym.flags.writeable = False
+        object.__setattr__(self, "data", sym)
+        return fro
+
+    @classmethod
+    def _computed(cls, arr: np.ndarray) -> "SymMatrix":
+        """Wrap an array computed from admitted matrices; finiteness only."""
+        m = object.__new__(cls)
+        m._store(arr)
+        return m
 
     @property
     def dim(self) -> int:
@@ -114,17 +127,17 @@ class SymMatrix:
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._same_shape(other)
-        return SymMatrix(self.data + other.data)
+        return SymMatrix._computed(self.data + other.data)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._same_shape(other)
-        return SymMatrix(self.data - other.data)
+        return SymMatrix._computed(self.data - other.data)
 
     def __neg__(self) -> "SymMatrix":
-        return SymMatrix(-self.data)
+        return SymMatrix._computed(-self.data)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
-        return SymMatrix(self.data * float(scalar))
+        return SymMatrix._computed(self.data * float(scalar))
 
     __rmul__ = __mul__
 
@@ -282,7 +295,7 @@ def apply_fn(
     """
     pair = sym_eig(m)
     _check_domain(pair.eigenvalues, domain, name or getattr(fn, "name", ""))
-    return SymMatrix(pair.rebuild(fn(pair.eigenvalues)))
+    return SymMatrix._computed(pair.rebuild(fn(pair.eigenvalues)))
 
 
 def mat_pow(m: SymMatrix, exponent: float) -> SymMatrix:
@@ -310,7 +323,6 @@ class OrderVerdict:
 def loewner_leq(a: SymMatrix, b: SymMatrix,
                 tol: float = DEFAULT_LOEWNER_TOL) -> OrderVerdict:
     """Decide ``A <= B`` in the Loewner order, with a signed margin."""
-    a._same_shape(b)
     diff = b - a
     margin = float(sym_eig(diff).eigenvalues[0])
     scale = max(1.0, a.fro, b.fro)

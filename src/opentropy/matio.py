@@ -24,30 +24,30 @@ def matrix_to_obj(m: SymMatrix) -> dict:
     return {"field": m.field, "dim": m.dim, "data": data}
 
 
+def _complex_entry(entry) -> complex:
+    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+        return complex(entry[0], entry[1])
+    return complex(entry)  # a bare number; any other list is malformed
+
+
 def matrix_from_obj(obj: dict) -> SymMatrix:
     try:
-        field = obj["field"]
-        dim = int(obj["dim"])
-        rows = obj["data"]
+        field, dim, rows = obj["field"], obj["dim"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise OperatorError(f"malformed matrix object: {exc}") from exc
     if field not in ("real", "complex"):
         raise OperatorError(f"field must be 'real' or 'complex', got {field!r}")
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    if type(dim) is not int:
+        raise OperatorError(f"dim must be an integer, got {dim!r}")
+    try:
+        if field == "complex":
+            rows = [[_complex_entry(e) for e in row] for row in rows]
+        arr = np.asarray(rows, dtype=np.complex128 if field == "complex"
+                         else np.float64)
+    except (ValueError, TypeError) as exc:
+        raise OperatorError(f"malformed matrix data: {exc}") from exc
+    if arr.shape != (dim, dim):
         raise OperatorError(f"data is not a {dim}x{dim} matrix")
-    if field == "complex":
-        arr = np.empty((dim, dim), dtype=np.complex128)
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if isinstance(entry, (list, tuple)):
-                    if len(entry) != 2:
-                        raise OperatorError(
-                            f"complex entry at ({i},{j}) is not a [re, im] pair")
-                    arr[i, j] = complex(entry[0], entry[1])
-                else:
-                    arr[i, j] = complex(entry)
-    else:
-        arr = np.asarray(rows, dtype=np.float64)
     return SymMatrix(arr)
 
 
@@ -60,7 +60,7 @@ def _load_text(text: str) -> SymMatrix:
         values = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise OperatorError(f"malformed text matrix: {exc}") from exc
-    if len(values) != dim * dim:
+    if dim < 1 or len(values) != dim * dim:
         raise OperatorError(
             f"text matrix declares dim {dim} but carries {len(values)} entries")
     return SymMatrix(np.asarray(values, dtype=np.float64).reshape(dim, dim))

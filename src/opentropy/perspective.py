@@ -12,14 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import (
-    EigenPair,
-    SpectrumError,
-    SymMatrix,
-    _check_domain,
-    _resym,
-    sym_eig,
-)
+from .matcore import POSITIVE, SpectrumError, SymMatrix, _check_domain, sym_eig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,25 +36,18 @@ class PerspectiveSpec:
         return getattr(self.f, "domain", None)
 
 
-def _positive_pair(y: SymMatrix, what: str) -> EigenPair:
-    pair = sym_eig(y)
-    lo = float(pair.eigenvalues[0])
-    if lo <= 0.0:
-        raise SpectrumError(
-            f"{what} must be strictly positive; smallest eigenvalue is {lo!r}"
-        )
-    return pair
-
-
 def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
     """Evaluate ``h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``.
 
-    ``x`` is self-adjoint, ``y`` strictly positive.  The whitened middle
-    matrix is re-symmetrized before its eigendecomposition to keep rounding
-    drift out of the eigensolver input; its spectrum is validated against the
-    domain of ``f`` at evaluation time.
+    ``x`` is self-adjoint, ``y`` strictly positive, both of one dim and
+    field.  The whitened middle matrix is re-symmetrized before its
+    eigendecomposition to keep rounding drift out of the eigensolver input;
+    its spectrum is validated against the domain of ``f`` at evaluation time.
     """
-    pair = _positive_pair(y, "perspective base")
+    x._same_shape(y)
+    pair = sym_eig(y)
+    _check_domain(pair.eigenvalues, POSITIVE,
+                  "the perspective base, which must be strictly positive")
     hvals = np.asarray(spec.h(pair.eigenvalues), dtype=np.float64)
     if np.min(hvals) <= 0.0:
         raise SpectrumError(
@@ -70,12 +56,12 @@ def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
         )
     h_half = pair.rebuild(np.sqrt(hvals))
     h_ihalf = pair.rebuild(1.0 / np.sqrt(hvals))
-    inner = SymMatrix(_resym(h_ihalf @ x.data @ h_ihalf))
+    inner = SymMatrix._computed(h_ihalf @ x.data @ h_ihalf)
     ip = sym_eig(inner)
     _check_domain(ip.eigenvalues, spec.resolved_domain(),
                   f"{spec.name or 'f'} on the whitened spectrum")
     mid = ip.rebuild(spec.f(ip.eigenvalues))
-    return SymMatrix(_resym(h_half @ mid @ h_half))
+    return SymMatrix._computed(h_half @ mid @ h_half)
 
 
 class PowerFrame:
@@ -88,25 +74,28 @@ class PowerFrame:
     def __init__(self, base: SymMatrix, exponent: float):
         self.base = base
         self.exponent = float(exponent)
-        self.pair = _positive_pair(base, "congruence base")
+        self.pair = sym_eig(base)
+        _check_domain(self.pair.eigenvalues, POSITIVE,
+                      "the congruence base, which must be strictly positive")
         half = np.power(self.pair.eigenvalues, self.exponent / 2.0)
         self.half = self.pair.rebuild(half)
         self.ihalf = self.pair.rebuild(1.0 / half)
 
     def power(self, exponent: float) -> SymMatrix:
         """``base**exponent`` from the cached decomposition."""
-        return SymMatrix(
+        return SymMatrix._computed(
             self.pair.rebuild(np.power(self.pair.eigenvalues, exponent)))
 
     def conjugate(self, x: SymMatrix) -> SymMatrix:
         """``B^{e/2} X B^{e/2}``; preserves positive semidefiniteness."""
-        return SymMatrix(_resym(self.half @ x.data @ self.half))
+        return SymMatrix._computed(self.half @ x.data @ self.half)
 
     def whiten(self, x: SymMatrix) -> SymMatrix:
         """``B^{-e/2} X B^{-e/2}``."""
-        return SymMatrix(_resym(self.ihalf @ x.data @ self.ihalf))
+        return SymMatrix._computed(self.ihalf @ x.data @ self.ihalf)
 
 
 def congruence(x: SymMatrix, b: SymMatrix, exponent: float) -> SymMatrix:
     """Return ``B^{e/2} X B^{e/2}`` for strictly positive ``B``."""
+    x._same_shape(b)
     return PowerFrame(b, exponent).conjugate(x)

@@ -60,13 +60,21 @@ def test_text_format_rejects_complex(tmp_path):
 
 def test_malformed_files_rejected(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"field": "real", "dim": 3, "data": [[1, 0], [0, 1]]}')
-    with pytest.raises(op.OperatorError):
-        load_matrix(bad)
+    for body in (
+            '{"field": "real", "dim": 3, "data": [[1, 0], [0, 1]]}',
+            '{"field": "real", "dim": 2, "data": 5}',
+            '{"field": "real", "dim": "abc", "data": [[1]]}',
+            '{"field": "real", "dim": 1.7, "data": [[1]]}',
+            '{"field": "real", "dim": 2, "data": [[1, 0], [0, "x"]]}',
+            '{"field": "complex", "dim": 1, "data": [[["a", 1]]]}'):
+        bad.write_text(body)
+        with pytest.raises(op.OperatorError):
+            load_matrix(bad)
     garbled = tmp_path / "g.txt"
-    garbled.write_text("2\n1.0 2.0\n3.0\n")
-    with pytest.raises(op.OperatorError):
-        load_matrix(garbled)
+    for body in ("2\n1.0 2.0\n3.0\n", "-1\n5.0\n"):
+        garbled.write_text(body)
+        with pytest.raises(op.OperatorError):
+            load_matrix(garbled)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +133,13 @@ def test_verify_unknown_suite_is_usage_error(capsys):
      "--spec-lo", "5", "--spec-hi", "1"],
     ["hh", "--alpha", "nan", "--x", "4"],
     ["hh", "--alpha", "0", "--x", "inf"],
+    # the generators overflow to inf; the finiteness check of computed
+    # results must turn that into a usage error, not a counterexample
+    pytest.param(["verify", "--suite", "thm-main1", "--trials", "3", "--dim",
+                  "4", "--alpha", "400"],
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    pytest.param(["oracle", "--trials", "3", "--dim", "4", "--alpha", "400"],
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ])
 def test_malformed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -230,6 +245,21 @@ def test_compute_domain_error_exit_code(tmp_path, capsys):
     code = main(["compute", "--expr", "S", "--A", str(bad), "--B", str(bad)])
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["S", "V", "geomean", "means"])
+@pytest.mark.parametrize("b", [op.SymMatrix.identity(1),
+                               op.SymMatrix.identity(2, "complex")],
+                         ids=["dim", "field"])
+def test_compute_rejects_disagreeing_operands(tmp_path, spd_json, capsys,
+                                              expr, b):
+    a_path, _ = spd_json
+    b_path = tmp_path / "b.json"
+    save_matrix(b, b_path)
+    code = main(["compute", "--expr", expr, "--A", str(a_path),
+                 "--B", str(b_path)])
+    assert code == EXIT_USAGE
+    assert "operands disagree" in capsys.readouterr().err
 
 
 def test_compute_missing_file_exit_code(capsys):

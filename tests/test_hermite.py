@@ -52,6 +52,11 @@ def test_lambda_outside_unit_interval_rejected():
         l_of_lambda(0.0, 4.0, 1.2)
     with pytest.raises(op.OperatorError):
         L_of_lambda(0.0, 4.0, -0.1)
+    for fn in (l_of_lambda, L_of_lambda):
+        with pytest.raises(op.OperatorError, match="lambda"):
+            fn(0.0, 4.0, float("nan"))
+        with pytest.raises(op.OperatorError, match="lambda"):
+            fn(0.0, 0.25, [0.5, float("nan")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import opentropy as op
 from opentropy.gen import GenConfig, random_partner, random_spd
-from opentropy.matcore import POSITIVE
+from opentropy.matcore import POSITIVE, _resym
 from opentropy.perspective import PowerFrame
 
 RECON_TOL = 1e-10
@@ -153,6 +156,47 @@ def test_rejects_non_finite_entries(bad):
             op.SymMatrix(arr)
         with pytest.raises(op.OperatorError, match="finite"):
             op.sym_eig(arr)
+        # computed results keep the exception and the message, and the
+        # finiteness test runs before any arithmetic that could warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(op.OperatorError) as full:
+                op.SymMatrix(arr)
+            with pytest.raises(op.OperatorError) as computed:
+                op.SymMatrix._computed(arr)
+        assert type(computed.value) is type(full.value)
+        assert str(computed.value) == str(full.value)
+
+
+_ENTRIES = {
+    "real": st.floats(-1e6, 1e6),
+    "complex": st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                  allow_infinity=False),
+}
+
+
+@st.composite
+def _square_arrays(draw):
+    field = draw(st.sampled_from(("real", "complex")))
+    dim = draw(st.integers(1, 6))
+    dtype = np.complex128 if field == "complex" else np.float64
+    x = draw(hnp.arrays(dtype, (dim, dim), elements=_ENTRIES[field]))
+    if draw(st.booleans()):
+        upper = np.triu(x, 1)
+        x = upper + upper.conj().T + np.diag(np.diagonal(x).real)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_square_arrays())
+def test_computed_stores_the_bits_of_full_admission(x):
+    # skipping re-admission of computed results cannot change report bytes:
+    # _resym output is exactly Hermitian and a bitwise fixed point of _resym
+    y = _resym(x)
+    assert not np.any(y - y.conj().T)
+    assert _resym(y).tobytes() == y.tobytes()
+    assert (op.SymMatrix._computed(x).data.tobytes()
+            == op.SymMatrix(y).data.tobytes())
 
 
 def test_rejects_non_self_adjoint():

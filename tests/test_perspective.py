@@ -144,3 +144,14 @@ def test_congruence_rejects_nonpositive_base():
     with pytest.raises(op.SpectrumError):
         op.congruence(op.SymMatrix.identity(2),
                       op.SymMatrix.diagonal([1.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("b", [op.SymMatrix.identity(3),
+                               op.SymMatrix.identity(2, "complex")],
+                         ids=["dim", "field"])
+def test_congruence_and_perspective_reject_disagreeing_operands(b):
+    x = op.SymMatrix.identity(2)
+    with pytest.raises(op.DimensionError, match="operands disagree"):
+        op.congruence(x, b, 1.0)
+    with pytest.raises(op.DimensionError, match="operands disagree"):
+        perspective(_spec(np.square, lambda t: t), x, b)
