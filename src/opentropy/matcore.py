@@ -46,7 +46,13 @@ class ConvergenceError(OperatorError):
 
 
 def _resym(arr: np.ndarray) -> np.ndarray:
-    return (arr + arr.conj().T) / 2.0
+    # halve the real and imaginary parts as reals: complex division by 2
+    # mixes the parts (a + b*0), which can flip the sign of a zero, so the
+    # result would not be a bitwise fixed point of _resym
+    sym = np.add(arr, arr.conj().T, order="C")
+    parts = sym.view(sym.real.dtype)
+    parts *= 0.5
+    return sym
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
