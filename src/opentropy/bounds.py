@@ -17,14 +17,18 @@ from .entropy import geo_mean, weighted_means
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     POSITIVE,
+    ConvergenceError,
+    EigenPair,
     OperatorError,
     SymMatrix,
     _check_domain,
+    _eigh,
+    _fro,
+    _nonfinite,
     _power,
+    _resym,
     apply_fn,
-    loewner_leq,
     mat_pow,
-    sym_eig,
 )
 from .perspective import PerspectiveSpec, PowerFrame, perspective
 
@@ -154,7 +158,7 @@ def scalar_generator(kind: str, alpha: float = 0.0, delta: float = 1.0,
         raise OperatorError(
             f"unknown bound kind {kind!r}; expected one of "
             f"{sorted(_GENERATORS)}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise OperatorError(f"delta must be positive, got {delta!r}")
     return ScalarFn(kind=kind, alpha=alpha, delta=delta, lam=lam)
 
@@ -386,21 +390,223 @@ def _validate_params(spec: SuiteSpec, p: ChainParams) -> None:
             f"suite {spec.name}: requires 0 < delta <= 1, got {p.delta!r}")
 
 
-def _check_relation(spec: SuiteSpec, a: SymMatrix, b: SymMatrix,
-                    frame: PowerFrame, p: ChainParams, tol: float) -> None:
-    if spec.relation == "none":
-        return
-    a_beta = p.delta * frame.power(p.beta)
-    if spec.relation == "dominating":
-        verdict = loewner_leq(a_beta, b, tol)
-        stated = f"delta*A^beta <= B (delta={p.delta}, beta={p.beta})"
-    else:
-        verdict = loewner_leq(b, a_beta, tol)
-        stated = f"B <= delta*A^beta (delta={p.delta}, beta={p.beta})"
-    if not verdict.holds:
-        raise HypothesisError(
+class _NoLiveTrial(Exception):
+    """The first trial of a stack failed; no stage has work left."""
+
+
+class _Stack:
+    """The live trials ``0..live-1`` of one stacked chain check.
+
+    Each stage checks every live trial at once.  When a trial fails, the
+    stack ends there, because checking the trials one at a time raises on
+    that trial before reaching any later one; the trials before it go on
+    through the later stages, and one of them that fails takes over as the
+    first error.  So the error kept is that of the lowest failing trial,
+    from the first of its stages to fail, in ``chain_check`` order: frame,
+    hypothesis, whitening, terms, links.
+    """
+
+    def __init__(self, spec: SuiteSpec, count: int, tol: float):
+        self.spec, self.tol = spec, tol
+        self.params: list[ChainParams] = []
+        self.live = count
+        self.error: OperatorError | None = None
+
+    def fail(self, trial: int, exc: OperatorError) -> None:
+        self.live, self.error = trial, exc
+        if not trial:
+            raise _NoLiveTrial
+
+    def admit(self, *arrays: np.ndarray) -> np.ndarray:
+        """The finiteness check of ``SymMatrix._computed`` on every live
+        matrix: trial by trial, within a trial position by position (the
+        axes after the trial axis), and at one position ``arrays`` in the
+        order given.  Returns the last array, symmetrized as it is stored."""
+        bad = np.stack([_nonfinite(x[:self.live]) for x in arrays], axis=-1)
+        if bad.any():
+            where = np.unravel_index(np.argmax(bad), bad.shape)
+            try:
+                SymMatrix._computed(arrays[where[-1]][where[:-1]])
+            except OperatorError as exc:
+                self.fail(int(where[0]), exc)
+        return _resym(arrays[-1][:self.live])
+
+    def eig(self, arr: np.ndarray) -> EigenPair:
+        """``sym_eig`` of every live matrix; when LAPACK fails, the lowest
+        trial whose own decomposition fails is the one that fails."""
+        try:
+            return _eigh(arr[:self.live])
+        except ConvergenceError:
+            for trial in range(self.live):
+                try:
+                    _eigh(arr[trial])
+                except ConvergenceError as exc:
+                    self.fail(trial, exc)
+                    break
+            return _eigh(arr[:self.live])
+
+    def positive(self, eigenvalues: np.ndarray, name: str) -> None:
+        """The ``POSITIVE`` domain check on every live row of eigenvalues."""
+        lo, hi = POSITIVE
+        vals = eigenvalues[:self.live]
+        bad = ~((lo < vals) & (vals < hi)).all(axis=-1)
+        if bad.any():
+            trial = int(np.argmax(bad))
+            try:
+                _check_domain(vals[trial], POSITIVE, name)
+            except OperatorError as exc:
+                self.fail(trial, exc)
+
+    def rows(self, fn) -> np.ndarray:
+        """``fn(trial, params)`` for each live trial, stacked.  Each row
+        sees its own parameters as scalars: ``np.power`` special-cases
+        scalar exponents such as 0.5, 2 and -1, so a broadcast ``(T, 1)``
+        exponent would change bits."""
+        return np.array([fn(t, p) for t, p in
+                         enumerate(self.params[:self.live])])
+
+
+def _frame(st: _Stack, a: np.ndarray):
+    """``A``'s eigendecomposition and ``A^{beta/2}``, ``A^{-beta/2}``."""
+    pair = st.eig(a)
+    st.positive(pair.eigenvalues,
+                "the congruence base, which must be strictly positive")
+    pair = EigenPair(pair.eigenvalues[:st.live], pair.eigenvectors[:st.live])
+    half = st.rows(lambda t, p: np.power(pair.eigenvalues[t],
+                                         float(p.beta) / 2.0))
+    return pair, pair.rebuild(half), pair.rebuild(1.0 / half)
+
+
+def _check_relation(st: _Stack, pair: EigenPair, b: np.ndarray) -> None:
+    """The dominance hypothesis, ``loewner_leq`` at the suite tolerance."""
+    spec, tol = st.spec, st.tol
+    power = st.admit(pair.rebuild(
+        st.rows(lambda t, p: np.power(pair.eigenvalues[t], p.beta))))
+    a_beta = st.admit(st.rows(lambda t, p: power[t] * float(p.delta)))
+    b = b[:st.live]
+    lhs, rhs = (a_beta, b) if spec.relation == "dominating" else (b, a_beta)
+    diff = st.admit(rhs - lhs)
+    margin = st.eig(diff).eigenvalues[:st.live, 0]
+    scale = np.maximum(np.maximum(1.0, _fro(lhs[:st.live])),
+                       _fro(rhs[:st.live]))
+    fails = ~(margin >= -tol * scale)
+    if fails.any():
+        trial = int(np.argmax(fails))
+        p = st.params[trial]
+        if spec.relation == "dominating":
+            stated = f"delta*A^beta <= B (delta={p.delta}, beta={p.beta})"
+        else:
+            stated = f"B <= delta*A^beta (delta={p.delta}, beta={p.beta})"
+        st.fail(trial, HypothesisError(
             f"suite {spec.name}: hypothesis {stated} fails with margin "
-            f"{verdict.margin:.6e} (tolerance {tol:.0e} * {verdict.scale:.3e})")
+            f"{float(margin[trial]):.6e} (tolerance {tol:.0e} * "
+            f"{float(scale[trial]):.3e})"))
+
+
+def _whiten(st: _Stack, ihalf: np.ndarray, b: np.ndarray) -> EigenPair:
+    """``C = A^{-beta/2} B A^{-beta/2}``, decomposed and checked positive."""
+    c = st.admit(ihalf[:st.live] @ b[:st.live] @ ihalf[:st.live])
+    pair = st.eig(c)
+    st.positive(pair.eigenvalues, f"the whitened B of suite "
+                f"{st.spec.name}, which must be strictly positive")
+    return pair
+
+
+def _terms(st: _Stack, half: np.ndarray, cp: EigenPair) -> np.ndarray:
+    """Every term ``A^{beta/2} g_k(C) A^{beta/2}`` as a ``(T, K, n, n)``
+    stack, admitted in ``chain_check`` order: ``g_0(C)``, term 0,
+    ``g_1(C)``, term 1, ..."""
+    gens: dict[ChainParams, list[ScalarFn]] = {}
+    for trial, p in enumerate(st.params[:st.live]):
+        if p in gens:
+            continue
+        try:
+            gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
+                                        lam=p.lam) for label in st.spec.terms]
+        except OperatorError as exc:
+            st.fail(trial, exc)
+            break
+    w, u = cp.eigenvalues[:st.live], cp.eigenvectors[:st.live]
+    vals = st.rows(lambda t, p: [g(w[t]) for g in gens[p]])
+    mid = EigenPair(w, u[:, None]).rebuild(vals)
+    h = half[:st.live, None]
+    return st.admit(mid, h @ mid @ h)
+
+
+def _links(st: _Stack, terms: np.ndarray):
+    """Margin and verdict of every link, from one ``(T, L, n, n)`` stack.
+
+    All link differences are checked for finiteness before any is
+    decomposed, so a trial whose link 0 fails to converge while a later
+    link is not finite fails on the finiteness check.
+    """
+    left = [i for i, _ in st.spec.links]
+    right = [j for _, j in st.spec.links]
+    diff = st.admit(terms[:, right] - terms[:, left])
+    margin = st.eig(diff).eigenvalues[:st.live, :, 0]
+    fro = _fro(terms[:st.live])
+    scale = np.maximum(np.maximum(1.0, fro[:, left]), fro[:, right])
+    return margin, margin >= -st.tol * scale
+
+
+def chain_check_stack(suite: str | SuiteSpec,
+                      pairs: list[tuple[SymMatrix, SymMatrix]],
+                      params: list[ChainParams], tol: float,
+                      trial_seeds: list[int]):
+    """Check one suite on a stack of trials, each stage on all at once.
+
+    ``pairs[t]``, ``params[t]`` and ``trial_seeds[t]`` are trial ``t``'s
+    inputs; every A shares one dim and field.  Each stage runs as stacked
+    ``eigh``/``matmul`` calls over ``(T, n, n)`` arrays, and each trial's
+    results are bitwise those of ``chain_check`` on that trial alone.
+
+    Returns ``(reports, error)``.  ``error`` is ``None`` when every trial
+    ran; otherwise it is the exception ``chain_check`` raises on trial
+    ``len(reports)``, the lowest failing one, and ``reports`` covers the
+    trials before it.
+    """
+    if not pairs:
+        return [], None
+    spec = SUITES[suite] if isinstance(suite, str) else suite
+    st = _Stack(spec, len(pairs), tol)
+    try:
+        for trial, ((a, b), p) in enumerate(zip(pairs, params)):
+            pairs[0][0]._same_shape(a)
+            try:
+                a._same_shape(b)
+                p = spec.effective(p)
+                _validate_params(spec, p)
+            except OperatorError as exc:
+                st.fail(trial, exc)
+                break
+            st.params.append(p)
+        a_stack = np.stack([a.data for a, _ in pairs[:st.live]])
+        b_stack = np.stack([b.data for _, b in pairs[:st.live]])
+        pair, half, ihalf = _frame(st, a_stack)
+        if spec.relation != "none":
+            _check_relation(st, pair, b_stack)
+        cp = _whiten(st, ihalf, b_stack)
+        margins, holds = _links(st, _terms(st, half, cp))
+    except _NoLiveTrial:
+        pass
+
+    reports = []
+    for trial in range(st.live):
+        links = [LinkMargin(lhs=spec.terms[i], rhs=spec.terms[j],
+                            margin=float(margins[trial, k]),
+                            holds=bool(holds[trial, k]))
+                 for k, (i, j) in enumerate(spec.links)]
+        ok = all(link.holds for link in links)
+        report = ChainReport(suite=spec.name, trial_seed=trial_seeds[trial],
+                             params=st.params[trial], links=links,
+                             verdict="pass" if ok else "fail")
+        if not ok:
+            from .matio import matrix_to_obj
+
+            a, b = pairs[trial]
+            report.matrices = {"A": matrix_to_obj(a), "B": matrix_to_obj(b)}
+        reports.append(report)
+    return reports, st.error
 
 
 def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
@@ -413,37 +619,12 @@ def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
     checked through ``loewner_leq`` at the same tolerance as the links) is a
     precondition: violations raise ``HypothesisError`` instead of producing
     a failing report.  Failing reports embed the inputs so the trial can be
-    replayed from the report alone.
+    replayed from the report alone.  This is ``chain_check_stack`` on a
+    stack of one.
     """
-    spec = SUITES[suite] if isinstance(suite, str) else suite
-    a._same_shape(b)
-    p = spec.effective(params or ChainParams())
-    _validate_params(spec, p)
-
-    frame = PowerFrame(a, p.beta)
-    _check_relation(spec, a, b, frame, p, tol)
-    c = frame.whiten(b)
-    cp = sym_eig(c)
-    _check_domain(cp.eigenvalues, POSITIVE, f"the whitened B of suite "
-                  f"{spec.name}, which must be strictly positive")
-
-    terms = {}
-    for label in spec.terms:
-        g = scalar_generator(label, alpha=p.alpha, delta=p.delta, lam=p.lam)
-        terms[label] = frame.conjugate(
-            SymMatrix._computed(cp.rebuild(g(cp.eigenvalues))))
-
-    links = []
-    for i, j in spec.links:
-        lhs, rhs = spec.terms[i], spec.terms[j]
-        verdict = loewner_leq(terms[lhs], terms[rhs], tol)
-        links.append(LinkMargin(lhs=lhs, rhs=rhs, margin=verdict.margin,
-                                holds=verdict.holds))
-    ok = all(link.holds for link in links)
-    report = ChainReport(suite=spec.name, trial_seed=trial_seed, params=p,
-                         links=links, verdict="pass" if ok else "fail")
-    if not ok:
-        from .matio import matrix_to_obj
-
-        report.matrices = {"A": matrix_to_obj(a), "B": matrix_to_obj(b)}
-    return report
+    reports, error = chain_check_stack(suite, [(a, b)],
+                                       [params or ChainParams()], tol,
+                                       [trial_seed])
+    if error is not None:
+        raise error
+    return reports[0]

@@ -113,7 +113,7 @@ def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
     if direction not in ("dominating", "dominated"):
         raise OperatorError(f"direction must be 'dominating' or 'dominated', "
                             f"got {direction!r}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise OperatorError(f"delta must be positive, got {delta!r}")
     rng = _rng(cfg, trial, _SALT_PARTNER)
     dim, field = a.dim, a.field

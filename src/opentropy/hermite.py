@@ -64,7 +64,7 @@ def L_of_lambda(alpha: float, x: float, lam):
 def extremizer(x: float) -> float:
     """The lambda attaining sup l and inf L: ``1/(sqrt(x)+1)`` for
     ``x >= 1``, ``sqrt(x)/(sqrt(x)+1)`` for ``x <= 1`` (both 1/2 at x=1)."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise OperatorError(f"x must be positive, got {x!r}")
     r = np.sqrt(x)
     return float(1.0 / (r + 1.0)) if x >= 1.0 else float(r / (r + 1.0))

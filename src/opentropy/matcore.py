@@ -46,10 +46,11 @@ class ConvergenceError(OperatorError):
 
 
 def _resym(arr: np.ndarray) -> np.ndarray:
+    """``(M + M*) / 2`` of each matrix in the last two axes."""
     # halve the real and imaginary parts as reals: complex division by 2
     # mixes the parts (a + b*0), which can flip the sign of a zero, so the
     # result would not be a bitwise fixed point of _resym
-    sym = np.add(arr, arr.conj().T, order="C")
+    sym = np.add(arr, arr.conj().swapaxes(-1, -2), order="C")
     parts = sym.view(sym.real.dtype)
     parts *= 0.5
     return sym
@@ -148,6 +149,30 @@ class SymMatrix:
     __rmul__ = __mul__
 
 
+def _fro(arr: np.ndarray) -> np.ndarray:
+    """``SymMatrix.fro`` of each matrix in the last two axes."""
+    n = arr.shape[-1]
+    norms = [np.linalg.norm(m) for m in arr.reshape(-1, n, n)]
+    return np.array(norms, dtype=np.float64).reshape(arr.shape[:-2])
+
+
+def _nonfinite(arr: np.ndarray) -> np.ndarray:
+    """Over the leading axes, the matrices ``SymMatrix._computed`` rejects.
+
+    Parts no larger than ``sqrt(max / (4 n^2))`` in magnitude cannot make
+    the Frobenius norm overflow, so only matrices with a larger, infinite or
+    NaN part get the norm test of ``_store``.
+    """
+    n = arr.shape[-1]
+    flat = np.ascontiguousarray(arr).reshape(arr.shape[:-2] + (-1,))
+    big = np.abs(flat.view(np.float64)).max(axis=-1)
+    suspect = ~(big <= np.sqrt(np.finfo(np.float64).max / (4.0 * n * n)))
+    bad = np.zeros(suspect.shape, dtype=bool)
+    for idx in zip(*np.nonzero(suspect)):
+        bad[idx] = not np.isfinite(np.linalg.norm(arr[idx]))
+    return bad
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class EigenPair:
     """Ascending eigenvalues and an orthonormal eigenvector matrix."""
@@ -156,10 +181,34 @@ class EigenPair:
     eigenvectors: np.ndarray
 
     def rebuild(self, values) -> np.ndarray:
-        """Assemble ``U diag(values) U*`` (re-symmetrized) as a raw array."""
+        """Assemble ``U diag(values) U*`` (re-symmetrized) as a raw array.
+
+        Leading axes of ``values`` and of the eigenvectors broadcast, so a
+        stack of decompositions rebuilds as one ``(..., n, n)`` array.
+        """
         u = self.eigenvectors
-        vals = np.asarray(values, dtype=np.float64)
-        return _resym((u * vals) @ u.conj().T)
+        vals = np.asarray(values, dtype=np.float64)[..., None, :]
+        return _resym((u * vals) @ u.conj().swapaxes(-1, -2))
+
+
+def _eigh(arr: np.ndarray) -> EigenPair:
+    """``sym_eig`` of each matrix in the last two axes of a raw array."""
+    try:
+        w, v = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    # the pivot of a column is its first largest-magnitude entry; an
+    # orthonormal column has an entry of magnitude >= 1/sqrt(n), so the
+    # pivot is never zero
+    n = v.shape[-1]
+    rows = np.argmax(np.abs(v), axis=-2)
+    if v.ndim > 2:  # row numbers in the (-1, n) view of the whole stack
+        rows += np.arange(0, v.size // n, n).reshape(v.shape[:-2] + (1,))
+    pivot = v.reshape(-1, n)[rows, np.arange(n)]
+    v *= (np.conj(pivot) / np.abs(pivot))[..., None, :]
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return EigenPair(eigenvalues=w, eigenvectors=v)
 
 
 def sym_eig(m: SymMatrix) -> EigenPair:
@@ -177,17 +226,7 @@ def sym_eig(m: SymMatrix) -> EigenPair:
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
-    try:
-        w, v = np.linalg.eigh(m.data)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    # an orthonormal column has an entry of magnitude >= 1/sqrt(n), so the
-    # pivot is never zero
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(m.dim)]
-    v *= np.conj(pivot) / np.abs(pivot)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return EigenPair(eigenvalues=w, eigenvectors=v)
+    return _eigh(m.data)
 
 
 def _jacobi(a: np.ndarray, thresh: float, max_sweeps: int):

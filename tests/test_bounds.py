@@ -10,9 +10,12 @@ from opentropy.bounds import (
     HypothesisError,
     SuiteSpec,
     chain_check,
+    chain_check_stack,
     scalar_generator,
 )
 from opentropy.gen import GenConfig, random_partner, random_spd
+from opentropy.matcore import ConvergenceError
+from opentropy.perspective import PowerFrame
 
 
 def _slack(values):
@@ -183,6 +186,8 @@ def test_unknown_kind_rejected():
         op.bound("IV", a, a)
     with pytest.raises(op.OperatorError, match="delta"):
         op.bound("I'", a, a, delta=0.0)
+    with pytest.raises(op.OperatorError, match="delta must be positive"):
+        scalar_generator("I'", delta=float("nan"))
 
 
 def test_generators_finite_across_positive_axis():
@@ -338,3 +343,116 @@ def test_every_suite_500_instances_per_field(name):
         report = run_suite(cfg)
         assert report["summary"]["all_pass"], (name, field,
                                                report["summary"])
+
+
+# ---------------------------------------------------------------------------
+# stacked checks: the same bits and the same first error as one at a time
+
+def _serial_margins(spec, a, b, params, tol):
+    # the chain as 2-D library calls, one matrix at a time
+    p = spec.effective(params)
+    frame = PowerFrame(a, p.beta)
+    cp = op.sym_eig(frame.whiten(b))
+    terms = []
+    for label in spec.terms:
+        g = scalar_generator(label, alpha=p.alpha, delta=p.delta, lam=p.lam)
+        terms.append(frame.conjugate(
+            op.SymMatrix._computed(cp.rebuild(g(cp.eigenvalues)))))
+    return [op.loewner_leq(terms[i], terms[j], tol).margin
+            for i, j in spec.links]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_stacked_run_matches_per_trial_chain_check(name, field):
+    # dims 1-8 share every chunk, and the run spans two chunks
+    from opentropy.cli import CHUNK_TRIALS, RunConfig, _run_trial, run_suite
+
+    deltas = ((1.0, 1.0 / 1.5, 1.0 / 3.0) if name.endswith("-ge")
+              else (1.0, 1.5, 3.0))
+    cfg = RunConfig(suite=name, trials=CHUNK_TRIALS + 9,
+                    dims=tuple(range(1, 9)), field=field, seed=77,
+                    alphas=(0.0, 0.5, 2.0), betas=(0.5, 1.0, 2.0),
+                    deltas=deltas, lams=(0.0, 0.3, 1.0))
+    got = run_suite(cfg)["trials"]
+    for trial in range(cfg.trials):
+        a, b, params = _run_trial(cfg, trial)
+        one = chain_check(name, a, b, params, tol=cfg.tol, trial_seed=trial)
+        want = [float(link.margin).hex() for link in one.links]
+        assert [float(link["margin"]).hex()
+                for link in got[trial]["links"]] == want, trial
+        assert got[trial]["verdict"] == one.verdict
+        serial = _serial_margins(SUITES[name], a, b, params, cfg.tol)
+        assert [float(m).hex() for m in serial] == want, trial
+
+
+def _first_error_batch(non_positive_at, violating_at):
+    cfg = GenConfig(dim=3, master_seed=21)
+    pairs = []
+    for trial in range(5):
+        a = random_spd(cfg, trial)
+        b = random_partner(a, 1.0, 1.0, "dominating", cfg, trial)
+        if trial == non_positive_at:
+            a = op.SymMatrix.diagonal([2.0, -1.0, 3.0])
+        if trial == violating_at:
+            b = 0.5 * a  # A <= B fails
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("first,second", [("frame", "hypothesis"),
+                                          ("hypothesis", "frame")])
+def test_stacked_check_raises_the_first_serial_error(first, second):
+    # trial 1 fails at one stage and trial 3 at the other; either way the
+    # stack must fail as chain_check fails on trial 1 alone
+    at = {first: 1, second: 3}
+    pairs = _first_error_batch(at["frame"], at["hypothesis"])
+    params = [ChainParams(alpha=0.5)] * len(pairs)
+    reports, error = chain_check_stack("thm-main1", pairs, params, 1e-8,
+                                       list(range(5)))
+    with pytest.raises(op.OperatorError) as alone:
+        chain_check("thm-main1", *pairs[1], params[1], trial_seed=1)
+    assert type(error) is type(alone.value)
+    assert str(error) == str(alone.value)
+    assert len(reports) == 1
+    assert reports[0].to_json_dict() == chain_check(
+        "thm-main1", *pairs[0], params[0]).to_json_dict()
+
+
+def test_stacked_linalg_failure_blames_the_lowest_trial(monkeypatch):
+    # LAPACK fails on the whole stack; the error must be that of the lowest
+    # trial whose own decomposition fails
+    real_eigh = np.linalg.eigh
+
+    def eigh(arr):
+        if np.any(arr[..., 0, 0] == 7.25):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(arr)
+
+    pairs = _first_error_batch(None, None)
+    for trial in (2, 4):
+        a = op.SymMatrix.diagonal([7.25, 1.0, 1.0])
+        pairs[trial] = (a, 2.0 * a)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    reports, error = chain_check_stack("thm-main1", pairs,
+                                       [ChainParams()] * len(pairs), 1e-8,
+                                       list(range(len(pairs))))
+    assert len(reports) == 2
+    assert isinstance(error, ConvergenceError)
+    assert str(error) == ("eigendecomposition failed: "
+                          "Eigenvalues did not converge")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_term_fails_as_the_serial_chain_does():
+    # x**400 overflows: g_0(C) is the first non-finite matrix (norm inf),
+    # before the congruence A^{1/2} g_0(C) A^{1/2} (norm nan)
+    cfg = GenConfig(dim=3, master_seed=1)
+    a = random_spd(cfg, 2)
+    b = random_partner(a, 1.0, 1.0, "dominating", cfg, 2)
+    params = ChainParams(alpha=400.0)
+    with pytest.raises(op.OperatorError) as serial:
+        _serial_margins(SUITES["thm-main1"], a, b, params, 1e-8)
+    with pytest.raises(op.OperatorError) as stacked:
+        chain_check("thm-main1", a, b, params)
+    assert str(stacked.value) == str(serial.value)

@@ -172,6 +172,36 @@ def test_reports_never_carry_nan_tokens(tmp_path):
         _emit({"margin": float("nan")}, str(tmp_path / "r.json"))
 
 
+@pytest.mark.parametrize("bad,draw_fails_at,message", [
+    ((2, 4), None, "eigenvalue -2.0 outside"),
+    ((1, 5), None, "eigenvalue -1.0 outside"),
+    ((2, 4), 3, "eigenvalue -2.0 outside"),
+    ((2, 4), 1, "draw failed at 1"),
+])
+def test_chunk_raises_the_lowest_failing_trial(monkeypatch, bad,
+                                               draw_fails_at, message):
+    # dims cycle 1, 2, 3 and each dim is checked in its own stack, so the
+    # two trials with a non-positive A fail in different stacks; the run
+    # must fail as the serial loop does, on the lower one, unless drawing
+    # an earlier trial fails first
+    from opentropy import cli
+
+    cfg = RunConfig(suite="thm-main1", trials=6, dims=(1, 2, 3))
+    drawn = cli._run_trial
+
+    def run_trial(cfg, trial):
+        if trial == draw_fails_at:
+            raise op.OperatorError(f"draw failed at {trial}")
+        a, b, params = drawn(cfg, trial)
+        if trial in bad:
+            a = op.SymMatrix.diagonal([-float(trial)] + [1.0] * (a.dim - 1))
+        return a, b, params
+
+    monkeypatch.setattr(cli, "_run_trial", run_trial)
+    with pytest.raises(op.OperatorError, match=message):
+        cli.run_suite(cfg)
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     args = ["verify", "--suite", "cor-delta-le", "--trials", "40",
             "--dim", "1-6", "--seed", "11", "--delta", "1,1.5,3",
@@ -260,6 +290,20 @@ def test_compute_rejects_disagreeing_operands(tmp_path, spd_json, capsys,
                  "--B", str(b_path)])
     assert code == EXIT_USAGE
     assert "operands disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--expr", "I'", "--delta", "nan"],
+    ["--expr", "S_a", "--alpha", "nan"],
+    ["--expr", "geomean", "--beta", "inf"],
+    ["--expr", "means", "--lam", "nan"],
+])
+def test_compute_rejects_non_finite_flags(spd_json, capsys, flags):
+    # the message must blame the flag, not the matrices computed from it
+    a_path, _ = spd_json
+    code = main(["compute", *flags, "--A", str(a_path), "--B", str(a_path)])
+    assert code == EXIT_USAGE
+    assert f"error: {flags[2]} must be finite" in capsys.readouterr().err
 
 
 def test_compute_missing_file_exit_code(capsys):

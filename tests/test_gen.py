@@ -72,6 +72,8 @@ def test_partner_rejects_bad_arguments():
         random_partner(a, 1.0, 1.0, "sideways", cfg, 1)
     with pytest.raises(op.OperatorError):
         random_partner(a, 1.0, -1.0, "dominating", cfg, 1)
+    with pytest.raises(op.OperatorError, match="delta must be positive"):
+        random_partner(a, 1.0, float("nan"), "dominated", cfg, 1)
 
 
 def test_config_validation():

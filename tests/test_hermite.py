@@ -68,6 +68,12 @@ def test_extremizer_values():
     assert extremizer(0.25) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])
+def test_extremizer_rejects_non_positive_x(x):
+    with pytest.raises(op.OperatorError, match="x must be positive"):
+        extremizer(x)
+
+
 def test_extremizer_attains_closed_forms():
     for alpha in (0.0, 0.5, 1.0, 2.0, 3.5):
         for x in (0.04, 0.3, 0.9, 1.7, 4.0, 81.0):
