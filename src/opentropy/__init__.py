@@ -52,7 +52,13 @@ from .matcore import (
     sym_eig,
 )
 from .matio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix
-from .perspective import PerspectiveSpec, PowerFrame, congruence, perspective
+from .perspective import (
+    PerspectiveSpec,
+    PowerFrame,
+    Whitening,
+    congruence,
+    perspective,
+)
 
 __all__ = [
     "BOUND_KINDS",
@@ -74,6 +80,7 @@ __all__ = [
     "SelfAdjointError",
     "SpectrumError",
     "SymMatrix",
+    "Whitening",
     "apply_fn",
     "bound",
     "bound_explicit",

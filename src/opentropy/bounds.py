@@ -172,9 +172,15 @@ def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
     A^{beta/2}`` for the registry generator ``g``; domain errors from
     non-positive inputs propagate from the perspective.
     """
+    return perspective(bound_spec(kind, alpha, beta, delta, lam), b, a)
+
+
+def bound_spec(kind: str, alpha: float = 0.0, beta: float = 1.0,
+               delta: float = 1.0, lam: float = 0.5) -> PerspectiveSpec:
+    """The perspective ``bound`` evaluates: the registry generator of
+    ``kind`` against ``h = t^beta``."""
     g = scalar_generator(kind, alpha=alpha, delta=delta, lam=lam)
-    spec = PerspectiveSpec(f=g, h=_power(beta), name=kind)
-    return perspective(spec, b, a)
+    return PerspectiveSpec(f=g, h=_power(beta), name=kind)
 
 
 def _lu_inv(m: SymMatrix) -> SymMatrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -29,20 +30,24 @@ from .bounds import (
     SUITES,
     ChainParams,
     bound,
+    bound_spec,
     chain_check_stack,
     scalar_generator,
 )
 from .entropy import (
     geo_mean,
+    geo_mean_spec,
     rel_entropy,
     rel_entropy_alpha,
     rel_entropy_alpha_beta,
+    rel_entropy_spec,
     weighted_means,
 )
 from .gen import GenConfig, random_diag_pair, random_partner, random_spd
 from .hermite import grid_verify, hh_record
 from .matcore import DEFAULT_LOEWNER_TOL, OperatorError
 from .matio import load_matrix, matrix_to_obj
+from .perspective import Whitening
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -258,22 +263,31 @@ def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     avals = np.diagonal(a.data).real
     bvals = np.diagonal(b.data).real
     x = bvals / avals ** beta
+    # one whitening of (A, B) per h = t^e, built at its first use so the
+    # first failing step is the one the per-call functions would fail at
+    whitenings: dict[float, Whitening] = {}
+
+    def whitened(spec, exponent: float):
+        if exponent not in whitenings:
+            whitenings[exponent] = Whitening(spec.h, b, a)
+        return whitenings[exponent].apply(spec)
+
     devs: dict[str, float] = {}
     for kind in BOUND_KINDS:
-        g = scalar_generator(kind, alpha=alpha, delta=delta, lam=lam)
-        expected = avals ** beta * g(x)
-        got = bound(kind, a, b, alpha=alpha, beta=beta, delta=delta, lam=lam)
-        devs[kind] = _oracle_deviation(got, expected)
+        spec = bound_spec(kind, alpha, beta, delta, lam)
+        expected = avals ** beta * spec.f(x)
+        devs[kind] = _oracle_deviation(whitened(spec, beta), expected)
     devs["S_ab"] = _oracle_deviation(
-        rel_entropy_alpha_beta(a, b, alpha, beta),
+        whitened(rel_entropy_spec(alpha, beta), beta),
         avals ** beta * scalar_generator("S", alpha=alpha)(x))
     devs["S_a"] = _oracle_deviation(
-        rel_entropy_alpha(a, b, alpha),
+        whitened(rel_entropy_spec(alpha, 1.0), 1.0),
         avals * scalar_generator("S", alpha=alpha)(bvals / avals))
-    devs["S"] = _oracle_deviation(rel_entropy(a, b),
+    devs["S"] = _oracle_deviation(whitened(rel_entropy_spec(0.0, 1.0), 1.0),
                                   avals * np.log(bvals / avals))
-    devs["geomean"] = _oracle_deviation(geo_mean(a, b, alpha, beta),
-                                        avals ** beta * x ** alpha)
+    devs["geomean"] = _oracle_deviation(
+        whitened(geo_mean_spec(alpha, beta), beta),
+        avals ** beta * x ** alpha)
     har, geo, ari = weighted_means(a, b, lam)
     eh, eg, ea = _scalar_means(avals, bvals, lam)
     devs["harmonic_mean"] = _oracle_deviation(har, eh)
@@ -395,7 +409,10 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``opentropy`` parser, built once per process; ``parse_args``
+    does not mutate it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="opentropy",
         description="Verify operator entropy inequality chains in the "

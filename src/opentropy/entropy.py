@@ -23,9 +23,13 @@ def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float,
     ``alpha = 1, beta = 1`` returns ``B`` and ``alpha = 0`` returns
     ``A^beta``.
     """
-    spec = PerspectiveSpec(f=_power(alpha), h=_power(beta),
+    return perspective(geo_mean_spec(alpha, beta), b, a)
+
+
+def geo_mean_spec(alpha: float, beta: float) -> PerspectiveSpec:
+    """The perspective ``geo_mean`` evaluates: ``f = t^alpha``, ``h = t^beta``."""
+    return PerspectiveSpec(f=_power(alpha), h=_power(beta),
                            name=f"geo_mean(alpha={alpha})")
-    return perspective(spec, b, a)
 
 
 def _xalog(alpha: float):
@@ -39,9 +43,14 @@ def rel_entropy_alpha_beta(a: SymMatrix, b: SymMatrix, alpha: float,
                            beta: float) -> SymMatrix:
     """Relative operator entropy ``A^{b/2} [C^a log C] A^{b/2}``,
     ``C = A^{-b/2} B A^{-b/2}``, for strictly positive ``A``, ``B``."""
-    spec = PerspectiveSpec(f=_xalog(alpha), h=_power(beta),
+    return perspective(rel_entropy_spec(alpha, beta), b, a)
+
+
+def rel_entropy_spec(alpha: float, beta: float) -> PerspectiveSpec:
+    """The perspective ``rel_entropy_alpha_beta`` evaluates:
+    ``f = t^alpha log t``, ``h = t^beta``."""
+    return PerspectiveSpec(f=_xalog(alpha), h=_power(beta),
                            name=f"rel_entropy(alpha={alpha},beta={beta})")
-    return perspective(spec, b, a)
 
 
 def rel_entropy_alpha(a: SymMatrix, b: SymMatrix, alpha: float) -> SymMatrix:

@@ -97,25 +97,35 @@ def hh_record(alpha: float, x: float) -> HHRecord:
 
     The integral average ``(x^alpha ln x - (x-1)) / (x-1)`` is
     orientation-correct on both branches; within ``1e-12`` of ``x = 1`` the
-    record is the all-zero limit.
+    record is the all-zero limit.  A value that overflows raises
+    ``OperatorError``.
     """
     _validate(alpha, x)
     if abs(x - 1.0) < UNIT_CUTOFF:
         return HHRecord(x=x, alpha=alpha, midpoint=0.0, sup_l=0.0,
                         integral_avg=0.0, inf_L=0.0, endpoint_avg=0.0,
                         lambda_star=0.5)
-    xa = x ** alpha
-    r = np.sqrt(x)
-    return HHRecord(
-        x=x,
-        alpha=alpha,
-        midpoint=float(2.0 * xa / (x + 1.0) - 1.0),
-        sup_l=float(4.0 * xa / (r + 1.0) ** 2 - 1.0),
-        integral_avg=float((xa * np.log(x) - (x - 1.0)) / (x - 1.0)),
-        inf_L=float(xa / r - 1.0),
-        endpoint_avg=float(0.5 * (xa + x ** (alpha - 1.0)) - 1.0),
-        lambda_star=extremizer(x),
-    )
+    overflow = OperatorError(
+        f"the hh record is not finite at alpha={alpha!r}, x={x!r}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xa = x ** alpha
+            r = np.sqrt(x)
+            rec = HHRecord(
+                x=x,
+                alpha=alpha,
+                midpoint=float(2.0 * xa / (x + 1.0) - 1.0),
+                sup_l=float(4.0 * xa / (r + 1.0) ** 2 - 1.0),
+                integral_avg=float((xa * np.log(x) - (x - 1.0)) / (x - 1.0)),
+                inf_L=float(xa / r - 1.0),
+                endpoint_avg=float(0.5 * (xa + x ** (alpha - 1.0)) - 1.0),
+                lambda_star=extremizer(x),
+            )
+    except OverflowError:  # float ** raises where numpy would give inf
+        raise overflow from None
+    if not np.all(np.isfinite(rec.chain())):
+        raise overflow
+    return rec
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The perspective ``P(X, Y) = h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``
 is the single primitive behind every entropy and bound operator in this
-package; ``congruence`` is its ``h(t) = t^e`` building block.
+package; ``Whitening`` holds its f-independent part, so several ``f`` can
+share one pair, and ``congruence`` is its ``h(t) = t^e`` building block.
 """
 
 from __future__ import annotations
@@ -36,6 +37,40 @@ class PerspectiveSpec:
         return getattr(self.f, "domain", None)
 
 
+class Whitening:
+    """The f-independent part of every perspective of one pair ``(X, Y)``.
+
+    Decomposes ``Y``, checks that it and ``h`` on its spectrum are strictly
+    positive, builds ``h(Y)^{1/2}`` and decomposes the whitened
+    ``C = h(Y)^{-1/2} X h(Y)^{-1/2}``; ``apply`` then evaluates any ``f``
+    on ``C``, so perspectives sharing ``h`` and the pair share this work.
+    """
+
+    def __init__(self, h: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
+                 y: SymMatrix):
+        x._same_shape(y)
+        pair = sym_eig(y)
+        _check_domain(pair.eigenvalues, POSITIVE,
+                      "the perspective base, which must be strictly positive")
+        hvals = np.asarray(h(pair.eigenvalues), dtype=np.float64)
+        if np.min(hvals) <= 0.0:
+            raise SpectrumError(
+                f"h is not strictly positive on the spectrum of the base "
+                f"(min h = {float(np.min(hvals))!r})"
+            )
+        self.h_half = pair.rebuild(np.sqrt(hvals))
+        h_ihalf = pair.rebuild(1.0 / np.sqrt(hvals))
+        self.inner = sym_eig(SymMatrix._computed(h_ihalf @ x.data @ h_ihalf))
+
+    def apply(self, spec: PerspectiveSpec) -> SymMatrix:
+        """``h(Y)^{1/2} f(C) h(Y)^{1/2}`` for ``spec.f``; ``spec.h`` must be
+        the ``h`` this whitening was built with."""
+        _check_domain(self.inner.eigenvalues, spec.resolved_domain(),
+                      f"{spec.name or 'f'} on the whitened spectrum")
+        mid = self.inner.rebuild(spec.f(self.inner.eigenvalues))
+        return SymMatrix._computed(self.h_half @ mid @ self.h_half)
+
+
 def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
     """Evaluate ``h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``.
 
@@ -44,24 +79,7 @@ def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
     eigendecomposition to keep rounding drift out of the eigensolver input;
     its spectrum is validated against the domain of ``f`` at evaluation time.
     """
-    x._same_shape(y)
-    pair = sym_eig(y)
-    _check_domain(pair.eigenvalues, POSITIVE,
-                  "the perspective base, which must be strictly positive")
-    hvals = np.asarray(spec.h(pair.eigenvalues), dtype=np.float64)
-    if np.min(hvals) <= 0.0:
-        raise SpectrumError(
-            f"h is not strictly positive on the spectrum of the base "
-            f"(min h = {float(np.min(hvals))!r})"
-        )
-    h_half = pair.rebuild(np.sqrt(hvals))
-    h_ihalf = pair.rebuild(1.0 / np.sqrt(hvals))
-    inner = SymMatrix._computed(h_ihalf @ x.data @ h_ihalf)
-    ip = sym_eig(inner)
-    _check_domain(ip.eigenvalues, spec.resolved_domain(),
-                  f"{spec.name or 'f'} on the whitened spectrum")
-    mid = ip.rebuild(spec.f(ip.eigenvalues))
-    return SymMatrix._computed(h_half @ mid @ h_half)
+    return Whitening(spec.h, x, y).apply(spec)
 
 
 class PowerFrame:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import opentropy as op
 from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, _emit,
-                           main)
+                           _oracle_trial, main)
 from opentropy.matio import load_matrix, save_matrix
 
 
@@ -133,6 +133,9 @@ def test_verify_unknown_suite_is_usage_error(capsys):
      "--spec-lo", "5", "--spec-hi", "1"],
     ["hh", "--alpha", "nan", "--x", "4"],
     ["hh", "--alpha", "0", "--x", "inf"],
+    # the record overflows: x ** alpha itself, or x^alpha log x
+    ["hh", "--alpha", "600", "--x", "4"],
+    ["hh", "--alpha", "511.9", "--x", "4"],
     # the generators overflow to inf; the finiteness check of computed
     # results must turn that into a usage error, not a counterexample
     pytest.param(["verify", "--suite", "thm-main1", "--trials", "3", "--dim",
@@ -333,19 +336,39 @@ def test_hh_command_payload(tmp_path):
 
 def test_oracle_command(tmp_path, capsys):
     out = tmp_path / "oracle.json"
-    code = main(["oracle", "--trials", "12", "--dim", "1-8",
+    # 18 (alpha, beta, delta) combos per dim, dims outermost: 8 x 18
+    # trials reach every dim of 1-8
+    code = main(["oracle", "--trials", "144", "--dim", "1-8",
                  "--alpha", "0,1,2", "--beta", "0.5,1,2",
                  "--delta", "1,1.5", "--out", str(out)])
     assert code == EXIT_OK
     assert "max relative deviation" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["summary"]["max_rel_dev"] <= 1e-10
+    assert {t["params"]["dim"] for t in report["trials"]} == set(range(1, 9))
     table = report["reference_table"]["terms"]
     assert table["I"] == pytest.approx(1.2, abs=1e-12)
     assert table["II"] == pytest.approx(4.0 - 8.0 / 3.0, abs=1e-12)
     assert table["S"] == pytest.approx(np.log(4.0), abs=1e-12)
     assert table["III"] == pytest.approx(1.5, abs=1e-12)
     assert table["V"] == pytest.approx(1.875, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta, most", [(1.0, 7), (0.5, 9), (2.0, 9)])
+def test_oracle_trial_whitens_once_per_h(beta, most, monkeypatch):
+    # 2 eigh for the t^beta whitening, 2 more for t^1 unless beta is 1,
+    # and 5 in weighted_means (three inverses, one geometric mean)
+    real_eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(arr, *args, **kwargs):
+        calls.append(arr.shape)
+        return real_eigh(arr, *args, **kwargs)
+
+    cfg = RunConfig(dims=(8,), alphas=(0.5,), betas=(beta,),
+                    deltas=(2.0,), lams=(0.3,))
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _oracle_trial(cfg, 0)
+    assert len(calls) <= most
 
 
 # ---------------------------------------------------------------------------

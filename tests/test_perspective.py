@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import opentropy as op
+from opentropy.bounds import BOUND_KINDS, bound_spec
+from opentropy.entropy import geo_mean_spec, rel_entropy_spec
 from opentropy.gen import GenConfig, random_diag_pair, random_spd
-from opentropy.matcore import POSITIVE
-from opentropy.perspective import PerspectiveSpec, perspective
+from opentropy.matcore import POSITIVE, _power
+from opentropy.perspective import PerspectiveSpec, Whitening, perspective
 
 
 def _spec(f, h, f_domain=None):
@@ -108,6 +110,58 @@ def test_inner_spectrum_domain_error():
     with pytest.raises(op.SpectrumError, match="eigenvalue"):
         perspective(_spec(np.log, lambda x: x, POSITIVE), indefinite,
                     op.SymMatrix.identity(2))
+
+
+# ---------------------------------------------------------------------------
+# one whitening shared by every perspective of a pair
+
+def _bits(m):
+    return m.data.tobytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 32])
+def test_shared_whitening_gives_the_bits_of_each_call(dim, field):
+    # the oracle evaluates all perspectives of a pair on one Whitening per
+    # h; each must equal the public function's own evaluation bit for bit
+    cfg = GenConfig(dim=dim, field=field, master_seed=41)
+    for trial, beta in enumerate((0.5, 1.0, 2.0)):
+        a = random_spd(cfg, trial)
+        b = random_spd(cfg, trial, salt=1)
+        alpha = (0.0, 0.5, 2.0)[trial]
+        w = Whitening(_power(beta), b, a)
+        for kind in BOUND_KINDS:
+            got = w.apply(bound_spec(kind, alpha, beta, 2.0, 0.3))
+            want = op.bound(kind, a, b, alpha=alpha, beta=beta, delta=2.0,
+                            lam=0.3)
+            assert _bits(got) == _bits(want), kind
+        assert _bits(w.apply(geo_mean_spec(alpha, beta))) == _bits(
+            op.geo_mean(a, b, alpha, beta))
+        assert _bits(w.apply(rel_entropy_spec(alpha, beta))) == _bits(
+            op.rel_entropy_alpha_beta(a, b, alpha, beta))
+        if beta == 1.0:
+            assert _bits(w.apply(rel_entropy_spec(alpha, 1.0))) == _bits(
+                op.rel_entropy_alpha(a, b, alpha))
+            assert _bits(w.apply(rel_entropy_spec(0.0, 1.0))) == _bits(
+                op.rel_entropy(a, b))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_shared_whitening_raises_the_domain_error_of_each_call(field):
+    # an indefinite X puts negative eigenvalues in the whitened spectrum
+    cfg = GenConfig(dim=4, field=field, master_seed=43)
+    a = random_spd(cfg, 0)
+    x = random_spd(cfg, 0, salt=1) - 5.0 * random_spd(cfg, 1)
+    w = Whitening(_power(1.5), x, a)
+    for spec in (bound_spec("III'", 0.5, 1.5, 2.0), geo_mean_spec(0.5, 1.5),
+                 rel_entropy_spec(0.5, 1.5)):
+        with pytest.raises(op.SpectrumError) as shared:
+            w.apply(spec)
+        with pytest.raises(op.SpectrumError) as alone:
+            perspective(spec, x, a)
+        assert type(shared.value) is type(alone.value)
+        assert str(shared.value) == str(alone.value)
+        assert "on the whitened spectrum" in str(shared.value)
 
 
 # ---------------------------------------------------------------------------
