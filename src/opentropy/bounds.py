@@ -17,7 +17,6 @@ from .entropy import geo_mean, weighted_means
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     POSITIVE,
-    ConvergenceError,
     EigenPair,
     OperatorError,
     SymMatrix,
@@ -396,88 +395,53 @@ def _validate_params(spec: SuiteSpec, p: ChainParams) -> None:
             f"suite {spec.name}: requires 0 < delta <= 1, got {p.delta!r}")
 
 
-class _NoLiveTrial(Exception):
-    """The first trial of a stack failed; no stage has work left."""
-
-
 class _Stack:
-    """The live trials ``0..live-1`` of one stacked chain check.
+    """The trials of one stacked chain check: the suite, each trial's
+    effective parameters, and the tolerance.
 
-    Each stage checks every live trial at once.  When a trial fails, the
-    stack ends there, because checking the trials one at a time raises on
-    that trial before reaching any later one; the trials before it go on
-    through the later stages, and one of them that fails takes over as the
-    first error.  So the error kept is that of the lowest failing trial,
-    from the first of its stages to fail, in ``chain_check`` order: frame,
-    hypothesis, whitening, terms, links.
+    Each stage checks every trial at once and raises the first failure it
+    finds in ``chain_check`` order: lowest trial, then position, then
+    array.  On a stack of one that is exactly the error ``chain_check``
+    raises; a longer stack may fail at an earlier stage on a later trial,
+    so callers that must blame the lowest failing trial rerun the trials
+    one at a time.
     """
 
-    def __init__(self, spec: SuiteSpec, count: int, tol: float):
-        self.spec, self.tol = spec, tol
-        self.params: list[ChainParams] = []
-        self.live = count
-        self.error: OperatorError | None = None
-
-    def fail(self, trial: int, exc: OperatorError) -> None:
-        self.live, self.error = trial, exc
-        if not trial:
-            raise _NoLiveTrial
+    def __init__(self, spec: SuiteSpec, params: list[ChainParams],
+                 tol: float):
+        self.spec, self.params, self.tol = spec, params, tol
 
     def admit(self, *arrays: np.ndarray) -> np.ndarray:
-        """The finiteness check of ``SymMatrix._computed`` on every live
-        matrix: trial by trial, within a trial position by position (the
-        axes after the trial axis), and at one position ``arrays`` in the
-        order given.  Returns the last array, symmetrized as it is stored."""
-        bad = np.stack([_nonfinite(x[:self.live]) for x in arrays], axis=-1)
+        """The finiteness check of ``SymMatrix._computed`` on every matrix:
+        trial by trial, within a trial position by position (the axes after
+        the trial axis), and at one position ``arrays`` in the order given.
+        Returns the last array, symmetrized as it is stored."""
+        bad = np.stack([_nonfinite(x) for x in arrays], axis=-1)
         if bad.any():
             where = np.unravel_index(np.argmax(bad), bad.shape)
-            try:
-                SymMatrix._computed(arrays[where[-1]][where[:-1]])
-            except OperatorError as exc:
-                self.fail(int(where[0]), exc)
-        return _resym(arrays[-1][:self.live])
-
-    def eig(self, arr: np.ndarray) -> EigenPair:
-        """``sym_eig`` of every live matrix; when LAPACK fails, the lowest
-        trial whose own decomposition fails is the one that fails."""
-        try:
-            return _eigh(arr[:self.live])
-        except ConvergenceError:
-            for trial in range(self.live):
-                try:
-                    _eigh(arr[trial])
-                except ConvergenceError as exc:
-                    self.fail(trial, exc)
-                    break
-            return _eigh(arr[:self.live])
+            SymMatrix._computed(arrays[where[-1]][where[:-1]])
+        return _resym(arrays[-1])
 
     def positive(self, eigenvalues: np.ndarray, name: str) -> None:
-        """The ``POSITIVE`` domain check on every live row of eigenvalues."""
+        """The ``POSITIVE`` domain check on every row of eigenvalues."""
         lo, hi = POSITIVE
-        vals = eigenvalues[:self.live]
-        bad = ~((lo < vals) & (vals < hi)).all(axis=-1)
+        bad = ~((lo < eigenvalues) & (eigenvalues < hi)).all(axis=-1)
         if bad.any():
-            trial = int(np.argmax(bad))
-            try:
-                _check_domain(vals[trial], POSITIVE, name)
-            except OperatorError as exc:
-                self.fail(trial, exc)
+            _check_domain(eigenvalues[int(np.argmax(bad))], POSITIVE, name)
 
     def rows(self, fn) -> np.ndarray:
-        """``fn(trial, params)`` for each live trial, stacked.  Each row
-        sees its own parameters as scalars: ``np.power`` special-cases
-        scalar exponents such as 0.5, 2 and -1, so a broadcast ``(T, 1)``
-        exponent would change bits."""
-        return np.array([fn(t, p) for t, p in
-                         enumerate(self.params[:self.live])])
+        """``fn(trial, params)`` for each trial, stacked.  Each row sees
+        its own parameters as scalars: ``np.power`` special-cases scalar
+        exponents such as 0.5, 2 and -1, so a broadcast ``(T, 1)`` exponent
+        would change bits."""
+        return np.array([fn(t, p) for t, p in enumerate(self.params)])
 
 
 def _frame(st: _Stack, a: np.ndarray):
     """``A``'s eigendecomposition and ``A^{beta/2}``, ``A^{-beta/2}``."""
-    pair = st.eig(a)
+    pair = _eigh(a)
     st.positive(pair.eigenvalues,
                 "the congruence base, which must be strictly positive")
-    pair = EigenPair(pair.eigenvalues[:st.live], pair.eigenvectors[:st.live])
     half = st.rows(lambda t, p: np.power(pair.eigenvalues[t],
                                          float(p.beta) / 2.0))
     return pair, pair.rebuild(half), pair.rebuild(1.0 / half)
@@ -489,12 +453,9 @@ def _check_relation(st: _Stack, pair: EigenPair, b: np.ndarray) -> None:
     power = st.admit(pair.rebuild(
         st.rows(lambda t, p: np.power(pair.eigenvalues[t], p.beta))))
     a_beta = st.admit(st.rows(lambda t, p: power[t] * float(p.delta)))
-    b = b[:st.live]
     lhs, rhs = (a_beta, b) if spec.relation == "dominating" else (b, a_beta)
-    diff = st.admit(rhs - lhs)
-    margin = st.eig(diff).eigenvalues[:st.live, 0]
-    scale = np.maximum(np.maximum(1.0, _fro(lhs[:st.live])),
-                       _fro(rhs[:st.live]))
+    margin = _eigh(st.admit(rhs - lhs)).eigenvalues[:, 0]
+    scale = np.maximum(np.maximum(1.0, _fro(lhs)), _fro(rhs))
     fails = ~(margin >= -tol * scale)
     if fails.any():
         trial = int(np.argmax(fails))
@@ -503,16 +464,15 @@ def _check_relation(st: _Stack, pair: EigenPair, b: np.ndarray) -> None:
             stated = f"delta*A^beta <= B (delta={p.delta}, beta={p.beta})"
         else:
             stated = f"B <= delta*A^beta (delta={p.delta}, beta={p.beta})"
-        st.fail(trial, HypothesisError(
+        raise HypothesisError(
             f"suite {spec.name}: hypothesis {stated} fails with margin "
             f"{float(margin[trial]):.6e} (tolerance {tol:.0e} * "
-            f"{float(scale[trial]):.3e})"))
+            f"{float(scale[trial]):.3e})")
 
 
 def _whiten(st: _Stack, ihalf: np.ndarray, b: np.ndarray) -> EigenPair:
     """``C = A^{-beta/2} B A^{-beta/2}``, decomposed and checked positive."""
-    c = st.admit(ihalf[:st.live] @ b[:st.live] @ ihalf[:st.live])
-    pair = st.eig(c)
+    pair = _eigh(st.admit(ihalf @ b @ ihalf))
     st.positive(pair.eigenvalues, f"the whitened B of suite "
                 f"{st.spec.name}, which must be strictly positive")
     return pair
@@ -523,19 +483,14 @@ def _terms(st: _Stack, half: np.ndarray, cp: EigenPair) -> np.ndarray:
     stack, admitted in ``chain_check`` order: ``g_0(C)``, term 0,
     ``g_1(C)``, term 1, ..."""
     gens: dict[ChainParams, list[ScalarFn]] = {}
-    for trial, p in enumerate(st.params[:st.live]):
-        if p in gens:
-            continue
-        try:
+    for p in st.params:
+        if p not in gens:
             gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
                                         lam=p.lam) for label in st.spec.terms]
-        except OperatorError as exc:
-            st.fail(trial, exc)
-            break
-    w, u = cp.eigenvalues[:st.live], cp.eigenvectors[:st.live]
+    w = cp.eigenvalues
     vals = st.rows(lambda t, p: [g(w[t]) for g in gens[p]])
-    mid = EigenPair(w, u[:, None]).rebuild(vals)
-    h = half[:st.live, None]
+    mid = EigenPair(w, cp.eigenvectors[:, None]).rebuild(vals)
+    h = half[:, None]
     return st.admit(mid, h @ mid @ h)
 
 
@@ -549,8 +504,8 @@ def _links(st: _Stack, terms: np.ndarray):
     left = [i for i, _ in st.spec.links]
     right = [j for _, j in st.spec.links]
     diff = st.admit(terms[:, right] - terms[:, left])
-    margin = st.eig(diff).eigenvalues[:st.live, :, 0]
-    fro = _fro(terms[:st.live])
+    margin = _eigh(diff).eigenvalues[:, :, 0]
+    fro = _fro(terms)
     scale = np.maximum(np.maximum(1.0, fro[:, left]), fro[:, right])
     return margin, margin >= -st.tol * scale
 
@@ -558,7 +513,7 @@ def _links(st: _Stack, terms: np.ndarray):
 def chain_check_stack(suite: str | SuiteSpec,
                       pairs: list[tuple[SymMatrix, SymMatrix]],
                       params: list[ChainParams], tol: float,
-                      trial_seeds: list[int]):
+                      trial_seeds: list[int]) -> list[ChainReport]:
     """Check one suite on a stack of trials, each stage on all at once.
 
     ``pairs[t]``, ``params[t]`` and ``trial_seeds[t]`` are trial ``t``'s
@@ -566,53 +521,41 @@ def chain_check_stack(suite: str | SuiteSpec,
     ``eigh``/``matmul`` calls over ``(T, n, n)`` arrays, and each trial's
     results are bitwise those of ``chain_check`` on that trial alone.
 
-    Returns ``(reports, error)``.  ``error`` is ``None`` when every trial
-    ran; otherwise it is the exception ``chain_check`` raises on trial
-    ``len(reports)``, the lowest failing one, and ``reports`` covers the
-    trials before it.
+    Returns one report per trial, or raises the first failure of the
+    first stage that fails (see ``_Stack``).
     """
-    if not pairs:
-        return [], None
     spec = SUITES[suite] if isinstance(suite, str) else suite
-    st = _Stack(spec, len(pairs), tol)
-    try:
-        for trial, ((a, b), p) in enumerate(zip(pairs, params)):
-            pairs[0][0]._same_shape(a)
-            try:
-                a._same_shape(b)
-                p = spec.effective(p)
-                _validate_params(spec, p)
-            except OperatorError as exc:
-                st.fail(trial, exc)
-                break
-            st.params.append(p)
-        a_stack = np.stack([a.data for a, _ in pairs[:st.live]])
-        b_stack = np.stack([b.data for _, b in pairs[:st.live]])
-        pair, half, ihalf = _frame(st, a_stack)
-        if spec.relation != "none":
-            _check_relation(st, pair, b_stack)
-        cp = _whiten(st, ihalf, b_stack)
-        margins, holds = _links(st, _terms(st, half, cp))
-    except _NoLiveTrial:
-        pass
+    effective = []
+    for (a, b), p in zip(pairs, params):
+        pairs[0][0]._same_shape(a)
+        a._same_shape(b)
+        p = spec.effective(p)
+        _validate_params(spec, p)
+        effective.append(p)
+    st = _Stack(spec, effective, tol)
+    a_stack = np.stack([a.data for a, _ in pairs])
+    b_stack = np.stack([b.data for _, b in pairs])
+    pair, half, ihalf = _frame(st, a_stack)
+    if spec.relation != "none":
+        _check_relation(st, pair, b_stack)
+    margins, holds = _links(st, _terms(st, half, _whiten(st, ihalf, b_stack)))
 
     reports = []
-    for trial in range(st.live):
+    for trial, ((a, b), p) in enumerate(zip(pairs, effective)):
         links = [LinkMargin(lhs=spec.terms[i], rhs=spec.terms[j],
                             margin=float(margins[trial, k]),
                             holds=bool(holds[trial, k]))
                  for k, (i, j) in enumerate(spec.links)]
         ok = all(link.holds for link in links)
         report = ChainReport(suite=spec.name, trial_seed=trial_seeds[trial],
-                             params=st.params[trial], links=links,
+                             params=p, links=links,
                              verdict="pass" if ok else "fail")
         if not ok:
             from .matio import matrix_to_obj
 
-            a, b = pairs[trial]
             report.matrices = {"A": matrix_to_obj(a), "B": matrix_to_obj(b)}
         reports.append(report)
-    return reports, st.error
+    return reports
 
 
 def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
@@ -628,9 +571,5 @@ def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
     replayed from the report alone.  This is ``chain_check_stack`` on a
     stack of one.
     """
-    reports, error = chain_check_stack(suite, [(a, b)],
-                                       [params or ChainParams()], tol,
-                                       [trial_seed])
-    if error is not None:
-        raise error
-    return reports[0]
+    return chain_check_stack(suite, [(a, b)], [params or ChainParams()], tol,
+                             [trial_seed])[0]

@@ -31,6 +31,7 @@ from .bounds import (
     ChainParams,
     bound,
     bound_spec,
+    chain_check,
     chain_check_stack,
     scalar_generator,
 )
@@ -172,31 +173,25 @@ def _run_trial(cfg: RunConfig, trial: int):
 
 def _check_chunk(cfg: RunConfig, trials: range) -> list:
     """Draw ``trials`` one at a time, then check them in one stacked
-    ``chain_check_stack`` call per dim; raise what the serial loop raises
-    first, the error of the lowest failing trial."""
-    drawn, first = {}, None
-    for trial in trials:
-        try:
-            drawn[trial] = _run_trial(cfg, trial)
-        except OperatorError as exc:
-            first = (trial, exc)
-            break
-    by_dim: dict[int, list[int]] = {}
-    for trial, (a, _, _) in drawn.items():
-        by_dim.setdefault(a.dim, []).append(trial)
-    reports = {}
-    for group in by_dim.values():
-        got, error = chain_check_stack(
-            cfg.suite, [drawn[t][:2] for t in group],
-            [drawn[t][2] for t in group], cfg.tol, group)
-        reports.update(zip(group, got))
-        if error is not None:
-            failed = group[len(got)]
-            if first is None or failed < first[0]:
-                first = (failed, error)
-    if first is not None:
-        raise first[1]
-    return [reports[t] for t in trials]
+    ``chain_check_stack`` call per dim.  When anything fails, draw and
+    check the trials again one at a time and raise the first error, the
+    one the serial loop meets: that of the lowest failing trial."""
+    try:
+        drawn = {trial: _run_trial(cfg, trial) for trial in trials}
+        by_dim: dict[int, list[int]] = {}
+        for trial, (a, _, _) in drawn.items():
+            by_dim.setdefault(a.dim, []).append(trial)
+        reports = {}
+        for group in by_dim.values():
+            reports.update(zip(group, chain_check_stack(
+                cfg.suite, [drawn[t][:2] for t in group],
+                [drawn[t][2] for t in group], cfg.tol, group)))
+        return [reports[t] for t in trials]
+    except OperatorError:
+        for trial in trials:
+            a, b, params = _run_trial(cfg, trial)
+            chain_check(cfg.suite, a, b, params, cfg.tol, trial)
+        raise
 
 
 def run_suite(cfg: RunConfig) -> dict:

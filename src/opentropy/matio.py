@@ -69,12 +69,17 @@ def _load_text(text: str) -> SymMatrix:
 def load_matrix(path: str | os.PathLike) -> SymMatrix:
     """Load a matrix file, sniffing JSON versus text by the first character."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise OperatorError(f"{path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer past the digit limit, or nesting
+            # deeper than the decoder's recursion limit
             raise OperatorError(f"invalid JSON in {path}: {exc}") from exc
         return matrix_from_obj(obj)
     return _load_text(text)

@@ -10,7 +10,6 @@ from opentropy.bounds import (
     HypothesisError,
     SuiteSpec,
     chain_check,
-    chain_check_stack,
     scalar_generator,
 )
 from opentropy.gen import GenConfig, random_partner, random_spd
@@ -400,47 +399,56 @@ def _first_error_batch(non_positive_at, violating_at):
     return pairs
 
 
+def _run_fixed(monkeypatch, pairs, params):
+    # run_suite with trial t drawn as (*pairs[t], params[t])
+    from opentropy import cli
+
+    monkeypatch.setattr(cli, "_run_trial",
+                        lambda cfg, trial: (*pairs[trial], params[trial]))
+    return cli.run_suite(cli.RunConfig(suite="thm-main1", trials=len(pairs),
+                                       dims=(3,)))
+
+
 @pytest.mark.parametrize("first,second", [("frame", "hypothesis"),
                                           ("hypothesis", "frame")])
-def test_stacked_check_raises_the_first_serial_error(first, second):
+def test_stacked_check_raises_the_first_serial_error(monkeypatch, first,
+                                                     second):
     # trial 1 fails at one stage and trial 3 at the other; either way the
-    # stack must fail as chain_check fails on trial 1 alone
+    # run must fail as chain_check fails on trial 1 alone
     at = {first: 1, second: 3}
     pairs = _first_error_batch(at["frame"], at["hypothesis"])
     params = [ChainParams(alpha=0.5)] * len(pairs)
-    reports, error = chain_check_stack("thm-main1", pairs, params, 1e-8,
-                                       list(range(5)))
+    with pytest.raises(op.OperatorError) as run:
+        _run_fixed(monkeypatch, pairs, params)
     with pytest.raises(op.OperatorError) as alone:
         chain_check("thm-main1", *pairs[1], params[1], trial_seed=1)
-    assert type(error) is type(alone.value)
-    assert str(error) == str(alone.value)
-    assert len(reports) == 1
-    assert reports[0].to_json_dict() == chain_check(
-        "thm-main1", *pairs[0], params[0]).to_json_dict()
+    assert type(run.value) is type(alone.value)
+    assert str(run.value) == str(alone.value)
 
 
 def test_stacked_linalg_failure_blames_the_lowest_trial(monkeypatch):
-    # LAPACK fails on the whole stack; the error must be that of the lowest
-    # trial whose own decomposition fails
+    # LAPACK fails on any stack holding trial 2's or trial 4's A; the run
+    # must fail on trial 2, the lowest trial whose own decomposition fails
     real_eigh = np.linalg.eigh
+    raised = []
 
     def eigh(arr):
         if np.any(arr[..., 0, 0] == 7.25):
+            raised.append(np.array(arr))
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigh(arr)
 
     pairs = _first_error_batch(None, None)
-    for trial in (2, 4):
-        a = op.SymMatrix.diagonal([7.25, 1.0, 1.0])
+    for trial, second in ((2, 1.0), (4, 2.0)):
+        a = op.SymMatrix.diagonal([7.25, second, 1.0])
         pairs[trial] = (a, 2.0 * a)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    reports, error = chain_check_stack("thm-main1", pairs,
-                                       [ChainParams()] * len(pairs), 1e-8,
-                                       list(range(len(pairs))))
-    assert len(reports) == 2
-    assert isinstance(error, ConvergenceError)
-    assert str(error) == ("eigendecomposition failed: "
-                          "Eigenvalues did not converge")
+    with pytest.raises(ConvergenceError) as run:
+        _run_fixed(monkeypatch, pairs, [ChainParams()] * len(pairs))
+    assert str(run.value) == ("eigendecomposition failed: "
+                              "Eigenvalues did not converge")
+    assert raised[-1].shape == (1, 3, 3)
+    assert np.array_equal(raised[-1][0], pairs[2][0].data)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -75,6 +75,16 @@ def test_malformed_files_rejected(tmp_path):
         garbled.write_text(body)
         with pytest.raises(op.OperatorError):
             load_matrix(garbled)
+    deep = 100_000
+    for body in ('{"data": ' + "[" * deep + "]" * deep + "}",
+                 '{"field": "real", "dim": 1, "data": [[' + "7" * 5000
+                 + "]]}"):
+        bad.write_text(body)
+        with pytest.raises(op.OperatorError):
+            load_matrix(bad)
+    bad.write_bytes(b'{"field": "real", "dim": 1, "data": [[\xff]]}')
+    with pytest.raises(op.OperatorError):
+        load_matrix(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +213,33 @@ def test_chunk_raises_the_lowest_failing_trial(monkeypatch, bad,
     monkeypatch.setattr(cli, "_run_trial", run_trial)
     with pytest.raises(op.OperatorError, match=message):
         cli.run_suite(cfg)
+
+
+def test_passing_run_never_reruns(monkeypatch):
+    # a passing run checks each (chunk, dim) in one stacked call and never
+    # falls back to the one-trial-at-a-time rerun, which would give the
+    # same bytes more slowly
+    from opentropy import cli
+
+    stacked, serial = [], []
+    stack_check, one_check = cli.chain_check_stack, cli.chain_check
+
+    def chain_check_stack(suite, pairs, params, tol, trial_seeds):
+        stacked.append((trial_seeds[0] // cli.CHUNK_TRIALS, pairs[0][0].dim))
+        return stack_check(suite, pairs, params, tol, trial_seeds)
+
+    def chain_check(*args, **kwargs):
+        serial.append(args)
+        return one_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
+    monkeypatch.setattr(cli, "chain_check", chain_check)
+    cfg = RunConfig(suite="cor-delta-le", trials=cli.CHUNK_TRIALS + 9,
+                    dims=(2, 3, 4), field="complex", seed=3,
+                    deltas=(1.0, 2.0))
+    assert cli.run_suite(cfg)["summary"]["all_pass"]
+    assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 4)]
+    assert serial == []
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
