@@ -20,12 +20,11 @@ from .matcore import (
     EigenPair,
     OperatorError,
     SymMatrix,
+    _admit,
     _check_domain,
     _eigh,
     _fro,
-    _nonfinite,
     _power,
-    _resym,
     apply_fn,
     mat_pow,
 )
@@ -411,51 +410,54 @@ class _Stack:
                  tol: float):
         self.spec, self.params, self.tol = spec, params, tol
 
-    def admit(self, *arrays: np.ndarray) -> np.ndarray:
-        """The finiteness check of ``SymMatrix._computed`` on every matrix:
-        trial by trial, within a trial position by position (the axes after
-        the trial axis), and at one position ``arrays`` in the order given.
-        Returns the last array, symmetrized as it is stored."""
-        bad = np.stack([_nonfinite(x) for x in arrays], axis=-1)
-        if bad.any():
-            where = np.unravel_index(np.argmax(bad), bad.shape)
-            SymMatrix._computed(arrays[where[-1]][where[:-1]])
-        return _resym(arrays[-1])
 
-    def positive(self, eigenvalues: np.ndarray, name: str) -> None:
-        """The ``POSITIVE`` domain check on every row of eigenvalues."""
-        lo, hi = POSITIVE
-        bad = ~((lo < eigenvalues) & (eigenvalues < hi)).all(axis=-1)
-        if bad.any():
-            _check_domain(eigenvalues[int(np.argmax(bad))], POSITIVE, name)
-
-    def rows(self, fn) -> np.ndarray:
-        """``fn(trial, params)`` for each trial, stacked.  Each row sees
-        its own parameters as scalars: ``np.power`` special-cases scalar
-        exponents such as 0.5, 2 and -1, so a broadcast ``(T, 1)`` exponent
-        would change bits."""
-        return np.array([fn(t, p) for t, p in enumerate(self.params)])
+def _rows(fn, *columns) -> np.ndarray:
+    """``fn`` on each row of ``columns``, stacked.  Each row sees its own
+    parameters as scalars: ``np.power`` special-cases scalar exponents
+    such as 0.5, 2 and -1, so a broadcast ``(T, 1)`` exponent would change
+    bits."""
+    return np.array([fn(*row) for row in zip(*columns)])
 
 
-def _frame(st: _Stack, a: np.ndarray):
-    """``A``'s eigendecomposition and ``A^{beta/2}``, ``A^{-beta/2}``."""
+def _positive(eigenvalues: np.ndarray, name: str) -> None:
+    """The ``POSITIVE`` domain check on every row of eigenvalues."""
+    lo, hi = POSITIVE
+    bad = ~((lo < eigenvalues) & (eigenvalues < hi)).all(axis=-1)
+    if bad.any():
+        _check_domain(eigenvalues[int(np.argmax(bad))], POSITIVE, name)
+
+
+def _frame(a: np.ndarray, betas) -> tuple[EigenPair, np.ndarray, np.ndarray]:
+    """Each ``A``'s eigendecomposition, checked positive, and
+    ``A^{beta/2}``, ``A^{-beta/2}`` at its own trial's ``beta``: row by
+    row the bits of ``PowerFrame(A, beta)``."""
     pair = _eigh(a)
-    st.positive(pair.eigenvalues,
-                "the congruence base, which must be strictly positive")
-    half = st.rows(lambda t, p: np.power(pair.eigenvalues[t],
-                                         float(p.beta) / 2.0))
+    _positive(pair.eigenvalues,
+              "the congruence base, which must be strictly positive")
+    half = _rows(lambda w, beta: np.power(w, float(beta) / 2.0),
+                 pair.eigenvalues, betas)
     return pair, pair.rebuild(half), pair.rebuild(1.0 / half)
 
 
-def _check_relation(st: _Stack, pair: EigenPair, b: np.ndarray) -> None:
-    """The dominance hypothesis, ``loewner_leq`` at the suite tolerance."""
+def _relation_margin(pair: EigenPair, b: np.ndarray, betas, deltas,
+                     relation: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's dominance hypothesis as ``loewner_leq`` measures it:
+    the smallest eigenvalue of ``B - delta A^beta`` (``dominating``) or of
+    ``delta A^beta - B`` (``dominated``), and the scale
+    ``max(1, ||lhs||_F, ||rhs||_F)``.  ``pair`` is ``A``'s from
+    ``_frame``."""
+    power = _admit(pair.rebuild(_rows(np.power, pair.eigenvalues, betas)))
+    a_beta = _admit(_rows(lambda m, delta: m * float(delta), power, deltas))
+    lhs, rhs = (a_beta, b) if relation == "dominating" else (b, a_beta)
+    margin = _eigh(_admit(rhs - lhs)).eigenvalues[:, 0]
+    return margin, np.maximum(np.maximum(1.0, _fro(lhs)), _fro(rhs))
+
+
+def _check_relation(st: _Stack, margin: np.ndarray,
+                    scale: np.ndarray) -> None:
+    """The dominance hypothesis at the suite tolerance, from the margins
+    and scales of ``_relation_margin``."""
     spec, tol = st.spec, st.tol
-    power = st.admit(pair.rebuild(
-        st.rows(lambda t, p: np.power(pair.eigenvalues[t], p.beta))))
-    a_beta = st.admit(st.rows(lambda t, p: power[t] * float(p.delta)))
-    lhs, rhs = (a_beta, b) if spec.relation == "dominating" else (b, a_beta)
-    margin = _eigh(st.admit(rhs - lhs)).eigenvalues[:, 0]
-    scale = np.maximum(np.maximum(1.0, _fro(lhs)), _fro(rhs))
     fails = ~(margin >= -tol * scale)
     if fails.any():
         trial = int(np.argmax(fails))
@@ -472,9 +474,9 @@ def _check_relation(st: _Stack, pair: EigenPair, b: np.ndarray) -> None:
 
 def _whiten(st: _Stack, ihalf: np.ndarray, b: np.ndarray) -> EigenPair:
     """``C = A^{-beta/2} B A^{-beta/2}``, decomposed and checked positive."""
-    pair = _eigh(st.admit(ihalf @ b @ ihalf))
-    st.positive(pair.eigenvalues, f"the whitened B of suite "
-                f"{st.spec.name}, which must be strictly positive")
+    pair = _eigh(_admit(ihalf @ b @ ihalf))
+    _positive(pair.eigenvalues, f"the whitened B of suite {st.spec.name}, "
+              f"which must be strictly positive")
     return pair
 
 
@@ -488,10 +490,10 @@ def _terms(st: _Stack, half: np.ndarray, cp: EigenPair) -> np.ndarray:
             gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
                                         lam=p.lam) for label in st.spec.terms]
     w = cp.eigenvalues
-    vals = st.rows(lambda t, p: [g(w[t]) for g in gens[p]])
+    vals = _rows(lambda wt, p: [g(wt) for g in gens[p]], w, st.params)
     mid = EigenPair(w, cp.eigenvectors[:, None]).rebuild(vals)
     h = half[:, None]
-    return st.admit(mid, h @ mid @ h)
+    return _admit(mid, h @ mid @ h)
 
 
 def _links(st: _Stack, terms: np.ndarray):
@@ -503,45 +505,50 @@ def _links(st: _Stack, terms: np.ndarray):
     """
     left = [i for i, _ in st.spec.links]
     right = [j for _, j in st.spec.links]
-    diff = st.admit(terms[:, right] - terms[:, left])
+    diff = _admit(terms[:, right] - terms[:, left])
     margin = _eigh(diff).eigenvalues[:, :, 0]
     fro = _fro(terms)
     scale = np.maximum(np.maximum(1.0, fro[:, left]), fro[:, right])
     return margin, margin >= -st.tol * scale
 
 
-def chain_check_stack(suite: str | SuiteSpec,
-                      pairs: list[tuple[SymMatrix, SymMatrix]],
+def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
                       params: list[ChainParams], tol: float,
-                      trial_seeds: list[int]) -> list[ChainReport]:
+                      trial_seeds: list[int], frame=None,
+                      hypothesis=None) -> list[ChainReport]:
     """Check one suite on a stack of trials, each stage on all at once.
 
-    ``pairs[t]``, ``params[t]`` and ``trial_seeds[t]`` are trial ``t``'s
-    inputs; every A shares one dim and field.  Each stage runs as stacked
-    ``eigh``/``matmul`` calls over ``(T, n, n)`` arrays, and each trial's
-    results are bitwise those of ``chain_check`` on that trial alone.
+    ``a[t]``, ``b[t]``, ``params[t]`` and ``trial_seeds[t]`` are trial
+    ``t``'s inputs; ``a`` and ``b`` are ``(T, n, n)`` arrays of one dtype,
+    each matrix self-adjoint as ``SymMatrix`` stores it.  Each stage runs
+    as stacked ``eigh``/``matmul`` calls, and each trial's results are
+    bitwise those of ``chain_check`` on that trial alone.
+
+    A caller that has already decomposed ``A`` passes ``frame``, the
+    ``_frame`` of ``a`` at each trial's effective beta, and, for a suite
+    with a dominance hypothesis, ``hypothesis``, the ``_relation_margin``
+    of the stack; ``gen.random_partner_stack`` returns both.  They are
+    computed here otherwise.
 
     Returns one report per trial, or raises the first failure of the
     first stage that fails (see ``_Stack``).
     """
     spec = SUITES[suite] if isinstance(suite, str) else suite
     effective = []
-    for (a, b), p in zip(pairs, params):
-        pairs[0][0]._same_shape(a)
-        a._same_shape(b)
+    for p in params:
         p = spec.effective(p)
         _validate_params(spec, p)
         effective.append(p)
     st = _Stack(spec, effective, tol)
-    a_stack = np.stack([a.data for a, _ in pairs])
-    b_stack = np.stack([b.data for _, b in pairs])
-    pair, half, ihalf = _frame(st, a_stack)
+    betas = [p.beta for p in effective]
+    pair, half, ihalf = frame or _frame(a, betas)
     if spec.relation != "none":
-        _check_relation(st, pair, b_stack)
-    margins, holds = _links(st, _terms(st, half, _whiten(st, ihalf, b_stack)))
+        _check_relation(st, *(hypothesis or _relation_margin(
+            pair, b, betas, [p.delta for p in effective], spec.relation)))
+    margins, holds = _links(st, _terms(st, half, _whiten(st, ihalf, b)))
 
     reports = []
-    for trial, ((a, b), p) in enumerate(zip(pairs, effective)):
+    for trial, p in enumerate(effective):
         links = [LinkMargin(lhs=spec.terms[i], rhs=spec.terms[j],
                             margin=float(margins[trial, k]),
                             holds=bool(holds[trial, k]))
@@ -553,7 +560,9 @@ def chain_check_stack(suite: str | SuiteSpec,
         if not ok:
             from .matio import matrix_to_obj
 
-            report.matrices = {"A": matrix_to_obj(a), "B": matrix_to_obj(b)}
+            report.matrices = {
+                "A": matrix_to_obj(SymMatrix._computed(a[trial])),
+                "B": matrix_to_obj(SymMatrix._computed(b[trial]))}
         reports.append(report)
     return reports
 
@@ -564,12 +573,13 @@ def chain_check(suite: str | SuiteSpec, a: SymMatrix, b: SymMatrix,
                 trial_seed: int = 0) -> ChainReport:
     """Verify one suite on one pair ``(A, B)`` and report every margin.
 
-    The suite hypothesis (parameter constraints plus the dominance relation,
-    checked through ``loewner_leq`` at the same tolerance as the links) is a
-    precondition: violations raise ``HypothesisError`` instead of producing
-    a failing report.  Failing reports embed the inputs so the trial can be
-    replayed from the report alone.  This is ``chain_check_stack`` on a
-    stack of one.
+    The suite hypothesis (parameter constraints plus the dominance
+    relation, whose smallest-eigenvalue margin must reach ``-tol`` times
+    the scale, as for the links) is a precondition: violations raise
+    ``HypothesisError`` instead of producing a failing report.  Failing
+    reports embed the inputs so the trial can be replayed from the report
+    alone.  This is ``chain_check_stack`` on a stack of one.
     """
-    return chain_check_stack(suite, [(a, b)], [params or ChainParams()], tol,
-                             [trial_seed])[0]
+    a._same_shape(b)
+    return chain_check_stack(suite, a.data[None], b.data[None],
+                             [params or ChainParams()], tol, [trial_seed])[0]

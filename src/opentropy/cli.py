@@ -44,7 +44,14 @@ from .entropy import (
     rel_entropy_spec,
     weighted_means,
 )
-from .gen import GenConfig, random_diag_pair, random_partner, random_spd
+from .gen import (
+    GenConfig,
+    random_diag_pair,
+    random_partner,
+    random_partner_stack,
+    random_spd,
+    random_spd_stack,
+)
 from .hermite import grid_verify, hh_record
 from .matcore import DEFAULT_LOEWNER_TOL, OperatorError
 from .matio import load_matrix, matrix_to_obj
@@ -171,21 +178,48 @@ def _run_trial(cfg: RunConfig, trial: int):
     return a, b, params
 
 
+def _draw(cfg: RunConfig, trials) -> list:
+    """Draw ``trials`` as one stack per dim; each trial's A and B are
+    bitwise ``_run_trial``'s.
+
+    Returns one ``(group, a, b, params, frame, hypothesis)`` per dim: the
+    group's trials, their A and B as ``(T, n, n)`` arrays, their
+    parameters and, for a suite with a dominance hypothesis, the A frame
+    and hypothesis margins the partner draw computed (``None`` otherwise),
+    for ``chain_check_stack``.
+    """
+    spec = SUITES[cfg.suite]
+    by_dim: dict[GenConfig, list] = {}
+    for trial in trials:
+        gcfg, params = cfg.decode(trial)
+        by_dim.setdefault(gcfg, []).append((trial, params))
+    stacks = []
+    for gcfg, drawn in by_dim.items():
+        group = [trial for trial, _ in drawn]
+        params = [p for _, p in drawn]
+        a = random_spd_stack(gcfg, group)
+        if spec.relation == "none":
+            b = random_spd_stack(gcfg, group, salt=1)
+            frame = hypothesis = None
+        else:
+            eff = [spec.effective(p) for p in params]
+            b, frame, hypothesis = random_partner_stack(
+                a, [p.beta for p in eff], [p.delta for p in eff],
+                spec.relation, gcfg, group)
+        stacks.append((group, a, b, params, frame, hypothesis))
+    return stacks
+
+
 def _check_chunk(cfg: RunConfig, trials: range) -> list:
-    """Draw ``trials`` one at a time, then check them in one stacked
-    ``chain_check_stack`` call per dim.  When anything fails, draw and
-    check the trials again one at a time and raise the first error, the
-    one the serial loop meets: that of the lowest failing trial."""
+    """Draw ``trials`` as one stack per dim, then check each stack in one
+    ``chain_check_stack`` call.  When anything fails, draw and check the
+    trials again one at a time and raise the first error, the one the
+    serial loop meets: that of the lowest failing trial."""
     try:
-        drawn = {trial: _run_trial(cfg, trial) for trial in trials}
-        by_dim: dict[int, list[int]] = {}
-        for trial, (a, _, _) in drawn.items():
-            by_dim.setdefault(a.dim, []).append(trial)
         reports = {}
-        for group in by_dim.values():
+        for group, a, b, params, frame, hypothesis in _draw(cfg, trials):
             reports.update(zip(group, chain_check_stack(
-                cfg.suite, [drawn[t][:2] for t in group],
-                [drawn[t][2] for t in group], cfg.tol, group)))
+                cfg.suite, a, b, params, cfg.tol, group, frame, hypothesis)))
         return [reports[t] for t in trials]
     except OperatorError:
         for trial in trials:
@@ -197,10 +231,11 @@ def _check_chunk(cfg: RunConfig, trials: range) -> list:
 def run_suite(cfg: RunConfig) -> dict:
     """Run ``cfg.trials`` instances through one suite; aggregate a report.
 
-    Each trial is drawn alone, a pure function of ``(seed, trial index)``;
-    every ``CHUNK_TRIALS`` consecutive trials are then checked as stacked
-    per-dim batches, which give the same bits as checking them one at a
-    time.  The report is byte-identical for fixed flags on one build.
+    Each trial is a pure function of ``(seed, trial index)``.  Every
+    ``CHUNK_TRIALS`` consecutive trials are drawn and checked as stacked
+    per-dim batches, which give the same bits as drawing and checking them
+    one at a time.  The report is byte-identical for fixed flags on one
+    build.
     """
     reports = []
     for start in range(0, cfg.trials, CHUNK_TRIALS):
@@ -444,6 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an overflowing generator makes inf or nan, which the finiteness check of
+# every computed result turns into one error line; numpy's warnings about
+# the same values would only repeat it on stderr, with source paths
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -1,8 +1,15 @@
 """Deterministic generation of constrained positive definite instances.
 
 Per-trial randomness comes from an independent counter-based Philox stream
-keyed by ``(master_seed, trial * STREAMS + salt)``, so trials can run in
-any order or thread count and still reproduce bit for bit.
+keyed by ``(master_seed, trial * STREAMS + salt)``, so trials can be drawn
+in any order or thread count, alone or in stacks, and still reproduce bit
+for bit.  ``random_spd_stack`` and ``random_partner_stack`` draw a stack of
+trials that share one dim: each trial's scalars (its Gaussians, its
+log-uniform spectrum, its target uniform) come from its own streams, and
+the matrix work (QR, frame products, the top eigenvalue of ``W``, the
+congruence by ``A^{beta/2}`` and the hypothesis confirmation) runs as
+stacked calls, each bitwise the per-matrix call.  ``random_spd`` and
+``random_partner`` are their one-trial cases.
 """
 
 from __future__ import annotations
@@ -11,8 +18,8 @@ import dataclasses
 
 import numpy as np
 
-from .matcore import OperatorError, SymMatrix, loewner_leq, sym_eig
-from .perspective import PowerFrame
+from .bounds import _frame, _relation_margin
+from .matcore import OperatorError, SymMatrix, _admit, _eigh
 
 CONDITION_CAP = 1e4
 DIM_CAP = 32
@@ -61,10 +68,23 @@ class GenConfig:
                 f"{self.spectrum_hi / self.spectrum_lo:.3e} > {CONDITION_CAP:.0e}")
 
 
-def _rng(cfg: GenConfig, trial: int, salt: int) -> np.random.Generator:
-    key = np.array([cfg.master_seed & _MASK,
-                    (trial * _STREAMS + salt) & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(cfg: GenConfig, trials, salt: int):
+    """Yield a generator on each trial's stream in turn.
+
+    It is one local ``Philox`` re-keyed per trial by assigning its state:
+    the same bits as a new ``Philox(key=...)``, at a fraction of the cost
+    of building a ``Generator``.  Each yield re-keys the generator the
+    previous one returned, so use it up before taking the next.
+    """
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bits.state  # counter 0, empty buffer: a freshly keyed stream
+    rng = np.random.Generator(bits)
+    for trial in trials:
+        state["state"]["key"] = np.array(
+            [cfg.master_seed & _MASK, (trial * _STREAMS + salt) & _MASK],
+            dtype=np.uint64)
+        bits.state = state
+        yield rng
 
 
 def _gaussian(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
@@ -74,14 +94,19 @@ def _gaussian(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
     return g
 
 
-def _random_frame(rng: np.random.Generator, dim: int,
-                  field: str) -> np.ndarray:
-    """Orthonormal frame from a QR'd Gaussian, phases canonicalized."""
-    q, r = np.linalg.qr(_gaussian(rng, dim, field))
-    d = np.diagonal(r).copy()
+def _orthonormal(g: np.ndarray) -> np.ndarray:
+    """Orthonormal frames from a stack of QR'd Gaussians, phases
+    canonicalized."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     mag = np.abs(d)
     phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return q * np.conj(phase)[None, :]
+    return q * np.conj(phase)[..., None, :]
+
+
+def _compose(frame: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``frame diag(vals) frame*`` for each matrix of a stack, raw."""
+    return (frame * vals[:, None, :]) @ frame.conj().swapaxes(-1, -2)
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
@@ -89,14 +114,81 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
     return lo * (hi / lo) ** rng.uniform(0.0, 1.0, size=size)
 
 
+def random_spd_stack(cfg: GenConfig, trials, salt: int = 0) -> np.ndarray:
+    """``random_spd(cfg, trial, salt)`` of each of ``trials``, as one
+    ``(T, n, n)`` array symmetrized as ``SymMatrix`` stores it."""
+    vals, gauss = [], []
+    for rng in _streams(cfg, trials, salt):
+        vals.append(_log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi,
+                                 cfg.dim))
+        gauss.append(_gaussian(rng, cfg.dim, cfg.field))
+    return _admit(_compose(_orthonormal(np.array(gauss)), np.array(vals)))
+
+
 def random_spd(cfg: GenConfig, trial: int, salt: int = 0) -> SymMatrix:
     """Strictly positive matrix with log-uniform spectrum in
     ``[spectrum_lo, spectrum_hi]`` and a Gaussian-orthogonal eigenframe;
-    a pure function of ``(master_seed, trial, salt)``."""
-    rng = _rng(cfg, trial, salt)
-    vals = _log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi, cfg.dim)
-    frame = _random_frame(rng, cfg.dim, cfg.field)
-    return SymMatrix._computed((frame * vals) @ frame.conj().T)
+    a pure function of ``(master_seed, trial, salt)``.  The one-trial case
+    of ``random_spd_stack``."""
+    return SymMatrix._computed(random_spd_stack(cfg, [trial], salt)[0])
+
+
+def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
+                         cfg: GenConfig, trials):
+    """``random_partner`` of each of ``trials``, for a ``(T, n, n)`` stack
+    ``a`` of its A's and the lists ``betas`` and ``deltas`` of its
+    parameters.
+
+    Returns ``(b, frame, hypothesis)``: the partners as one ``(T, n, n)``
+    array, ``bounds._frame(a, betas)``, and the ``bounds._relation_margin``
+    that the confirmation measured.  ``chain_check_stack`` takes the last
+    two instead of decomposing A again.
+    """
+    if direction not in ("dominating", "dominated"):
+        raise OperatorError(f"direction must be 'dominating' or 'dominated', "
+                            f"got {direction!r}")
+    for delta in deltas:
+        if not delta > 0.0:
+            raise OperatorError(f"delta must be positive, got {delta!r}")
+    dim, field = a.shape[-1], "complex" if np.iscomplexobj(a) else "real"
+    inner = (np.array(deltas, dtype=np.float64)[:, None, None]
+             * np.eye(dim, dtype=a.dtype))
+    # every BOUNDARY_EVERY-th trial keeps the exact boundary delta * I
+    drawn = [i for i, trial in enumerate(trials) if trial % BOUNDARY_EVERY]
+    rngs = _streams(cfg, [trials[i] for i in drawn], _SALT_PARTNER)
+    if drawn and direction == "dominating":
+        gauss, targets = [], []
+        for rng in rngs:
+            gauss.append(_gaussian(rng, dim, field))
+            targets.append(cfg.spectrum_hi * rng.uniform(0.0, 1.0))
+        g = np.array(gauss)
+        w = _admit(g @ g.conj().swapaxes(-1, -2))
+        tops = _eigh(w).eigenvalues[:, -1]
+        gains = [target / float(top) if top > 0.0 else 0.0
+                 for target, top in zip(targets, tops)]
+        inner[drawn] += w * np.array(gains)[:, None, None]
+    elif drawn:
+        vals, gauss = [], []
+        for rng, i in zip(rngs, drawn):
+            vals.append(_log_uniform(rng, deltas[i] / DOMINATED_SPREAD,
+                                     deltas[i], dim))
+            gauss.append(_gaussian(rng, dim, field))
+        inner[drawn] = _compose(_orthonormal(np.array(gauss)),
+                                np.array(vals))
+
+    frame = _frame(a, betas)
+    pair, half, _ = frame
+    b = _admit(half @ _admit(inner) @ half)
+    hypothesis = _relation_margin(pair, b, betas, deltas, direction)
+    margin, scale = hypothesis
+    fails = ~(margin >= -CONFIRM_TOL * scale)
+    if fails.any():
+        i = int(np.argmax(fails))
+        raise GenerationError(
+            f"partner construction violated its own hypothesis "
+            f"({direction}, delta={deltas[i]}, beta={betas[i]}): margin "
+            f"{float(margin[i]):.6e}")
+    return b, frame, hypothesis
 
 
 def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
@@ -107,50 +199,19 @@ def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
     positive semidefinite (``G G*`` rescaled below ``spectrum_hi``), so
     ``delta A^beta <= B`` by construction; ``dominated``: the middle factor
     has eigenvalues in ``(delta/100, delta]`` so ``B <= delta A^beta``.
-    Every 20th trial is the exact boundary ``B = delta A^beta``.  The
-    relation is re-confirmed through ``loewner_leq`` before returning.
+    Every 20th trial is the exact boundary ``B = delta A^beta``.  Before
+    returning, the relation is confirmed as ``loewner_leq`` would measure
+    it, at ``CONFIRM_TOL``; a miss raises ``GenerationError``.  The
+    one-trial case of ``random_partner_stack``.
     """
-    if direction not in ("dominating", "dominated"):
-        raise OperatorError(f"direction must be 'dominating' or 'dominated', "
-                            f"got {direction!r}")
-    if not delta > 0.0:
-        raise OperatorError(f"delta must be positive, got {delta!r}")
-    rng = _rng(cfg, trial, _SALT_PARTNER)
-    dim, field = a.dim, a.field
-    eye = np.eye(dim, dtype=a.data.dtype)
-
-    if trial % BOUNDARY_EVERY == 0:
-        inner = delta * eye
-    elif direction == "dominating":
-        g = _gaussian(rng, dim, field)
-        w = SymMatrix._computed(g @ g.conj().T)
-        top = float(sym_eig(w).eigenvalues[-1])
-        target = cfg.spectrum_hi * rng.uniform(0.0, 1.0)
-        inner = delta * eye + w.data * (target / top if top > 0.0 else 0.0)
-    else:
-        vals = _log_uniform(rng, delta / DOMINATED_SPREAD, delta, dim)
-        frame = _random_frame(rng, dim, field)
-        inner = (frame * vals) @ frame.conj().T
-
-    frame_a = PowerFrame(a, beta)
-    b = frame_a.conjugate(SymMatrix._computed(inner))
-
-    a_beta = delta * frame_a.power(beta)
-    if direction == "dominating":
-        verdict = loewner_leq(a_beta, b, CONFIRM_TOL)
-    else:
-        verdict = loewner_leq(b, a_beta, CONFIRM_TOL)
-    if not verdict.holds:
-        raise GenerationError(
-            f"partner construction violated its own hypothesis "
-            f"({direction}, delta={delta}, beta={beta}): margin "
-            f"{verdict.margin:.6e}")
-    return b
+    b, _, _ = random_partner_stack(a.data[None], [beta], [delta], direction,
+                                   cfg, [trial])
+    return SymMatrix._computed(b[0])
 
 
 def random_diag_pair(cfg: GenConfig, trial: int) -> tuple[SymMatrix, SymMatrix]:
     """Simultaneously diagonal strictly positive pair, for the scalar oracle."""
-    rng = _rng(cfg, trial, _SALT_DIAG)
+    rng = next(_streams(cfg, [trial], _SALT_DIAG))
     avals = _log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi, cfg.dim)
     bvals = _log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi, cfg.dim)
     return (SymMatrix.diagonal(avals, cfg.field),

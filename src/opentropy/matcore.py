@@ -173,6 +173,19 @@ def _nonfinite(arr: np.ndarray) -> np.ndarray:
     return bad
 
 
+def _admit(*arrays: np.ndarray) -> np.ndarray:
+    """The finiteness check of ``SymMatrix._computed`` on stacks of
+    matrices: matrix by matrix over the leading axes, and at one position
+    ``arrays`` in the order given, so the error raised is the one a loop of
+    ``_computed`` calls meets first.  Returns the last array, symmetrized as
+    ``_computed`` stores it."""
+    bad = np.stack([_nonfinite(x) for x in arrays], axis=-1)
+    if bad.any():
+        where = np.unravel_index(np.argmax(bad), bad.shape)
+        SymMatrix._computed(arrays[where[-1]][where[:-1]])
+    return _resym(arrays[-1])
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class EigenPair:
     """Ascending eigenvalues and an orthonormal eigenvector matrix."""

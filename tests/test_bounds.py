@@ -363,26 +363,51 @@ def _serial_margins(spec, a, b, params, tol):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("name", sorted(SUITES))
-def test_stacked_run_matches_per_trial_chain_check(name, field):
-    # dims 1-8 share every chunk, and the run spans two chunks
-    from opentropy.cli import CHUNK_TRIALS, RunConfig, _run_trial, run_suite
+def test_stacked_run_matches_per_trial_chain_check(name, field, monkeypatch):
+    # both runs span two chunks (trials 63/64) and hold the exact-boundary
+    # trials 0, 20, 40 and 60; with dims outermost in the parameter cycle,
+    # the first run's 73 trials all fall on dim 1, and the second run's 9
+    # combos per dim put trials 0-71 on dims 1-8
+    from opentropy import cli
 
     deltas = ((1.0, 1.0 / 1.5, 1.0 / 3.0) if name.endswith("-ge")
               else (1.0, 1.5, 3.0))
-    cfg = RunConfig(suite=name, trials=CHUNK_TRIALS + 9,
-                    dims=tuple(range(1, 9)), field=field, seed=77,
-                    alphas=(0.0, 0.5, 2.0), betas=(0.5, 1.0, 2.0),
-                    deltas=deltas, lams=(0.0, 0.3, 1.0))
-    got = run_suite(cfg)["trials"]
-    for trial in range(cfg.trials):
-        a, b, params = _run_trial(cfg, trial)
-        one = chain_check(name, a, b, params, tol=cfg.tol, trial_seed=trial)
-        want = [float(link.margin).hex() for link in one.links]
-        assert [float(link["margin"]).hex()
-                for link in got[trial]["links"]] == want, trial
-        assert got[trial]["verdict"] == one.verdict
-        serial = _serial_margins(SUITES[name], a, b, params, cfg.tol)
-        assert [float(m).hex() for m in serial] == want, trial
+    dims = tuple(range(1, 9))
+    configs = (
+        cli.RunConfig(suite=name, trials=cli.CHUNK_TRIALS + 9, dims=dims,
+                      field=field, seed=77, alphas=(0.0, 0.5, 2.0),
+                      betas=(0.5, 1.0, 2.0), deltas=deltas,
+                      lams=(0.0, 0.3, 1.0)),
+        cli.RunConfig(suite=name, trials=cli.CHUNK_TRIALS + 9, dims=dims,
+                      field=field, seed=78, alphas=(0.0, 0.5, 2.0),
+                      betas=(0.5, 1.0, 2.0), deltas=deltas[1:2],
+                      lams=(0.3,)))
+    stack_draw, stacked = cli._draw, {}
+
+    def draw(cfg, trials):
+        out = stack_draw(cfg, trials)
+        for group, a, b, *_ in out:
+            stacked.update(zip(group, zip(a, b)))
+        return out
+
+    monkeypatch.setattr(cli, "_draw", draw)
+    for cfg in configs:
+        stacked.clear()
+        got = cli.run_suite(cfg)["trials"]
+        assert sorted(stacked) == list(range(cfg.trials))
+        for trial in range(cfg.trials):
+            a, b, params = cli._run_trial(cfg, trial)
+            assert stacked[trial][0].tobytes() == a.data.tobytes(), trial
+            assert stacked[trial][1].tobytes() == b.data.tobytes(), trial
+            one = chain_check(name, a, b, params, tol=cfg.tol,
+                              trial_seed=trial)
+            want = [float(link.margin).hex() for link in one.links]
+            assert [float(link["margin"]).hex()
+                    for link in got[trial]["links"]] == want, trial
+            assert got[trial]["verdict"] == one.verdict
+            serial = _serial_margins(SUITES[name], a, b, params, cfg.tol)
+            assert [float(m).hex() for m in serial] == want, trial
+    assert {stacked[t][0].shape[-1] for t in range(72)} == set(dims)
 
 
 def _first_error_batch(non_positive_at, violating_at):
@@ -399,19 +424,18 @@ def _first_error_batch(non_positive_at, violating_at):
     return pairs
 
 
-def _run_fixed(monkeypatch, pairs, params):
+def _run_fixed(plant_draws, pairs, params):
     # run_suite with trial t drawn as (*pairs[t], params[t])
     from opentropy import cli
 
-    monkeypatch.setattr(cli, "_run_trial",
-                        lambda cfg, trial: (*pairs[trial], params[trial]))
+    plant_draws(lambda cfg, trial: (*pairs[trial], params[trial]))
     return cli.run_suite(cli.RunConfig(suite="thm-main1", trials=len(pairs),
                                        dims=(3,)))
 
 
 @pytest.mark.parametrize("first,second", [("frame", "hypothesis"),
                                           ("hypothesis", "frame")])
-def test_stacked_check_raises_the_first_serial_error(monkeypatch, first,
+def test_stacked_check_raises_the_first_serial_error(plant_draws, first,
                                                      second):
     # trial 1 fails at one stage and trial 3 at the other; either way the
     # run must fail as chain_check fails on trial 1 alone
@@ -419,14 +443,15 @@ def test_stacked_check_raises_the_first_serial_error(monkeypatch, first,
     pairs = _first_error_batch(at["frame"], at["hypothesis"])
     params = [ChainParams(alpha=0.5)] * len(pairs)
     with pytest.raises(op.OperatorError) as run:
-        _run_fixed(monkeypatch, pairs, params)
+        _run_fixed(plant_draws, pairs, params)
     with pytest.raises(op.OperatorError) as alone:
         chain_check("thm-main1", *pairs[1], params[1], trial_seed=1)
     assert type(run.value) is type(alone.value)
     assert str(run.value) == str(alone.value)
 
 
-def test_stacked_linalg_failure_blames_the_lowest_trial(monkeypatch):
+def test_stacked_linalg_failure_blames_the_lowest_trial(monkeypatch,
+                                                       plant_draws):
     # LAPACK fails on any stack holding trial 2's or trial 4's A; the run
     # must fail on trial 2, the lowest trial whose own decomposition fails
     real_eigh = np.linalg.eigh
@@ -444,7 +469,7 @@ def test_stacked_linalg_failure_blames_the_lowest_trial(monkeypatch):
         pairs[trial] = (a, 2.0 * a)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     with pytest.raises(ConvergenceError) as run:
-        _run_fixed(monkeypatch, pairs, [ChainParams()] * len(pairs))
+        _run_fixed(plant_draws, pairs, [ChainParams()] * len(pairs))
     assert str(run.value) == ("eigendecomposition failed: "
                               "Eigenvalues did not converge")
     assert raised[-1].shape == (1, 3, 3)

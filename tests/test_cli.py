@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -147,17 +148,22 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     ["hh", "--alpha", "600", "--x", "4"],
     ["hh", "--alpha", "511.9", "--x", "4"],
     # the generators overflow to inf; the finiteness check of computed
-    # results must turn that into a usage error, not a counterexample
-    pytest.param(["verify", "--suite", "thm-main1", "--trials", "3", "--dim",
-                  "4", "--alpha", "400"],
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-    pytest.param(["oracle", "--trials", "3", "--dim", "4", "--alpha", "400"],
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # results must turn that into a usage error, not a counterexample, and
+    # numpy must not warn about the same values on stderr
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "4",
+     "--alpha", "400"],
+    ["oracle", "--trials", "3", "--dim", "4", "--alpha", "400"],
 ])
 def test_malformed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert "error:" in captured.err
+    # one error line: argparse prints its usage block before its own, and
+    # every other error is stderr's only line, with no numpy warning
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    if not captured.err.startswith("usage:"):
+        assert captured.err == errors[0] + "\n"
+        assert captured.err.startswith("error:")
     assert "trials pass" not in captured.out
 
 
@@ -191,7 +197,7 @@ def test_reports_never_carry_nan_tokens(tmp_path):
     ((2, 4), 3, "eigenvalue -2.0 outside"),
     ((2, 4), 1, "draw failed at 1"),
 ])
-def test_chunk_raises_the_lowest_failing_trial(monkeypatch, bad,
+def test_chunk_raises_the_lowest_failing_trial(plant_draws, bad,
                                                draw_fails_at, message):
     # dims cycle 1, 2, 3 and each dim is checked in its own stack, so the
     # two trials with a non-positive A fail in different stacks; the run
@@ -210,36 +216,102 @@ def test_chunk_raises_the_lowest_failing_trial(monkeypatch, bad,
             a = op.SymMatrix.diagonal([-float(trial)] + [1.0] * (a.dim - 1))
         return a, b, params
 
-    monkeypatch.setattr(cli, "_run_trial", run_trial)
+    plant_draws(run_trial)
     with pytest.raises(op.OperatorError, match=message):
         cli.run_suite(cfg)
 
 
+def test_broken_partner_is_a_generation_error(monkeypatch, capsys):
+    # a spread below 1 puts every drawn middle eigenvalue of a dominated
+    # partner above delta, so B misses B <= delta*A^beta by far more than
+    # CONFIRM_TOL from trial 1 on: a broken generator, which must fail as
+    # one and not as a user's hypothesis
+    from opentropy import cli, gen
+
+    monkeypatch.setattr(gen, "DOMINATED_SPREAD", 0.5)
+    argv = ["verify", "--suite", "thm-main2", "--trials", "5", "--dim", "3"]
+    with pytest.raises(gen.GenerationError) as run:
+        cli.run_suite(cli._config_from_args(
+            cli.build_parser().parse_args(argv), suite="thm-main2"))
+    assert not isinstance(run.value, op.HypothesisError)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {run.value}\n"
+    assert err.startswith("error: partner construction violated its own "
+                          "hypothesis (dominated, delta=1.0, beta=1.0): "
+                          "margin -")
+
+
+def test_negative_tolerance_is_a_hypothesis_error(capsys):
+    # a negative --tol demands a positive hypothesis margin, which the
+    # exact-boundary trial 0 lacks: the user's hypothesis fails, at the
+    # suite tolerance, with the message chain_check gives on that trial
+    from opentropy import cli
+
+    cfg = RunConfig(suite="thm-main1", trials=70, dims=(3,), seed=5,
+                    tol=-1e-3)
+    with pytest.raises(op.HypothesisError) as run:
+        cli.run_suite(cfg)
+    a, b, params = cli._run_trial(cfg, 0)
+    with pytest.raises(op.HypothesisError) as alone:
+        op.chain_check("thm-main1", a, b, params, cfg.tol)
+    assert str(run.value) == str(alone.value)
+    assert re.fullmatch(
+        r"suite thm-main1: hypothesis delta\*A\^beta <= B \(delta=1\.0, "
+        r"beta=1\.0\) fails with margin \S+ \(tolerance -1e-03 \* \S+\)",
+        str(run.value))
+    assert main(["verify", "--suite", "thm-main1", "--trials", "70",
+                 "--dim", "3", "--seed", "5", "--tol=-1e-3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {run.value}\n"
+
+
 def test_passing_run_never_reruns(monkeypatch):
-    # a passing run checks each (chunk, dim) in one stacked call and never
+    # a passing run draws and checks each (chunk, dim) as one stack, hands
+    # the draw's A frame and hypothesis margins to the checker, and never
     # falls back to the one-trial-at-a-time rerun, which would give the
     # same bytes more slowly
     from opentropy import cli
 
-    stacked, serial = [], []
+    stacked, serial, alone, decomposed = [], [], [], []
     stack_check, one_check = cli.chain_check_stack, cli.chain_check
+    run_trial, real_eigh = cli._run_trial, np.linalg.eigh
 
-    def chain_check_stack(suite, pairs, params, tol, trial_seeds):
-        stacked.append((trial_seeds[0] // cli.CHUNK_TRIALS, pairs[0][0].dim))
-        return stack_check(suite, pairs, params, tol, trial_seeds)
+    def chain_check_stack(suite, a, b, params, tol, trial_seeds, frame,
+                          hypothesis):
+        assert frame is not None and hypothesis is not None
+        stacked.append((trial_seeds[0] // cli.CHUNK_TRIALS, a.shape[-1]))
+        return stack_check(suite, a, b, params, tol, trial_seeds, frame,
+                           hypothesis)
 
     def chain_check(*args, **kwargs):
         serial.append(args)
         return one_check(*args, **kwargs)
 
+    def counting_run_trial(cfg, trial):
+        alone.append(trial)
+        return run_trial(cfg, trial)
+
+    def counting_eigh(arr, *args, **kwargs):
+        decomposed.append(int(np.prod(arr.shape[:-2])))
+        return real_eigh(arr, *args, **kwargs)
+
     monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
     monkeypatch.setattr(cli, "chain_check", chain_check)
+    monkeypatch.setattr(cli, "_run_trial", counting_run_trial)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cfg = RunConfig(suite="cor-delta-le", trials=cli.CHUNK_TRIALS + 9,
                     dims=(2, 3, 4), field="complex", seed=3,
                     deltas=(1.0, 2.0))
     assert cli.run_suite(cfg)["summary"]["all_pass"]
     assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 4)]
     assert serial == []
+    assert alone == []
+    # per trial: W's top eigenvalue (skipped on the 4 exact-boundary
+    # trials 0, 20, 40, 60), A's frame, the hypothesis margin, the
+    # whitened B and the 8 links; drawing and checking separately, as one
+    # trial at a time does, decomposes A and the hypothesis difference
+    # twice, 2 more per trial (1018)
+    assert sum(decomposed) == 73 * 12 - 4
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
