@@ -28,7 +28,7 @@ from .matcore import (
     apply_fn,
     mat_pow,
 )
-from .perspective import PerspectiveSpec, PowerFrame, perspective
+from .perspective import Frame, PerspectiveSpec, PowerFrame, _rows, perspective
 
 
 class HypothesisError(OperatorError):
@@ -411,41 +411,13 @@ class _Stack:
         self.spec, self.params, self.tol = spec, params, tol
 
 
-def _rows(fn, *columns) -> np.ndarray:
-    """``fn`` on each row of ``columns``, stacked.  Each row sees its own
-    parameters as scalars: ``np.power`` special-cases scalar exponents
-    such as 0.5, 2 and -1, so a broadcast ``(T, 1)`` exponent would change
-    bits."""
-    return np.array([fn(*row) for row in zip(*columns)])
-
-
-def _positive(eigenvalues: np.ndarray, name: str) -> None:
-    """The ``POSITIVE`` domain check on every row of eigenvalues."""
-    lo, hi = POSITIVE
-    bad = ~((lo < eigenvalues) & (eigenvalues < hi)).all(axis=-1)
-    if bad.any():
-        _check_domain(eigenvalues[int(np.argmax(bad))], POSITIVE, name)
-
-
-def _frame(a: np.ndarray, betas) -> tuple[EigenPair, np.ndarray, np.ndarray]:
-    """Each ``A``'s eigendecomposition, checked positive, and
-    ``A^{beta/2}``, ``A^{-beta/2}`` at its own trial's ``beta``: row by
-    row the bits of ``PowerFrame(A, beta)``."""
-    pair = _eigh(a)
-    _positive(pair.eigenvalues,
-              "the congruence base, which must be strictly positive")
-    half = _rows(lambda w, beta: np.power(w, float(beta) / 2.0),
-                 pair.eigenvalues, betas)
-    return pair, pair.rebuild(half), pair.rebuild(1.0 / half)
-
-
 def _relation_margin(pair: EigenPair, b: np.ndarray, betas, deltas,
                      relation: str) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's dominance hypothesis as ``loewner_leq`` measures it:
     the smallest eigenvalue of ``B - delta A^beta`` (``dominating``) or of
     ``delta A^beta - B`` (``dominated``), and the scale
-    ``max(1, ||lhs||_F, ||rhs||_F)``.  ``pair`` is ``A``'s from
-    ``_frame``."""
+    ``max(1, ||lhs||_F, ||rhs||_F)``.  ``pair`` is ``A``'s, from its
+    ``Frame``."""
     power = _admit(pair.rebuild(_rows(np.power, pair.eigenvalues, betas)))
     a_beta = _admit(_rows(lambda m, delta: m * float(delta), power, deltas))
     lhs, rhs = (a_beta, b) if relation == "dominating" else (b, a_beta)
@@ -472,15 +444,7 @@ def _check_relation(st: _Stack, margin: np.ndarray,
             f"{float(scale[trial]):.3e})")
 
 
-def _whiten(st: _Stack, ihalf: np.ndarray, b: np.ndarray) -> EigenPair:
-    """``C = A^{-beta/2} B A^{-beta/2}``, decomposed and checked positive."""
-    pair = _eigh(_admit(ihalf @ b @ ihalf))
-    _positive(pair.eigenvalues, f"the whitened B of suite {st.spec.name}, "
-              f"which must be strictly positive")
-    return pair
-
-
-def _terms(st: _Stack, half: np.ndarray, cp: EigenPair) -> np.ndarray:
+def _terms(st: _Stack, frame: Frame, cp: EigenPair) -> np.ndarray:
     """Every term ``A^{beta/2} g_k(C) A^{beta/2}`` as a ``(T, K, n, n)``
     stack, admitted in ``chain_check`` order: ``g_0(C)``, term 0,
     ``g_1(C)``, term 1, ..."""
@@ -489,11 +453,11 @@ def _terms(st: _Stack, half: np.ndarray, cp: EigenPair) -> np.ndarray:
         if p not in gens:
             gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
                                         lam=p.lam) for label in st.spec.terms]
-    w = cp.eigenvalues
-    vals = _rows(lambda wt, p: [g(wt) for g in gens[p]], w, st.params)
-    mid = EigenPair(w, cp.eigenvectors[:, None]).rebuild(vals)
-    h = half[:, None]
-    return _admit(mid, h @ mid @ h)
+    vals = _rows(lambda wt, p: [g(wt) for g in gens[p]], cp.eigenvalues,
+                 st.params)
+    # term-major (K, T, n, n), so that each trial's H broadcasts over K
+    mid = cp.rebuild(vals.swapaxes(0, 1))
+    return _admit(mid.swapaxes(0, 1), frame.conjugate(mid).swapaxes(0, 1))
 
 
 def _links(st: _Stack, terms: np.ndarray):
@@ -525,7 +489,7 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     bitwise those of ``chain_check`` on that trial alone.
 
     A caller that has already decomposed ``A`` passes ``frame``, the
-    ``_frame`` of ``a`` at each trial's effective beta, and, for a suite
+    ``Frame.power`` of ``a`` at each trial's effective beta, and, for a suite
     with a dominance hypothesis, ``hypothesis``, the ``_relation_margin``
     of the stack; ``gen.random_partner_stack`` returns both.  They are
     computed here otherwise.
@@ -541,11 +505,15 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
         effective.append(p)
     st = _Stack(spec, effective, tol)
     betas = [p.beta for p in effective]
-    pair, half, ihalf = frame or _frame(a, betas)
+    frame = frame or Frame.power(a, betas)
     if spec.relation != "none":
         _check_relation(st, *(hypothesis or _relation_margin(
-            pair, b, betas, [p.delta for p in effective], spec.relation)))
-    margins, holds = _links(st, _terms(st, half, _whiten(st, ihalf, b)))
+            frame.pair, b, betas, [p.delta for p in effective],
+            spec.relation)))
+    cp = _eigh(_admit(frame.whiten(b)))
+    _check_domain(cp.eigenvalues, POSITIVE, f"the whitened B of suite "
+                  f"{spec.name}, which must be strictly positive")
+    margins, holds = _links(st, _terms(st, frame, cp))
 
     reports = []
     for trial, p in enumerate(effective):

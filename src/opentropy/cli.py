@@ -45,6 +45,7 @@ from .entropy import (
     weighted_means,
 )
 from .gen import (
+    DIM_CAP,
     GenConfig,
     random_diag_pair,
     random_partner,
@@ -82,7 +83,8 @@ def _parse_dims(text: str) -> list[int]:
             lo, hi = _number(int, lo_s), _number(int, hi_s)
             if hi < lo:
                 raise OperatorError(f"bad dim range {part!r}")
-            dims.extend(range(lo, hi + 1))
+            # cut at the first dim past DIM_CAP, which RunConfig rejects
+            dims.extend(range(lo, max(lo, min(hi, DIM_CAP + 1)) + 1))
         elif part:
             dims.append(_number(int, part))
     if not dims:

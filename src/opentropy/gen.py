@@ -18,8 +18,9 @@ import dataclasses
 
 import numpy as np
 
-from .bounds import _frame, _relation_margin
+from .bounds import _relation_margin
 from .matcore import OperatorError, SymMatrix, _admit, _eigh
+from .perspective import Frame
 
 CONDITION_CAP = 1e4
 DIM_CAP = 32
@@ -140,9 +141,10 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
     parameters.
 
     Returns ``(b, frame, hypothesis)``: the partners as one ``(T, n, n)``
-    array, ``bounds._frame(a, betas)``, and the ``bounds._relation_margin``
-    that the confirmation measured.  ``chain_check_stack`` takes the last
-    two instead of decomposing A again.
+    array, ``perspective.Frame.power(a, betas)``, and the
+    ``bounds._relation_margin`` that the confirmation measured.
+    ``chain_check_stack`` takes the last two instead of decomposing A
+    again.
     """
     if direction not in ("dominating", "dominated"):
         raise OperatorError(f"direction must be 'dominating' or 'dominated', "
@@ -176,10 +178,9 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
         inner[drawn] = _compose(_orthonormal(np.array(gauss)),
                                 np.array(vals))
 
-    frame = _frame(a, betas)
-    pair, half, _ = frame
-    b = _admit(half @ _admit(inner) @ half)
-    hypothesis = _relation_margin(pair, b, betas, deltas, direction)
+    frame = Frame.power(a, betas)
+    b = _admit(frame.conjugate(_admit(inner)))
+    hypothesis = _relation_margin(frame.pair, b, betas, deltas, direction)
     margin, scale = hypothesis
     fails = ~(margin >= -CONFIRM_TOL * scale)
     if fails.any():

@@ -145,6 +145,7 @@ class GridVerdict:
 
 
 GRID_TOL = 1e-10
+GRID_CAP = 10**6  # a few arrays of this many floats take tens of MB
 
 
 def grid_verify(alpha: float, x: float, n: int = 1001) -> GridVerdict:
@@ -152,6 +153,8 @@ def grid_verify(alpha: float, x: float, n: int = 1001) -> GridVerdict:
     pointwise sandwich ``l(lambda) <= integral_avg <= L(lambda)``."""
     if n < 3:
         raise OperatorError(f"grid needs at least 3 points, got {n!r}")
+    if n > GRID_CAP:
+        raise OperatorError(f"grid takes at most {GRID_CAP} points, got {n!r}")
     rec = hh_record(alpha, x)
     grid = np.linspace(0.0, 1.0, n)
     lvals = np.asarray(l_of_lambda(alpha, x, grid))

@@ -150,27 +150,14 @@ class SymMatrix:
 
 
 def _fro(arr: np.ndarray) -> np.ndarray:
-    """``SymMatrix.fro`` of each matrix in the last two axes."""
+    """``SymMatrix.fro`` of each matrix in the last two axes, bitwise: the
+    dot products ``np.linalg.norm`` takes, of the real and imaginary parts
+    as strided views (contiguous copies change the bits)."""
     n = arr.shape[-1]
-    norms = [np.linalg.norm(m) for m in arr.reshape(-1, n, n)]
-    return np.array(norms, dtype=np.float64).reshape(arr.shape[:-2])
-
-
-def _nonfinite(arr: np.ndarray) -> np.ndarray:
-    """Over the leading axes, the matrices ``SymMatrix._computed`` rejects.
-
-    Parts no larger than ``sqrt(max / (4 n^2))`` in magnitude cannot make
-    the Frobenius norm overflow, so only matrices with a larger, infinite or
-    NaN part get the norm test of ``_store``.
-    """
-    n = arr.shape[-1]
-    flat = np.ascontiguousarray(arr).reshape(arr.shape[:-2] + (-1,))
-    big = np.abs(flat.view(np.float64)).max(axis=-1)
-    suspect = ~(big <= np.sqrt(np.finfo(np.float64).max / (4.0 * n * n)))
-    bad = np.zeros(suspect.shape, dtype=bool)
-    for idx in zip(*np.nonzero(suspect)):
-        bad[idx] = not np.isfinite(np.linalg.norm(arr[idx]))
-    return bad
+    flat = arr.reshape(-1, 1, n * n)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(arr) else (flat,)
+    sq = sum(p @ p.swapaxes(-1, -2) for p in parts)
+    return np.sqrt(sq).reshape(arr.shape[:-2])
 
 
 def _admit(*arrays: np.ndarray) -> np.ndarray:
@@ -179,7 +166,7 @@ def _admit(*arrays: np.ndarray) -> np.ndarray:
     ``arrays`` in the order given, so the error raised is the one a loop of
     ``_computed`` calls meets first.  Returns the last array, symmetrized as
     ``_computed`` stores it."""
-    bad = np.stack([_nonfinite(x) for x in arrays], axis=-1)
+    bad = np.stack([~np.isfinite(_fro(x)) for x in arrays], axis=-1)
     if bad.any():
         where = np.unravel_index(np.argmax(bad), bad.shape)
         SymMatrix._computed(arrays[where[-1]][where[:-1]])
@@ -312,12 +299,13 @@ def jacobi_herm(a, thresh: float, max_sweeps: int = MAX_SWEEPS):
 
 
 def _check_domain(eigenvalues: np.ndarray, domain, name: str) -> None:
+    """Name the first eigenvalue outside ``domain``, in C order on stacks."""
     if domain is None:
         return
     lo, hi = domain
     inside = (lo < eigenvalues) & (eigenvalues < hi)
     if not inside.all():
-        val = eigenvalues[np.argmin(inside)]
+        val = np.ravel(eigenvalues)[np.argmin(inside)]
         raise SpectrumError(
             f"eigenvalue {float(val)!r} outside the open domain ({lo}, {hi}) "
             f"of {name or 'the scalar function'}"

@@ -2,8 +2,9 @@
 
 The perspective ``P(X, Y) = h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``
 is the single primitive behind every entropy and bound operator in this
-package; ``Whitening`` holds its f-independent part, so several ``f`` can
-share one pair, and ``congruence`` is its ``h(t) = t^e`` building block.
+package.  ``Frame`` builds its congruence ``H = h(Y)^{1/2}`` for one matrix
+or a ``(T, n, n)`` stack; ``Whitening`` (several ``f`` sharing one pair),
+``PowerFrame`` and ``congruence`` are its one-matrix cases.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import POSITIVE, SpectrumError, SymMatrix, _check_domain, sym_eig
+from .matcore import POSITIVE, SpectrumError, SymMatrix, _check_domain, _eigh
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,30 +38,73 @@ class PerspectiveSpec:
         return getattr(self.f, "domain", None)
 
 
+def _rows(fn, *columns) -> np.ndarray:
+    """``fn`` on each row of ``columns``, stacked.  Each row sees its own
+    parameters as scalars: ``np.power`` special-cases scalar exponents
+    such as 0.5, 2 and -1, so a broadcast ``(T, 1)`` exponent would change
+    bits."""
+    return np.array([fn(*row) for row in zip(*columns)])
+
+
+def _half_power(eigenvalues: np.ndarray, exponent) -> np.ndarray:
+    return np.power(eigenvalues, float(exponent) / 2.0)
+
+
+class Frame:
+    """``H = U diag(v) U*`` and ``H^{-1}`` for a strictly positive base
+    ``U diag(lambda) U*``, one ``(n, n)`` matrix or a ``(T, n, n)`` stack;
+    ``half`` maps ``lambda`` to ``v`` once the base, called ``name`` in
+    errors, passes its positivity check.  ``whiten`` and ``conjugate``
+    return raw products, which the caller admits.
+    """
+
+    def __init__(self, base: np.ndarray, half: Callable,
+                 name: str = "the congruence base"):
+        self.pair = _eigh(base)
+        _check_domain(self.pair.eigenvalues, POSITIVE,
+                      f"{name}, which must be strictly positive")
+        v = half(self.pair.eigenvalues)
+        self.half = self.pair.rebuild(v)
+        self.ihalf = self.pair.rebuild(1.0 / v)
+
+    @classmethod
+    def power(cls, base: np.ndarray, exponents) -> "Frame":
+        """``v = lambda^{e/2}`` on a stack, each matrix at its own ``e``."""
+        return cls(base, lambda w: _rows(_half_power, w, exponents))
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """``H^{-1} X H^{-1}``, raw."""
+        return self.ihalf @ x @ self.ihalf
+
+    def conjugate(self, mid: np.ndarray) -> np.ndarray:
+        """``H M H``, raw; extra leading axes of ``mid`` broadcast."""
+        return self.half @ mid @ self.half
+
+
 class Whitening:
     """The f-independent part of every perspective of one pair ``(X, Y)``.
 
-    Decomposes ``Y``, checks that it and ``h`` on its spectrum are strictly
-    positive, builds ``h(Y)^{1/2}`` and decomposes the whitened
-    ``C = h(Y)^{-1/2} X h(Y)^{-1/2}``; ``apply`` then evaluates any ``f``
+    Builds the ``Frame`` of ``Y`` with ``H = h(Y)^{1/2}``, after checking
+    that ``h`` is strictly positive on its spectrum, and decomposes the
+    whitened ``C = H^{-1} X H^{-1}``; ``apply`` then evaluates any ``f``
     on ``C``, so perspectives sharing ``h`` and the pair share this work.
     """
 
     def __init__(self, h: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
                  y: SymMatrix):
         x._same_shape(y)
-        pair = sym_eig(y)
-        _check_domain(pair.eigenvalues, POSITIVE,
-                      "the perspective base, which must be strictly positive")
-        hvals = np.asarray(h(pair.eigenvalues), dtype=np.float64)
-        if np.min(hvals) <= 0.0:
-            raise SpectrumError(
-                f"h is not strictly positive on the spectrum of the base "
-                f"(min h = {float(np.min(hvals))!r})"
-            )
-        self.h_half = pair.rebuild(np.sqrt(hvals))
-        h_ihalf = pair.rebuild(1.0 / np.sqrt(hvals))
-        self.inner = sym_eig(SymMatrix._computed(h_ihalf @ x.data @ h_ihalf))
+
+        def half(eigenvalues):
+            hvals = np.asarray(h(eigenvalues), dtype=np.float64)
+            if np.min(hvals) <= 0.0:
+                raise SpectrumError(
+                    f"h is not strictly positive on the spectrum of the base "
+                    f"(min h = {float(np.min(hvals))!r})"
+                )
+            return np.sqrt(hvals)
+
+        self.frame = Frame(y.data, half, "the perspective base")
+        self.inner = _eigh(SymMatrix._computed(self.frame.whiten(x.data)).data)
 
     def apply(self, spec: PerspectiveSpec) -> SymMatrix:
         """``h(Y)^{1/2} f(C) h(Y)^{1/2}`` for ``spec.f``; ``spec.h`` must be
@@ -68,7 +112,7 @@ class Whitening:
         _check_domain(self.inner.eigenvalues, spec.resolved_domain(),
                       f"{spec.name or 'f'} on the whitened spectrum")
         mid = self.inner.rebuild(spec.f(self.inner.eigenvalues))
-        return SymMatrix._computed(self.h_half @ mid @ self.h_half)
+        return SymMatrix._computed(self.frame.conjugate(mid))
 
 
 def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
@@ -83,34 +127,23 @@ def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
 
 class PowerFrame:
-    """Precomputed ``B^{e/2}`` / ``B^{-e/2}`` congruence pair.
+    """``B^{e/2} X B^{e/2}`` and ``B^{-e/2} X B^{-e/2}`` for one strictly
+    positive ``B``: the one-matrix case of ``Frame.power``.
 
     Bound chains conjugate many terms by the same ``A^{beta/2}``; building
     the frame once keeps every term of a trial on identical rounding.
     """
 
     def __init__(self, base: SymMatrix, exponent: float):
-        self.base = base
-        self.exponent = float(exponent)
-        self.pair = sym_eig(base)
-        _check_domain(self.pair.eigenvalues, POSITIVE,
-                      "the congruence base, which must be strictly positive")
-        half = np.power(self.pair.eigenvalues, self.exponent / 2.0)
-        self.half = self.pair.rebuild(half)
-        self.ihalf = self.pair.rebuild(1.0 / half)
-
-    def power(self, exponent: float) -> SymMatrix:
-        """``base**exponent`` from the cached decomposition."""
-        return SymMatrix._computed(
-            self.pair.rebuild(np.power(self.pair.eigenvalues, exponent)))
+        self.frame = Frame(base.data, lambda w: _half_power(w, exponent))
 
     def conjugate(self, x: SymMatrix) -> SymMatrix:
         """``B^{e/2} X B^{e/2}``; preserves positive semidefiniteness."""
-        return SymMatrix._computed(self.half @ x.data @ self.half)
+        return SymMatrix._computed(self.frame.conjugate(x.data))
 
     def whiten(self, x: SymMatrix) -> SymMatrix:
         """``B^{-e/2} X B^{-e/2}``."""
-        return SymMatrix._computed(self.ihalf @ x.data @ self.ihalf)
+        return SymMatrix._computed(self.frame.whiten(x.data))
 
 
 def congruence(x: SymMatrix, b: SymMatrix, exponent: float) -> SymMatrix:

@@ -153,6 +153,11 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "4",
      "--alpha", "400"],
     ["oracle", "--trials", "3", "--dim", "4", "--alpha", "400"],
+    # too large to allocate: rejected before any array or list is built
+    ["hh", "--alpha", "0", "--x", "4", "--grid", "100000000000"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--dim",
+     "1-10000000000"],
+    ["oracle", "--trials", "3", "--dim", "2,40-10000000000"],
 ])
 def test_malformed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -165,6 +170,18 @@ def test_malformed_flags_are_usage_errors(argv, capsys):
         assert captured.err == errors[0] + "\n"
         assert captured.err.startswith("error:")
     assert "trials pass" not in captured.out
+
+
+@pytest.mark.parametrize("dims, first", [
+    ("1-10000000000", 33), ("40-10000000000", 40), ("0-3", 0), ("30-33", 33),
+    ("3,50", 50)])
+def test_dim_range_names_its_first_dim_past_the_cap(dims, first, capsys):
+    # a range is cut at its first dim outside 1..32 before it is expanded;
+    # that dim gets the error a single dim gets
+    argv = ["verify", "--suite", "thm-main1", "--trials", "1", "--dim", dims]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: dim must be in 1..32, got {first}\n")
 
 
 @given(lengths=st.tuples(*[st.integers(1, 4)] * 5),
@@ -463,8 +480,8 @@ def test_oracle_command(tmp_path, capsys):
     assert table["V"] == pytest.approx(1.875, abs=1e-12)
 
 
-@pytest.mark.parametrize("beta, most", [(1.0, 7), (0.5, 9), (2.0, 9)])
-def test_oracle_trial_whitens_once_per_h(beta, most, monkeypatch):
+@pytest.mark.parametrize("beta, count", [(1.0, 7), (0.5, 9), (2.0, 9)])
+def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
     # 2 eigh for the t^beta whitening, 2 more for t^1 unless beta is 1,
     # and 5 in weighted_means (three inverses, one geometric mean)
     real_eigh, calls = np.linalg.eigh, []
@@ -477,7 +494,7 @@ def test_oracle_trial_whitens_once_per_h(beta, most, monkeypatch):
                     deltas=(2.0,), lams=(0.3,))
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     _oracle_trial(cfg, 0)
-    assert len(calls) <= most
+    assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 import opentropy as op
 from opentropy.hermite import (
+    GRID_CAP,
     GridVerdict,
     L_of_lambda,
     extremizer,
@@ -175,3 +176,11 @@ def test_grid_verify_degenerate_grid():
 def test_grid_verify_rejects_tiny_grid():
     with pytest.raises(op.OperatorError):
         grid_verify(0.0, 4.0, 2)
+
+
+def test_grid_verify_rejects_grid_past_the_cap():
+    # the cap must admit the 100001-point grid the benchmark runs
+    assert grid_verify(0.0, 4.0, 100001).passed
+    assert grid_verify(0.0, 4.0, GRID_CAP).n == GRID_CAP
+    with pytest.raises(op.OperatorError, match=f"at most {GRID_CAP} points"):
+        grid_verify(0.0, 4.0, GRID_CAP + 1)

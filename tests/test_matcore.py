@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import opentropy as op
 from opentropy.gen import GenConfig, random_partner, random_spd
-from opentropy.matcore import POSITIVE, EigenPair, _eigh, _resym
+from opentropy.matcore import POSITIVE, _eigh, _fro, _resym
 from opentropy.perspective import PowerFrame
 
 RECON_TOL = 1e-10
@@ -130,7 +130,7 @@ def test_functional_calculus_ignores_eigenspace_basis():
         frame = PowerFrame(a, beta)
         c = frame.whiten(b)
         assert np.linalg.norm(c.data - delta * np.eye(8)) <= 1e-12
-        a_beta = frame.power(beta)
+        a_beta = op.mat_pow(a, beta)
         for kind in op.SUITES["cor-delta-le"].terms:
             g = op.scalar_generator(kind, delta=delta)
             term = frame.conjugate(op.apply_fn(c, g, domain=POSITIVE))
@@ -222,17 +222,31 @@ def test_stacked_calls_give_the_bits_of_2d_calls(case):
     x, vals = case
     sym = _resym(x)
     pair = _eigh(sym)
-    # each of the 3 value rows of a slice rebuilds on that slice's vectors
-    rebuilt = EigenPair(pair.eigenvalues,
-                        pair.eigenvectors[:, None]).rebuild(vals)
+    # each of the 3 value rows of a slice rebuilds on that slice's vectors,
+    # term-major as the chain check builds its terms
+    rebuilt = pair.rebuild(vals.swapaxes(0, 1))
     for t in range(len(x)):
         one = _eigh(_resym(x[t]))
         assert sym[t].tobytes() == _resym(x[t]).tobytes()
         assert pair.eigenvalues[t].tobytes() == one.eigenvalues.tobytes()
         assert pair.eigenvectors[t].tobytes() == one.eigenvectors.tobytes()
         for k in range(vals.shape[1]):
-            assert (rebuilt[t, k].tobytes()
+            assert (rebuilt[k, t].tobytes()
                     == one.rebuild(vals[t, k]).tobytes())
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stacked_fro_gives_the_bits_of_symmatrix_fro(field):
+    # link and hypothesis scales take _fro of (T, K, n, n) stacks; margins
+    # keep their bits only while it equals SymMatrix.fro matrix by matrix
+    rng = np.random.default_rng(53)
+    for dim in range(1, 33):
+        x = rng.standard_normal((3, 4, dim, dim))
+        if field == "complex":
+            x = x + 1j * rng.standard_normal((3, 4, dim, dim))
+        sym = _resym(x * np.logspace(-3, 3, 4)[:, None, None])
+        want = [[op.SymMatrix._computed(m).fro for m in row] for row in sym]
+        assert _fro(sym).tobytes() == np.array(want).tobytes(), dim
 
 
 def test_rejects_non_self_adjoint():

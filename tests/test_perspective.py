@@ -4,9 +4,11 @@ import pytest
 import opentropy as op
 from opentropy.bounds import BOUND_KINDS, bound_spec
 from opentropy.entropy import geo_mean_spec, rel_entropy_spec
-from opentropy.gen import GenConfig, random_diag_pair, random_spd
+from opentropy.gen import (GenConfig, random_diag_pair, random_spd,
+                           random_spd_stack)
 from opentropy.matcore import POSITIVE, _power
-from opentropy.perspective import PerspectiveSpec, Whitening, perspective
+from opentropy.perspective import (Frame, PerspectiveSpec, PowerFrame,
+                                   Whitening, perspective)
 
 
 def _spec(f, h, f_domain=None):
@@ -162,6 +164,56 @@ def test_shared_whitening_raises_the_domain_error_of_each_call(field):
         assert type(shared.value) is type(alone.value)
         assert str(shared.value) == str(alone.value)
         assert "on the whitened spectrum" in str(shared.value)
+
+
+# ---------------------------------------------------------------------------
+# one frame for a stack and for one matrix
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+def test_stacked_frame_rows_give_the_bits_of_one_matrix_frames(dim, field):
+    # the chain check and the partner draw build one frame per stack, at
+    # each trial's own exponent; row t must be PowerFrame(A_t, e_t) bit for
+    # bit.  np.power special-cases scalar exponents such as 0.5, 1, 2 and
+    # -1, which a broadcast exponent array would lose
+    exponents = [0.5, 1.0, 2.0, 3.0, -1.0, 4.0, -2.0]
+    cfg = GenConfig(dim=dim, field=field, master_seed=47)
+    trials = range(len(exponents))
+    a = random_spd_stack(cfg, trials)
+    x = random_spd_stack(cfg, trials, salt=1)
+    stacked = Frame.power(a, exponents)
+    whitened = stacked.whiten(x)
+    # several matrices per trial broadcast over a leading axis, as the
+    # chain check conjugates its terms
+    conjugated = stacked.conjugate(np.stack([x, whitened]))
+    for t, e in enumerate(exponents):
+        one = PowerFrame(op.SymMatrix._computed(a[t]), e)
+        xt = op.SymMatrix._computed(x[t])
+        assert _bits(one.whiten(xt)) == op.SymMatrix._computed(
+            whitened[t]).data.tobytes(), e
+        assert _bits(one.conjugate(xt)) == op.SymMatrix._computed(
+            conjugated[0, t]).data.tobytes(), e
+        for got, want in ((stacked.pair.eigenvalues[t],
+                           one.frame.pair.eigenvalues),
+                          (stacked.pair.eigenvectors[t],
+                           one.frame.pair.eigenvectors),
+                          (stacked.half[t], one.frame.half),
+                          (stacked.ihalf[t], one.frame.ihalf),
+                          (whitened[t], one.frame.whiten(x[t])),
+                          (conjugated[0, t], one.frame.conjugate(x[t])),
+                          (conjugated[1, t],
+                           one.frame.conjugate(whitened[t]))):
+            assert got.tobytes() == want.tobytes(), e
+
+
+def test_stacked_frame_names_the_first_non_positive_base():
+    a = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.diag([-3.0, 1.0])])
+    with pytest.raises(op.SpectrumError) as stacked:
+        Frame.power(a, [1.0, 1.0, 1.0])
+    with pytest.raises(op.SpectrumError) as alone:
+        PowerFrame(op.SymMatrix(a[1]), 1.0)
+    assert str(stacked.value) == str(alone.value)
+    assert "-2.0" in str(stacked.value)
 
 
 # ---------------------------------------------------------------------------
