@@ -23,7 +23,7 @@ from .matcore import (
     _admit,
     _check_domain,
     _eigh,
-    _fro,
+    _loewner,
     _power,
     apply_fn,
     mat_pow,
@@ -394,46 +394,26 @@ def _validate_params(spec: SuiteSpec, p: ChainParams) -> None:
             f"suite {spec.name}: requires 0 < delta <= 1, got {p.delta!r}")
 
 
-class _Stack:
-    """The trials of one stacked chain check: the suite, each trial's
-    effective parameters, and the tolerance.
-
-    Each stage checks every trial at once and raises the first failure it
-    finds in ``chain_check`` order: lowest trial, then position, then
-    array.  On a stack of one that is exactly the error ``chain_check``
-    raises; a longer stack may fail at an earlier stage on a later trial,
-    so callers that must blame the lowest failing trial rerun the trials
-    one at a time.
-    """
-
-    def __init__(self, spec: SuiteSpec, params: list[ChainParams],
-                 tol: float):
-        self.spec, self.params, self.tol = spec, params, tol
-
-
 def _relation_margin(pair: EigenPair, b: np.ndarray, betas, deltas,
                      relation: str) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's dominance hypothesis as ``loewner_leq`` measures it:
-    the smallest eigenvalue of ``B - delta A^beta`` (``dominating``) or of
-    ``delta A^beta - B`` (``dominated``), and the scale
-    ``max(1, ||lhs||_F, ||rhs||_F)``.  ``pair`` is ``A``'s, from its
-    ``Frame``."""
+    the ``matcore._loewner`` margin and scale of ``delta A^beta <= B``
+    (``dominating``) or of ``B <= delta A^beta`` (``dominated``).
+    ``pair`` is ``A``'s, from its ``Frame``."""
     power = _admit(pair.rebuild(_rows(np.power, pair.eigenvalues, betas)))
     a_beta = _admit(_rows(lambda m, delta: m * float(delta), power, deltas))
     lhs, rhs = (a_beta, b) if relation == "dominating" else (b, a_beta)
-    margin = _eigh(_admit(rhs - lhs)).eigenvalues[:, 0]
-    return margin, np.maximum(np.maximum(1.0, _fro(lhs)), _fro(rhs))
+    return _loewner(lhs, rhs)
 
 
-def _check_relation(st: _Stack, margin: np.ndarray,
-                    scale: np.ndarray) -> None:
+def _check_relation(spec: SuiteSpec, params: list[ChainParams], tol: float,
+                    margin: np.ndarray, scale: np.ndarray) -> None:
     """The dominance hypothesis at the suite tolerance, from the margins
     and scales of ``_relation_margin``."""
-    spec, tol = st.spec, st.tol
     fails = ~(margin >= -tol * scale)
     if fails.any():
         trial = int(np.argmax(fails))
-        p = st.params[trial]
+        p = params[trial]
         if spec.relation == "dominating":
             stated = f"delta*A^beta <= B (delta={p.delta}, beta={p.beta})"
         else:
@@ -444,36 +424,33 @@ def _check_relation(st: _Stack, margin: np.ndarray,
             f"{float(scale[trial]):.3e})")
 
 
-def _terms(st: _Stack, frame: Frame, cp: EigenPair) -> np.ndarray:
+def _terms(spec: SuiteSpec, params: list[ChainParams], frame: Frame,
+           cp: EigenPair) -> np.ndarray:
     """Every term ``A^{beta/2} g_k(C) A^{beta/2}`` as a ``(T, K, n, n)``
     stack, admitted in ``chain_check`` order: ``g_0(C)``, term 0,
     ``g_1(C)``, term 1, ..."""
     gens: dict[ChainParams, list[ScalarFn]] = {}
-    for p in st.params:
+    for p in params:
         if p not in gens:
             gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
-                                        lam=p.lam) for label in st.spec.terms]
+                                        lam=p.lam) for label in spec.terms]
     vals = _rows(lambda wt, p: [g(wt) for g in gens[p]], cp.eigenvalues,
-                 st.params)
+                 params)
     # term-major (K, T, n, n), so that each trial's H broadcasts over K
     mid = cp.rebuild(vals.swapaxes(0, 1))
     return _admit(mid.swapaxes(0, 1), frame.conjugate(mid).swapaxes(0, 1))
 
 
-def _links(st: _Stack, terms: np.ndarray):
+def _links(spec: SuiteSpec, terms: np.ndarray, tol: float):
     """Margin and verdict of every link, from one ``(T, L, n, n)`` stack.
 
     All link differences are checked for finiteness before any is
     decomposed, so a trial whose link 0 fails to converge while a later
     link is not finite fails on the finiteness check.
     """
-    left = [i for i, _ in st.spec.links]
-    right = [j for _, j in st.spec.links]
-    diff = _admit(terms[:, right] - terms[:, left])
-    margin = _eigh(diff).eigenvalues[:, :, 0]
-    fro = _fro(terms)
-    scale = np.maximum(np.maximum(1.0, fro[:, left]), fro[:, right])
-    return margin, margin >= -st.tol * scale
+    margin, scale = _loewner(terms[:, [i for i, _ in spec.links]],
+                             terms[:, [j for _, j in spec.links]])
+    return margin, margin >= -tol * scale
 
 
 def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
@@ -495,7 +472,12 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     computed here otherwise.
 
     Returns one report per trial, or raises the first failure of the
-    first stage that fails (see ``_Stack``).
+    first stage that fails.  Each stage checks every trial at once and
+    raises the first failure it finds in ``chain_check`` order: lowest
+    trial, then position, then array.  On a stack of one that is exactly
+    the error ``chain_check`` raises; a longer stack may fail at an
+    earlier stage on a later trial, so callers that must blame the lowest
+    failing trial check the trials again one at a time.
     """
     spec = SUITES[suite] if isinstance(suite, str) else suite
     effective = []
@@ -503,17 +485,16 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
         p = spec.effective(p)
         _validate_params(spec, p)
         effective.append(p)
-    st = _Stack(spec, effective, tol)
     betas = [p.beta for p in effective]
     frame = frame or Frame.power(a, betas)
     if spec.relation != "none":
-        _check_relation(st, *(hypothesis or _relation_margin(
+        _check_relation(spec, effective, tol, *(hypothesis or _relation_margin(
             frame.pair, b, betas, [p.delta for p in effective],
             spec.relation)))
     cp = _eigh(_admit(frame.whiten(b)))
     _check_domain(cp.eigenvalues, POSITIVE, f"the whitened B of suite "
                   f"{spec.name}, which must be strictly positive")
-    margins, holds = _links(st, _terms(st, frame, cp))
+    margins, holds = _links(spec, _terms(spec, effective, frame, cp), tol)
 
     reports = []
     for trial, p in enumerate(effective):

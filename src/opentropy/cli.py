@@ -31,7 +31,6 @@ from .bounds import (
     ChainParams,
     bound,
     bound_spec,
-    chain_check,
     chain_check_stack,
     scalar_generator,
 )
@@ -48,9 +47,7 @@ from .gen import (
     DIM_CAP,
     GenConfig,
     random_diag_pair,
-    random_partner,
     random_partner_stack,
-    random_spd,
     random_spd_stack,
 )
 from .hermite import grid_verify, hh_record
@@ -167,22 +164,10 @@ def _config_from_args(args, suite: str = "") -> RunConfig:
     )
 
 
-def _run_trial(cfg: RunConfig, trial: int):
-    """Draw trial ``trial``'s pair ``(A, B)`` on its own Philox streams."""
-    spec = SUITES[cfg.suite]
-    gcfg, params = cfg.decode(trial)
-    eff = spec.effective(params)
-    a = random_spd(gcfg, trial)
-    if spec.relation == "none":
-        b = random_spd(gcfg, trial, salt=1)
-    else:
-        b = random_partner(a, eff.beta, eff.delta, spec.relation, gcfg, trial)
-    return a, b, params
-
-
 def _draw(cfg: RunConfig, trials) -> list:
     """Draw ``trials`` as one stack per dim; each trial's A and B are
-    bitwise ``_run_trial``'s.
+    bitwise those of the one-trial ``gen.random_spd`` and
+    ``gen.random_partner``.
 
     Returns one ``(group, a, b, params, frame, hypothesis)`` per dim: the
     group's trials, their A and B as ``(T, n, n)`` arrays, their
@@ -212,22 +197,19 @@ def _draw(cfg: RunConfig, trials) -> list:
     return stacks
 
 
-def _check_chunk(cfg: RunConfig, trials: range) -> list:
-    """Draw ``trials`` as one stack per dim, then check each stack in one
-    ``chain_check_stack`` call.  When anything fails, draw and check the
-    trials again one at a time and raise the first error, the one the
-    serial loop meets: that of the lowest failing trial."""
-    try:
-        reports = {}
-        for group, a, b, params, frame, hypothesis in _draw(cfg, trials):
-            reports.update(zip(group, chain_check_stack(
-                cfg.suite, a, b, params, cfg.tol, group, frame, hypothesis)))
-        return [reports[t] for t in trials]
-    except OperatorError:
-        for trial in trials:
-            a, b, params = _run_trial(cfg, trial)
-            chain_check(cfg.suite, a, b, params, cfg.tol, trial)
-        raise
+def _check(cfg: RunConfig, trials) -> list:
+    """Draw ``trials`` as one stack per dim and check each stack in one
+    ``chain_check_stack`` call; one report per trial, in order."""
+    reports = {}
+    for group, a, b, params, frame, hypothesis in _draw(cfg, trials):
+        reports.update(zip(group, chain_check_stack(
+            cfg.suite, a, b, params, cfg.tol, group, frame, hypothesis)))
+    return [reports[t] for t in trials]
+
+
+def _run_trial(cfg: RunConfig, trial: int):
+    """Draw and check trial ``trial`` alone: ``_check`` on a chunk of one."""
+    return _check(cfg, [trial])[0]
 
 
 def run_suite(cfg: RunConfig) -> dict:
@@ -236,13 +218,20 @@ def run_suite(cfg: RunConfig) -> dict:
     Each trial is a pure function of ``(seed, trial index)``.  Every
     ``CHUNK_TRIALS`` consecutive trials are drawn and checked as stacked
     per-dim batches, which give the same bits as drawing and checking them
-    one at a time.  The report is byte-identical for fixed flags on one
-    build.
+    one at a time.  When anything in a chunk fails, its trials are checked
+    again one at a time, as chunks of one, and the first error is raised:
+    that of the lowest failing trial.  The report is byte-identical for
+    fixed flags on one build.
     """
     reports = []
     for start in range(0, cfg.trials, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, cfg.trials)
-        reports.extend(_check_chunk(cfg, range(start, stop)))
+        chunk = range(start, min(start + CHUNK_TRIALS, cfg.trials))
+        try:
+            reports.extend(_check(cfg, chunk))
+        except OperatorError:
+            for trial in chunk:
+                _run_trial(cfg, trial)
+            raise
 
     passed = sum(1 for r in reports if r.passed)
     worst: dict[str, float] = {}
@@ -481,10 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# an overflowing generator makes inf or nan, which the finiteness check of
-# every computed result turns into one error line; numpy's warnings about
-# the same values would only repeat it on stderr, with source paths
-@np.errstate(over="ignore", invalid="ignore")
+# an overflowing generator, or a division by an underflowed value, makes
+# inf or nan, which the finiteness check of every computed result turns
+# into one error line; numpy's warnings about the same values would only
+# repeat it on stderr, with source paths
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     try:

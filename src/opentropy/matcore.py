@@ -366,12 +366,20 @@ class OrderVerdict:
         return self.holds
 
 
+def _loewner(lhs: np.ndarray, rhs: np.ndarray):
+    """``(margin, scale)`` of ``lhs <= rhs`` for each matrix in the last two
+    axes: the smallest eigenvalue of ``rhs - lhs``, admitted as
+    ``SymMatrix._computed`` admits it, and ``max(1, ||lhs||_F, ||rhs||_F)``.
+    The comparison holds at ``tol`` when ``margin >= -tol * scale``."""
+    margin = _eigh(_admit(rhs - lhs)).eigenvalues[..., 0]
+    return margin, np.maximum(np.maximum(1.0, _fro(lhs)), _fro(rhs))
+
+
 def loewner_leq(a: SymMatrix, b: SymMatrix,
                 tol: float = DEFAULT_LOEWNER_TOL) -> OrderVerdict:
     """Decide ``A <= B`` in the Loewner order, with a signed margin."""
-    diff = b - a
-    margin = float(sym_eig(diff).eigenvalues[0])
-    scale = max(1.0, a.fro, b.fro)
+    b._same_shape(a)
+    margin, scale = (float(x) for x in _loewner(a.data, b.data))
     return OrderVerdict(holds=margin >= -tol * scale, margin=margin,
                         scale=scale, tol=tol)
 

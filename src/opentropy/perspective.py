@@ -85,9 +85,10 @@ class Whitening:
     """The f-independent part of every perspective of one pair ``(X, Y)``.
 
     Builds the ``Frame`` of ``Y`` with ``H = h(Y)^{1/2}``, after checking
-    that ``h`` is strictly positive on its spectrum, and decomposes the
-    whitened ``C = H^{-1} X H^{-1}``; ``apply`` then evaluates any ``f``
-    on ``C``, so perspectives sharing ``h`` and the pair share this work.
+    that ``h`` is strictly positive and finite on its spectrum, and
+    decomposes the whitened ``C = H^{-1} X H^{-1}``; ``apply`` then
+    evaluates any ``f`` on ``C``, so perspectives sharing ``h`` and the
+    pair share this work.
     """
 
     def __init__(self, h: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
@@ -96,10 +97,17 @@ class Whitening:
 
         def half(eigenvalues):
             hvals = np.asarray(h(eigenvalues), dtype=np.float64)
-            if np.min(hvals) <= 0.0:
+            # min and max propagate NaN, which fails both comparisons
+            lo, hi = hvals.min(), hvals.max()
+            if not 0.0 < lo:
                 raise SpectrumError(
                     f"h is not strictly positive on the spectrum of the base "
-                    f"(min h = {float(np.min(hvals))!r})"
+                    f"(min h = {float(lo)!r})"
+                )
+            if not hi < np.inf:
+                raise SpectrumError(
+                    f"h is not strictly positive and finite on the spectrum "
+                    f"of the base (max h = {float(hi)!r})"
                 )
             return np.sqrt(hvals)
 

@@ -13,24 +13,43 @@ def _warm_kernels():
 
 
 @pytest.fixture
+def draw_alone():
+    """``draw(cfg, trial) -> (A, B, params)``: trial ``trial`` of
+    ``cfg``, drawn alone through the one-trial generators ``random_spd``
+    and ``random_partner``, whose bits every stacked draw must give."""
+
+    def draw(cfg, trial):
+        spec = op.SUITES[cfg.suite]
+        gcfg, params = cfg.decode(trial)
+        eff = spec.effective(params)
+        a = op.random_spd(gcfg, trial)
+        if spec.relation == "none":
+            return a, op.random_spd(gcfg, trial, salt=1), params
+        return a, op.random_partner(a, eff.beta, eff.delta, spec.relation,
+                                    gcfg, trial), params
+
+    return draw
+
+
+@pytest.fixture
 def plant_draws(monkeypatch):
-    """Make every draw of ``cli.run_suite``, stacked or one trial at a
-    time, come from ``run_trial(cfg, trial) -> (A, B, params)``, so a test
-    can hand out pairs of its own."""
+    """Make every draw of ``cli.run_suite``, of a whole chunk or of one
+    trial when a failing chunk is checked again, come from
+    ``draw_trial(cfg, trial) -> (A, B, params)``, so a test can hand out
+    pairs of its own."""
     from opentropy import cli
 
-    def draw(cfg, trials):
-        drawn = {trial: cli._run_trial(cfg, trial) for trial in trials}
-        by_dim = {}
-        for trial, (a, _, _) in drawn.items():
-            by_dim.setdefault(a.dim, []).append(trial)
-        return [(group, np.stack([drawn[t][0].data for t in group]),
-                 np.stack([drawn[t][1].data for t in group]),
-                 [drawn[t][2] for t in group], None, None)
-                for group in by_dim.values()]
+    def plant(draw_trial):
+        def draw(cfg, trials):
+            drawn = {trial: draw_trial(cfg, trial) for trial in trials}
+            by_dim = {}
+            for trial, (a, _, _) in drawn.items():
+                by_dim.setdefault(a.dim, []).append(trial)
+            return [(group, np.stack([drawn[t][0].data for t in group]),
+                     np.stack([drawn[t][1].data for t in group]),
+                     [drawn[t][2] for t in group], None, None)
+                    for group in by_dim.values()]
 
-    def plant(run_trial):
-        monkeypatch.setattr(cli, "_run_trial", run_trial)
         monkeypatch.setattr(cli, "_draw", draw)
 
     return plant

@@ -363,7 +363,8 @@ def _serial_margins(spec, a, b, params, tol):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("name", sorted(SUITES))
-def test_stacked_run_matches_per_trial_chain_check(name, field, monkeypatch):
+def test_stacked_run_matches_per_trial_chain_check(name, field, monkeypatch,
+                                                   draw_alone):
     # both runs span two chunks (trials 63/64) and hold the exact-boundary
     # trials 0, 20, 40 and 60; with dims outermost in the parameter cycle,
     # the first run's 73 trials all fall on dim 1, and the second run's 9
@@ -396,7 +397,7 @@ def test_stacked_run_matches_per_trial_chain_check(name, field, monkeypatch):
         got = cli.run_suite(cfg)["trials"]
         assert sorted(stacked) == list(range(cfg.trials))
         for trial in range(cfg.trials):
-            a, b, params = cli._run_trial(cfg, trial)
+            a, b, params = draw_alone(cfg, trial)
             assert stacked[trial][0].tobytes() == a.data.tobytes(), trial
             assert stacked[trial][1].tobytes() == b.data.tobytes(), trial
             one = chain_check(name, a, b, params, tol=cfg.tol,

@@ -1,8 +1,10 @@
 import itertools
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import opentropy as op
 from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, _emit,
-                           _oracle_trial, main)
+                           _oracle_trial, build_parser, main)
 from opentropy.matio import load_matrix, save_matrix
 
 
@@ -158,6 +160,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     ["verify", "--suite", "thm-main1", "--trials", "3", "--dim",
      "1-10000000000"],
     ["oracle", "--trials", "3", "--dim", "2,40-10000000000"],
+    # A^beta underflows to 0: B / A^beta divides by zero before the
+    # whitening rejects h = t^2 as not strictly positive
+    ["oracle", "--trials", "2", "--dim", "2", "--spec-lo", "1e-300",
+     "--spec-hi", "1e-297", "--beta", "2"],
 ])
 def test_malformed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -214,7 +220,7 @@ def test_reports_never_carry_nan_tokens(tmp_path):
     ((2, 4), 3, "eigenvalue -2.0 outside"),
     ((2, 4), 1, "draw failed at 1"),
 ])
-def test_chunk_raises_the_lowest_failing_trial(plant_draws, bad,
+def test_chunk_raises_the_lowest_failing_trial(plant_draws, draw_alone, bad,
                                                draw_fails_at, message):
     # dims cycle 1, 2, 3 and each dim is checked in its own stack, so the
     # two trials with a non-positive A fail in different stacks; the run
@@ -223,17 +229,15 @@ def test_chunk_raises_the_lowest_failing_trial(plant_draws, bad,
     from opentropy import cli
 
     cfg = RunConfig(suite="thm-main1", trials=6, dims=(1, 2, 3))
-    drawn = cli._run_trial
-
-    def run_trial(cfg, trial):
+    def draw_trial(cfg, trial):
         if trial == draw_fails_at:
             raise op.OperatorError(f"draw failed at {trial}")
-        a, b, params = drawn(cfg, trial)
+        a, b, params = draw_alone(cfg, trial)
         if trial in bad:
             a = op.SymMatrix.diagonal([-float(trial)] + [1.0] * (a.dim - 1))
         return a, b, params
 
-    plant_draws(run_trial)
+    plant_draws(draw_trial)
     with pytest.raises(op.OperatorError, match=message):
         cli.run_suite(cfg)
 
@@ -259,7 +263,7 @@ def test_broken_partner_is_a_generation_error(monkeypatch, capsys):
                           "margin -")
 
 
-def test_negative_tolerance_is_a_hypothesis_error(capsys):
+def test_negative_tolerance_is_a_hypothesis_error(capsys, draw_alone):
     # a negative --tol demands a positive hypothesis margin, which the
     # exact-boundary trial 0 lacks: the user's hypothesis fails, at the
     # suite tolerance, with the message chain_check gives on that trial
@@ -269,7 +273,7 @@ def test_negative_tolerance_is_a_hypothesis_error(capsys):
                     tol=-1e-3)
     with pytest.raises(op.HypothesisError) as run:
         cli.run_suite(cfg)
-    a, b, params = cli._run_trial(cfg, 0)
+    a, b, params = draw_alone(cfg, 0)
     with pytest.raises(op.HypothesisError) as alone:
         op.chain_check("thm-main1", a, b, params, cfg.tol)
     assert str(run.value) == str(alone.value)
@@ -289,9 +293,13 @@ def test_passing_run_never_reruns(monkeypatch):
     # same bytes more slowly
     from opentropy import cli
 
-    stacked, serial, alone, decomposed = [], [], [], []
-    stack_check, one_check = cli.chain_check_stack, cli.chain_check
-    run_trial, real_eigh = cli._run_trial, np.linalg.eigh
+    draws, stacked, decomposed = [], [], []
+    draw, stack_check = cli._draw, cli.chain_check_stack
+    real_eigh = np.linalg.eigh
+
+    def counting_draw(cfg, trials):
+        draws.append(list(trials))
+        return draw(cfg, trials)
 
     def chain_check_stack(suite, a, b, params, tol, trial_seeds, frame,
                           hypothesis):
@@ -300,35 +308,95 @@ def test_passing_run_never_reruns(monkeypatch):
         return stack_check(suite, a, b, params, tol, trial_seeds, frame,
                            hypothesis)
 
-    def chain_check(*args, **kwargs):
-        serial.append(args)
-        return one_check(*args, **kwargs)
-
-    def counting_run_trial(cfg, trial):
-        alone.append(trial)
-        return run_trial(cfg, trial)
-
     def counting_eigh(arr, *args, **kwargs):
         decomposed.append(int(np.prod(arr.shape[:-2])))
         return real_eigh(arr, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "_draw", counting_draw)
     monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
-    monkeypatch.setattr(cli, "chain_check", chain_check)
-    monkeypatch.setattr(cli, "_run_trial", counting_run_trial)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cfg = RunConfig(suite="cor-delta-le", trials=cli.CHUNK_TRIALS + 9,
                     dims=(2, 3, 4), field="complex", seed=3,
                     deltas=(1.0, 2.0))
     assert cli.run_suite(cfg)["summary"]["all_pass"]
+    assert draws == [list(range(cli.CHUNK_TRIALS)),
+                     list(range(cli.CHUNK_TRIALS, cfg.trials))]
     assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 4)]
-    assert serial == []
-    assert alone == []
     # per trial: W's top eigenvalue (skipped on the 4 exact-boundary
     # trials 0, 20, 40, 60), A's frame, the hypothesis margin, the
-    # whitened B and the 8 links; drawing and checking separately, as one
-    # trial at a time does, decomposes A and the hypothesis difference
-    # twice, 2 more per trial (1018)
+    # whitened B and the 8 links
     assert sum(decomposed) == 73 * 12 - 4
+
+
+def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
+        monkeypatch):
+    # trial 5's B is negated after its draw, so its whitened B is negative
+    # definite; trial 7's handed-over hypothesis margin is planted at -1,
+    # which fails an earlier stage, so the 9-trial stack raises trial 7's
+    # error. The rerun must check trials 0-5 one at a time, each through
+    # the stacked draw and check with the draw's frame and hypothesis, and
+    # raise trial 5's error
+    from opentropy import cli, gen
+
+    draws, seen, decomposed = [], [], []
+    draw, stack_check = cli._draw, cli.chain_check_stack
+    real_eigh = np.linalg.eigh
+
+    def plant(stacks):
+        planted = []
+        for group, a, b, params, frame, (margin, scale) in stacks:
+            b, margin = b.copy(), margin.copy()
+            if 5 in group:
+                b[group.index(5)] *= -1.0
+            if 7 in group:
+                margin[group.index(7)] = -1.0
+            planted.append((group, a, b, params, frame, (margin, scale)))
+        return planted
+
+    def planted_draw(cfg, trials):
+        draws.append(list(trials))
+        decomposed.append(0)
+        return plant(draw(cfg, trials))
+
+    def chain_check_stack(suite, a, b, params, tol, trial_seeds, frame,
+                          hypothesis):
+        seen.append((list(trial_seeds), frame is not None,
+                     hypothesis is not None))
+        return stack_check(suite, a, b, params, tol, trial_seeds, frame,
+                           hypothesis)
+
+    def counting_eigh(arr, *args, **kwargs):
+        decomposed[-1] += int(np.prod(arr.shape[:-2]))
+        return real_eigh(arr, *args, **kwargs)
+
+    def check_alone(trials):
+        group, a, b, params, frame, hypothesis = plant(draw(cfg, trials))[0]
+        return stack_check(cfg.suite, a, b, params, cfg.tol, group, frame,
+                           hypothesis)
+
+    cfg = RunConfig(suite="cor-delta-le", trials=9, dims=(3,), seed=4,
+                    deltas=(1.0, 2.0))
+    with pytest.raises(op.HypothesisError, match=r"margin -1\.0+e\+00"):
+        check_alone(list(range(9)))
+    with pytest.raises(op.SpectrumError) as alone:
+        check_alone([5])
+    monkeypatch.setattr(cli, "_draw", planted_draw)
+    monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    with pytest.raises(op.OperatorError) as run:
+        cli.run_suite(cfg)
+    assert draws == [list(range(9))] + [[t] for t in range(6)]
+    assert seen == [(list(range(9)), True, True)] + [
+        ([t], True, True) for t in range(6)]
+    # a passing trial checked again: W's top eigenvalue (skipped on the
+    # exact-boundary trial 0), A's frame, the hypothesis margin, the
+    # whitened B and the 8 links; the one-trial generators followed by
+    # chain_check decompose A and the hypothesis difference twice (14, and
+    # 13 on trial 0)
+    assert decomposed[1:6] == [12 - (t % gen.BOUNDARY_EVERY == 0)
+                               for t in range(5)]
+    assert type(run.value) is type(alone.value)
+    assert str(run.value) == str(alone.value)
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
@@ -507,3 +575,19 @@ def test_module_invocation_subprocess(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0
     assert "5/5 trials pass" in result.stdout
+
+
+def test_readme_commands_parse():
+    # every `opentropy ...` line of the README's sh blocks, continuations
+    # joined and comments stripped, must stay a valid command line
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text("utf-8"),
+                        flags=re.M | re.S)
+    parser = build_parser()
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["opentropy"]:
+                commands.append(parser.parse_args(words[1:]).command)
+    assert sorted(set(commands)) == ["compute", "hh", "oracle", "verify"]

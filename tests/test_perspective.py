@@ -106,6 +106,22 @@ def test_h_must_be_positive_on_spectrum():
                     op.SymMatrix.identity(2), b)
 
 
+@pytest.mark.parametrize("value,message", [
+    (np.nan, "h is not strictly positive on the spectrum of the base "
+             "(min h = nan)"),
+    (np.inf, "h is not strictly positive and finite on the spectrum of the "
+             "base (max h = inf)"),
+], ids=["nan", "inf"])
+def test_h_must_be_finite_on_spectrum(value, message):
+    # a non-finite h is rejected where h is checked, not later as a
+    # non-finite result
+    b = op.SymMatrix.diagonal([1.0, 2.0])
+    with pytest.raises(op.SpectrumError) as err:
+        perspective(_spec(np.square, lambda x: np.full_like(x, value)),
+                    op.SymMatrix.identity(2), b)
+    assert str(err.value) == message
+
+
 def test_inner_spectrum_domain_error():
     # indefinite first argument pushed through a positive-domain f
     indefinite = op.SymMatrix.diagonal([1.0, -1.0])
