@@ -28,6 +28,7 @@ from .matcore import (
     apply_fn,
     mat_pow,
 )
+from .matio import matrix_to_obj
 from .perspective import Frame, PerspectiveSpec, PowerFrame, _rows, perspective
 
 
@@ -507,8 +508,6 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
                              params=p, links=links,
                              verdict="pass" if ok else "fail")
         if not ok:
-            from .matio import matrix_to_obj
-
             report.matrices = {
                 "A": matrix_to_obj(SymMatrix._computed(a[trial])),
                 "B": matrix_to_obj(SymMatrix._computed(b[trial]))}

@@ -261,9 +261,6 @@ def run_suite(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # oracle: diagonal pairs, matrix pipeline vs scalar closed forms
 
-_ORACLE_ENTROPIES = ("S", "S_a", "S_ab", "geomean")
-
-
 def _scalar_means(a: float, b: float, lam: float):
     return (1.0 / ((1.0 - lam) / a + lam / b),
             a ** (1.0 - lam) * b ** lam,
@@ -271,8 +268,8 @@ def _scalar_means(a: float, b: float, lam: float):
 
 
 def _oracle_deviation(mat, expected: np.ndarray) -> float:
-    diff = np.max(np.abs(mat.data - np.diag(expected).astype(mat.data.dtype)))
-    return float(diff / max(1.0, float(np.max(np.abs(expected)))))
+    diff = np.abs(mat.data - np.diag(expected).astype(mat.data.dtype)).max()
+    return float(diff / max(1.0, float(np.abs(expected).max())))
 
 
 def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
@@ -309,11 +306,12 @@ def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     devs["geomean"] = _oracle_deviation(
         whitened(geo_mean_spec(alpha, beta), beta),
         avals ** beta * x ** alpha)
-    har, geo, ari = weighted_means(a, b, lam)
-    eh, eg, ea = _scalar_means(avals, bvals, lam)
-    devs["harmonic_mean"] = _oracle_deviation(har, eh)
-    devs["geometric_mean"] = _oracle_deviation(geo, eg)
-    devs["arithmetic_mean"] = _oracle_deviation(ari, ea)
+    if not 0.0 <= lam <= 1.0:
+        raise OperatorError(f"lambda must lie in [0, 1], got {lam!r}")
+    for kind, expected in zip(("harmonic", "geometric", "arithmetic"),
+                              _scalar_means(avals, bvals, lam)):
+        devs[f"{kind}_mean"] = _oracle_deviation(
+            whitened(bound_spec(kind, beta=1.0, lam=lam), 1.0), expected)
     return {
         "trial_seed": trial,
         "params": {"alpha": alpha, "beta": beta, "delta": delta,

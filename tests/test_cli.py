@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import opentropy as op
-from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, _emit,
-                           _oracle_trial, build_parser, main)
+from opentropy import bounds
+from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, ORACLE_CONTRACT,
+                           RunConfig, _emit, _oracle_trial, build_parser, main)
 from opentropy.matio import load_matrix, save_matrix
 
 
@@ -164,6 +165,9 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     # whitening rejects h = t^2 as not strictly positive
     ["oracle", "--trials", "2", "--dim", "2", "--spec-lo", "1e-300",
      "--spec-hi", "1e-297", "--beta", "2"],
+    # the oracle's weighted means need lambda in [0, 1]
+    ["oracle", "--trials", "2", "--dim", "2", "--lam", "2"],
+    ["oracle", "--trials", "2", "--dim", "2", "--lam=-0.5"],
 ])
 def test_malformed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -548,10 +552,10 @@ def test_oracle_command(tmp_path, capsys):
     assert table["V"] == pytest.approx(1.875, abs=1e-12)
 
 
-@pytest.mark.parametrize("beta, count", [(1.0, 7), (0.5, 9), (2.0, 9)])
+@pytest.mark.parametrize("beta, count", [(1.0, 2), (0.5, 4), (2.0, 4)])
 def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
-    # 2 eigh for the t^beta whitening, 2 more for t^1 unless beta is 1,
-    # and 5 in weighted_means (three inverses, one geometric mean)
+    # 2 eigh for the t^beta whitening and 2 more for t^1 unless beta is 1;
+    # the weighted means reuse the t^1 whitening
     real_eigh, calls = np.linalg.eigh, []
 
     def counting_eigh(arr, *args, **kwargs):
@@ -563,6 +567,20 @@ def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     _oracle_trial(cfg, 0)
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "geometric", "arithmetic"])
+def test_oracle_pins_the_mean_generators(kind, monkeypatch):
+    # the oracle's means come from the registry generators that prop-means
+    # checks, and its expected values from independent closed forms, so a
+    # generator off by a relative 1e-6 breaks the contract
+    real = bounds._GENERATORS[kind]
+    monkeypatch.setitem(bounds._GENERATORS, kind,
+                        lambda *args: real(*args) * (1.0 + 1e-6))
+    cfg = RunConfig(dims=(3,), alphas=(0.5,), betas=(2.0,), deltas=(2.0,),
+                    lams=(0.3,))
+    devs = _oracle_trial(cfg, 0)["deviations"]
+    assert devs[f"{kind}_mean"] > ORACLE_CONTRACT
 
 
 # ---------------------------------------------------------------------------
