@@ -55,7 +55,6 @@ from .matio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix
 from .perspective import (
     PerspectiveSpec,
     PowerFrame,
-    Whitening,
     congruence,
     perspective,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "SelfAdjointError",
     "SpectrumError",
     "SymMatrix",
-    "Whitening",
     "apply_fn",
     "bound",
     "bound_explicit",

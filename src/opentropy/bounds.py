@@ -21,8 +21,7 @@ from .matcore import (
     OperatorError,
     SymMatrix,
     _admit,
-    _check_domain,
-    _eigh,
+    _fro,
     _loewner,
     _power,
     apply_fn,
@@ -404,7 +403,7 @@ def _relation_margin(pair: EigenPair, b: np.ndarray, betas, deltas,
     power = _admit(pair.rebuild(_rows(np.power, pair.eigenvalues, betas)))
     a_beta = _admit(_rows(lambda m, delta: m * float(delta), power, deltas))
     lhs, rhs = (a_beta, b) if relation == "dominating" else (b, a_beta)
-    return _loewner(lhs, rhs)
+    return _loewner(rhs - lhs, _fro(lhs), _fro(rhs))
 
 
 def _check_relation(spec: SuiteSpec, params: list[ChainParams], tol: float,
@@ -426,20 +425,17 @@ def _check_relation(spec: SuiteSpec, params: list[ChainParams], tol: float,
 
 
 def _terms(spec: SuiteSpec, params: list[ChainParams], frame: Frame,
-           cp: EigenPair) -> np.ndarray:
+           b: np.ndarray) -> np.ndarray:
     """Every term ``A^{beta/2} g_k(C) A^{beta/2}`` as a ``(T, K, n, n)``
-    stack, admitted in ``chain_check`` order: ``g_0(C)``, term 0,
-    ``g_1(C)``, term 1, ..."""
+    stack: ``Frame.assemble`` of each trial's suite generators."""
     gens: dict[ChainParams, list[ScalarFn]] = {}
     for p in params:
         if p not in gens:
             gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
                                         lam=p.lam) for label in spec.terms]
-    vals = _rows(lambda wt, p: [g(wt) for g in gens[p]], cp.eigenvalues,
-                 params)
-    # term-major (K, T, n, n), so that each trial's H broadcasts over K
-    mid = cp.rebuild(vals.swapaxes(0, 1))
-    return _admit(mid.swapaxes(0, 1), frame.conjugate(mid).swapaxes(0, 1))
+    return frame.assemble(b, [gens[p] for p in params],
+                          f"the whitened B of suite {spec.name}, which must "
+                          f"be strictly positive")
 
 
 def _links(spec: SuiteSpec, terms: np.ndarray, tol: float):
@@ -449,8 +445,10 @@ def _links(spec: SuiteSpec, terms: np.ndarray, tol: float):
     decomposed, so a trial whose link 0 fails to converge while a later
     link is not finite fails on the finiteness check.
     """
-    margin, scale = _loewner(terms[:, [i for i, _ in spec.links]],
-                             terms[:, [j for _, j in spec.links]])
+    left, right = map(list, zip(*spec.links))
+    fro = _fro(terms)
+    margin, scale = _loewner(terms[:, right] - terms[:, left],
+                             fro[:, left], fro[:, right])
     return margin, margin >= -tol * scale
 
 
@@ -492,10 +490,7 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
         _check_relation(spec, effective, tol, *(hypothesis or _relation_margin(
             frame.pair, b, betas, [p.delta for p in effective],
             spec.relation)))
-    cp = _eigh(_admit(frame.whiten(b)))
-    _check_domain(cp.eigenvalues, POSITIVE, f"the whitened B of suite "
-                  f"{spec.name}, which must be strictly positive")
-    margins, holds = _links(spec, _terms(spec, effective, frame, cp), tol)
+    margins, holds = _links(spec, _terms(spec, effective, frame, b), tol)
 
     reports = []
     for trial, p in enumerate(effective):

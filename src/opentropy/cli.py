@@ -30,7 +30,6 @@ from .bounds import (
     SUITES,
     ChainParams,
     bound,
-    bound_spec,
     chain_check_stack,
     scalar_generator,
 )
@@ -53,7 +52,7 @@ from .gen import (
 from .hermite import grid_verify, hh_record
 from .matcore import DEFAULT_LOEWNER_TOL, OperatorError
 from .matio import load_matrix, matrix_to_obj
-from .perspective import Whitening
+from .perspective import Frame
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -267,51 +266,49 @@ def _scalar_means(a: float, b: float, lam: float):
             (1.0 - lam) * a + lam * b)
 
 
-def _oracle_deviation(mat, expected: np.ndarray) -> float:
-    diff = np.abs(mat.data - np.diag(expected).astype(mat.data.dtype)).max()
+def _oracle_deviation(term: np.ndarray, expected: np.ndarray) -> float:
+    diff = np.abs(term - np.diag(expected).astype(term.dtype)).max()
     return float(diff / max(1.0, float(np.abs(expected).max())))
 
 
 def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     gcfg, p = cfg.decode(trial)
     alpha, beta, delta, lam = p.alpha, p.beta, p.delta, p.lam
+    if not 0.0 <= lam <= 1.0:
+        raise OperatorError(f"lambda must lie in [0, 1], got {lam!r}")
     if 0.0 < delta < 1.0:
         delta = 1.0 / delta  # primed generators only need delta > 0
     a, b = random_diag_pair(gcfg, trial)
     avals = np.diagonal(a.data).real
     bvals = np.diagonal(b.data).real
     x = bvals / avals ** beta
-    # one whitening of (A, B) per h = t^e, built at its first use so the
-    # first failing step is the one the per-call functions would fail at
-    whitenings: dict[float, Whitening] = {}
-
-    def whitened(spec, exponent: float):
-        if exponent not in whitenings:
-            whitenings[exponent] = Whitening(spec.h, b, a)
-        return whitenings[exponent].apply(spec)
-
+    s_alpha = scalar_generator("S", alpha=alpha)
+    # (name, h exponent e, f, closed form): A^{e/2} f(C) A^{e/2}, with
+    # C = A^{-e/2} B A^{-e/2}, assembled as chain_check_stack assembles terms
+    gens = {kind: scalar_generator(kind, alpha, delta, lam)
+            for kind in BOUND_KINDS}
+    table = [(kind, beta, g, avals ** beta * g(x)) for kind, g in gens.items()]
+    table += [
+        ("S_ab", beta, rel_entropy_spec(alpha, beta).f,
+         avals ** beta * s_alpha(x)),
+        ("geomean", beta, geo_mean_spec(alpha, beta).f,
+         avals ** beta * x ** alpha),
+        ("S_a", 1.0, rel_entropy_spec(alpha, 1.0).f,
+         avals * s_alpha(bvals / avals)),
+        ("S", 1.0, rel_entropy_spec(0.0, 1.0).f,
+         avals * np.log(bvals / avals)),
+    ]
+    table += [(f"{kind}_mean", 1.0, scalar_generator(kind, lam=lam), expected)
+              for kind, expected in zip(("harmonic", "geometric", "arithmetic"),
+                                        _scalar_means(avals, bvals, lam))]
     devs: dict[str, float] = {}
-    for kind in BOUND_KINDS:
-        spec = bound_spec(kind, alpha, beta, delta, lam)
-        expected = avals ** beta * spec.f(x)
-        devs[kind] = _oracle_deviation(whitened(spec, beta), expected)
-    devs["S_ab"] = _oracle_deviation(
-        whitened(rel_entropy_spec(alpha, beta), beta),
-        avals ** beta * scalar_generator("S", alpha=alpha)(x))
-    devs["S_a"] = _oracle_deviation(
-        whitened(rel_entropy_spec(alpha, 1.0), 1.0),
-        avals * scalar_generator("S", alpha=alpha)(bvals / avals))
-    devs["S"] = _oracle_deviation(whitened(rel_entropy_spec(0.0, 1.0), 1.0),
-                                  avals * np.log(bvals / avals))
-    devs["geomean"] = _oracle_deviation(
-        whitened(geo_mean_spec(alpha, beta), beta),
-        avals ** beta * x ** alpha)
-    if not 0.0 <= lam <= 1.0:
-        raise OperatorError(f"lambda must lie in [0, 1], got {lam!r}")
-    for kind, expected in zip(("harmonic", "geometric", "arithmetic"),
-                              _scalar_means(avals, bvals, lam)):
-        devs[f"{kind}_mean"] = _oracle_deviation(
-            whitened(bound_spec(kind, beta=1.0, lam=lam), 1.0), expected)
+    # one frame and one assembly per h = t^e: t^beta first, then t^1
+    for e in dict.fromkeys(row[1] for row in table):
+        rows = [row for row in table if row[1] == e]
+        terms = Frame.power(a.data[None], [e]).assemble(
+            b.data[None], [[row[2] for row in rows]], "the whitened B")[0]
+        for (name, _, _, expected), term in zip(rows, terms):
+            devs[name] = _oracle_deviation(term, expected)
     return {
         "trial_seed": trial,
         "params": {"alpha": alpha, "beta": beta, "delta": delta,

@@ -55,6 +55,9 @@ class GenConfig:
     def __post_init__(self):
         if not 1 <= self.dim <= DIM_CAP:
             raise OperatorError(f"dim must be in 1..{DIM_CAP}, got {self.dim!r}")
+        if not 0 <= self.master_seed <= _MASK:
+            raise OperatorError(f"seed must be in 0..{_MASK}, got "
+                                f"{self.master_seed!r}")
         if self.field not in ("real", "complex"):
             raise OperatorError(f"field must be 'real' or 'complex', "
                                 f"got {self.field!r}")
@@ -82,7 +85,7 @@ def _streams(cfg: GenConfig, trials, salt: int):
     rng = np.random.Generator(bits)
     for trial in trials:
         state["state"]["key"] = np.array(
-            [cfg.master_seed & _MASK, (trial * _STREAMS + salt) & _MASK],
+            [cfg.master_seed, (trial * _STREAMS + salt) & _MASK],
             dtype=np.uint64)
         bits.state = state
         yield rng

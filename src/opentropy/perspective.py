@@ -3,8 +3,9 @@
 The perspective ``P(X, Y) = h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``
 is the single primitive behind every entropy and bound operator in this
 package.  ``Frame`` builds its congruence ``H = h(Y)^{1/2}`` for one matrix
-or a ``(T, n, n)`` stack; ``Whitening`` (several ``f`` sharing one pair),
-``PowerFrame`` and ``congruence`` are its one-matrix cases.
+or a ``(T, n, n)`` stack, and ``Frame.assemble`` builds every stacked
+``H f_k(C) H`` the chain checker and the scalar oracle compare;
+``perspective``, ``PowerFrame`` and ``congruence`` are its one-matrix cases.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import POSITIVE, SpectrumError, SymMatrix, _check_domain, _eigh
+from .matcore import (POSITIVE, SpectrumError, SymMatrix, _admit,
+                      _check_domain, _eigh)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,58 +82,51 @@ class Frame:
         """``H M H``, raw; extra leading axes of ``mid`` broadcast."""
         return self.half @ mid @ self.half
 
-
-class Whitening:
-    """The f-independent part of every perspective of one pair ``(X, Y)``.
-
-    Builds the ``Frame`` of ``Y`` with ``H = h(Y)^{1/2}``, after checking
-    that ``h`` is strictly positive and finite on its spectrum, and
-    decomposes the whitened ``C = H^{-1} X H^{-1}``; ``apply`` then
-    evaluates any ``f`` on ``C``, so perspectives sharing ``h`` and the
-    pair share this work.
-    """
-
-    def __init__(self, h: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
-                 y: SymMatrix):
-        x._same_shape(y)
-
-        def half(eigenvalues):
-            hvals = np.asarray(h(eigenvalues), dtype=np.float64)
-            # min and max propagate NaN, which fails both comparisons
-            lo, hi = hvals.min(), hvals.max()
-            if not 0.0 < lo:
-                raise SpectrumError(
-                    f"h is not strictly positive on the spectrum of the base "
-                    f"(min h = {float(lo)!r})"
-                )
-            if not hi < np.inf:
-                raise SpectrumError(
-                    f"h is not strictly positive and finite on the spectrum "
-                    f"of the base (max h = {float(hi)!r})"
-                )
-            return np.sqrt(hvals)
-
-        self.frame = Frame(y.data, half, "the perspective base")
-        self.inner = _eigh(SymMatrix._computed(self.frame.whiten(x.data)).data)
-
-    def apply(self, spec: PerspectiveSpec) -> SymMatrix:
-        """``h(Y)^{1/2} f(C) h(Y)^{1/2}`` for ``spec.f``; ``spec.h`` must be
-        the ``h`` this whitening was built with."""
-        _check_domain(self.inner.eigenvalues, spec.resolved_domain(),
-                      f"{spec.name or 'f'} on the whitened spectrum")
-        mid = self.inner.rebuild(spec.f(self.inner.eigenvalues))
-        return SymMatrix._computed(self.frame.conjugate(mid))
+    def assemble(self, x: np.ndarray, fns, name: str) -> np.ndarray:
+        """Every ``H f_k(C) H``, ``C = H^{-1} X H^{-1}``, as one
+        ``(T, K, n, n)`` stack; ``fns[t]`` lists matrix ``t``'s K functions.
+        ``C`` must be strictly positive (``name`` names it in errors); the
+        results are admitted in ``chain_check`` order, ``f_0(C)``, term 0,
+        ``f_1(C)``, term 1, ..., and returned symmetrized."""
+        inner = _eigh(_admit(self.whiten(x)))
+        _check_domain(inner.eigenvalues, POSITIVE, name)
+        vals = _rows(lambda w, fs: [f(w) for f in fs], inner.eigenvalues,
+                     fns)
+        # term-major (K, T, n, n), so that each matrix's H broadcasts over K
+        mid = inner.rebuild(vals.swapaxes(0, 1))
+        return _admit(mid.swapaxes(0, 1),
+                      self.conjugate(mid).swapaxes(0, 1))
 
 
 def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
     """Evaluate ``h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``.
 
     ``x`` is self-adjoint, ``y`` strictly positive, both of one dim and
-    field.  The whitened middle matrix is re-symmetrized before its
+    field, and ``h`` strictly positive and finite on the spectrum of ``y``.
+    The whitened middle matrix is re-symmetrized before its
     eigendecomposition to keep rounding drift out of the eigensolver input;
     its spectrum is validated against the domain of ``f`` at evaluation time.
     """
-    return Whitening(spec.h, x, y).apply(spec)
+    x._same_shape(y)
+
+    def half(eigenvalues):
+        hvals = np.asarray(spec.h(eigenvalues), dtype=np.float64)
+        # min and max propagate NaN, which fails both comparisons
+        lo, hi = hvals.min(), hvals.max()
+        if not 0.0 < lo:
+            raise SpectrumError("h is not strictly positive on the spectrum "
+                                f"of the base (min h = {float(lo)!r})")
+        if not hi < np.inf:
+            raise SpectrumError("h is not strictly positive and finite on the "
+                                f"spectrum of the base (max h = {float(hi)!r})")
+        return np.sqrt(hvals)
+
+    frame = Frame(y.data, half, "the perspective base")
+    inner = _eigh(SymMatrix._computed(frame.whiten(x.data)).data)
+    _check_domain(inner.eigenvalues, spec.resolved_domain(),
+                  f"{spec.name or 'f'} on the whitened spectrum")
+    mid = inner.rebuild(spec.f(inner.eigenvalues))
+    return SymMatrix._computed(frame.conjugate(mid))
 
 
 class PowerFrame:

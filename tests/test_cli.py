@@ -15,7 +15,9 @@ import opentropy as op
 from opentropy import bounds
 from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, ORACLE_CONTRACT,
                            RunConfig, _emit, _oracle_trial, build_parser, main)
+from opentropy.gen import random_diag_pair
 from opentropy.matio import load_matrix, save_matrix
+from opentropy.perspective import Frame
 
 
 @pytest.fixture
@@ -162,12 +164,17 @@ def test_verify_unknown_suite_is_usage_error(capsys):
      "1-10000000000"],
     ["oracle", "--trials", "3", "--dim", "2,40-10000000000"],
     # A^beta underflows to 0: B / A^beta divides by zero before the
-    # whitening rejects h = t^2 as not strictly positive
+    # whitened B overflows and is rejected as not finite
     ["oracle", "--trials", "2", "--dim", "2", "--spec-lo", "1e-300",
      "--spec-hi", "1e-297", "--beta", "2"],
     # the oracle's weighted means need lambda in [0, 1]
     ["oracle", "--trials", "2", "--dim", "2", "--lam", "2"],
     ["oracle", "--trials", "2", "--dim", "2", "--lam=-0.5"],
+    # Philox keys take 64 bits; a wider seed would alias another seed's
+    # instances under a different report seed
+    ["verify", "--suite", "thm-main1", "--trials", "3",
+     "--seed", "18446744073709551616"],
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--seed", "-1"],
 ])
 def test_malformed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -554,8 +561,8 @@ def test_oracle_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("beta, count", [(1.0, 2), (0.5, 4), (2.0, 4)])
 def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
-    # 2 eigh for the t^beta whitening and 2 more for t^1 unless beta is 1;
-    # the weighted means reuse the t^1 whitening
+    # per h exponent, one eigh of A for its frame and one of the whitened
+    # B: t^beta, and t^1 unless beta is 1; the weighted means reuse t^1
     real_eigh, calls = np.linalg.eigh, []
 
     def counting_eigh(arr, *args, **kwargs):
@@ -581,6 +588,39 @@ def test_oracle_pins_the_mean_generators(kind, monkeypatch):
                     lams=(0.3,))
     devs = _oracle_trial(cfg, 0)["deviations"]
     assert devs[f"{kind}_mean"] > ORACLE_CONTRACT
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_oracle_terms_are_the_checker_terms(beta, field, monkeypatch):
+    # the oracle's matrix for each bound kind is, bit for bit, the term the
+    # chain checker assembles for the same diagonal pair and parameters
+    real_assemble, built = Frame.assemble, []
+
+    def recording(self, x, fns, name):
+        terms = real_assemble(self, x, fns, name)
+        built.extend(zip(fns[0], terms[0]))
+        return terms
+
+    monkeypatch.setattr(Frame, "assemble", recording)
+    cfg = RunConfig(dims=(5,), field=field, alphas=(0.5,), betas=(beta,),
+                    deltas=(2.0,), lams=(0.3,))
+    _oracle_trial(cfg, 0)
+    oracle = {f.kind: term for f, term in built
+              if getattr(f, "kind", None) in bounds.BOUND_KINDS}
+    built.clear()
+    every_kind = bounds.SuiteSpec(
+        "every-kind", bounds.BOUND_KINDS,
+        tuple((i, i + 1) for i in range(len(bounds.BOUND_KINDS) - 1)),
+        "none", "ge1")
+    a, b = random_diag_pair(cfg.decode(0)[0], 0)
+    bounds.chain_check_stack(every_kind, a.data[None], b.data[None],
+                             [bounds.ChainParams(0.5, beta, 2.0, 0.3)],
+                             1e-8, [0])
+    checker = {f.kind: term for f, term in built}
+    assert sorted(oracle) == sorted(checker) == sorted(bounds.BOUND_KINDS)
+    for kind in bounds.BOUND_KINDS:
+        assert oracle[kind].tobytes() == checker[kind].tobytes(), kind
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ def test_dim_one_degenerate_spectrum():
     np.testing.assert_allclose(m.data, [[1.0]], atol=1e-15)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 + 7])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # Philox keys take 64 bits; masking a wider seed would alias the
+    # instances of another seed
+    with pytest.raises(op.OperatorError, match="seed must be in 0.."):
+        GenConfig(master_seed=seed)
+    GenConfig(master_seed=2 ** 64 - 1)
+
+
 def test_bit_identical_reproduction():
     cfg = GenConfig(dim=6, field="complex", master_seed=99)
     first = random_spd(cfg, 7)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import opentropy as op
+from opentropy import bounds
 from opentropy.bounds import BOUND_KINDS, bound_spec
 from opentropy.entropy import geo_mean_spec, rel_entropy_spec
 from opentropy.gen import (GenConfig, random_diag_pair, random_spd,
                            random_spd_stack)
-from opentropy.matcore import POSITIVE, _power
+from opentropy.matcore import POSITIVE
 from opentropy.perspective import (Frame, PerspectiveSpec, PowerFrame,
-                                   Whitening, perspective)
+                                   perspective)
 
 
 def _spec(f, h, f_domain=None):
@@ -42,18 +43,35 @@ def test_diagonal_scalar_formula():
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_commuting_oracle(field):
-    # simultaneously diagonal inputs must match the scalar formula to 1e-10
-    for trial in range(20):
-        cfg = GenConfig(dim=6, field=field, master_seed=17)
+    # simultaneously diagonal inputs must match the scalar closed form
+    # a^beta g(b / a^beta) to 1e-10, for every registry generator through
+    # bound, for the relative entropy and for the geometric mean; the
+    # oracle command assembles its quantities without perspective(), so
+    # this is what checks the compute route
+    def check(out, expected):
+        dev = np.max(np.abs(out.data
+                            - np.diag(expected).astype(out.data.dtype)))
+        assert dev <= 1e-10 * max(1.0, float(np.max(np.abs(expected))))
+
+    cfg = GenConfig(dim=6, field=field, master_seed=17)
+    for trial in range(9):
         a, b = random_diag_pair(cfg, trial)
-        f = op.scalar_generator("II", alpha=0.5)
-        h = lambda x: np.power(x, 1.5)  # noqa: E731
-        out = perspective(_spec(f, h, POSITIVE), a, b)
         avals = np.diagonal(a.data).real
         bvals = np.diagonal(b.data).real
-        expected = h(bvals) * f(avals / h(bvals))
-        dev = np.max(np.abs(out.data - np.diag(expected).astype(out.data.dtype)))
-        assert dev <= 1e-10 * max(1.0, float(np.max(np.abs(expected))))
+        alpha, beta = (0.0, 0.5, 2.0)[trial // 3], (0.5, 1.0, 2.0)[trial % 3]
+        x = bvals / avals ** beta
+        for kind in sorted(bounds._GENERATORS):
+            g = op.scalar_generator(kind, alpha=alpha, delta=2.0, lam=0.3)
+            check(op.bound(kind, a, b, alpha=alpha, beta=beta, delta=2.0,
+                           lam=0.3), avals ** beta * g(x))
+        check(op.rel_entropy_alpha_beta(a, b, alpha, beta),
+              avals ** beta * x ** alpha * np.log(x))
+        check(op.geo_mean(a, b, alpha, beta), avals ** beta * x ** alpha)
+        # a generic h, not a power
+        f = op.scalar_generator("II", alpha=0.5)
+        h = lambda t: np.power(t, 1.5)  # noqa: E731
+        check(perspective(_spec(f, h, POSITIVE), a, b),
+              h(bvals) * f(avals / h(bvals)))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -131,55 +149,58 @@ def test_inner_spectrum_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# one whitening shared by every perspective of a pair
+# one assembly of every H f_k(C) H on a frame
 
 def _bits(m):
     return m.data.tobytes()
 
 
+def _functions(alpha, beta):
+    return ([bound_spec(kind, alpha, beta, 2.0, 0.3).f for kind in BOUND_KINDS]
+            + [geo_mean_spec(alpha, beta).f, rel_entropy_spec(alpha, beta).f])
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("dim", [1, 3, 8, 32])
 def test_shared_whitening_gives_the_bits_of_each_call(dim, field):
-    # the oracle evaluates all perspectives of a pair on one Whitening per
-    # h; each must equal the public function's own evaluation bit for bit
+    # Frame.assemble whitens and decomposes once for K functions, which
+    # the chain checker and the oracle rely on; each of the K terms must
+    # equal, bit for bit, the assembly of its function alone
     cfg = GenConfig(dim=dim, field=field, master_seed=41)
-    for trial, beta in enumerate((0.5, 1.0, 2.0)):
-        a = random_spd(cfg, trial)
-        b = random_spd(cfg, trial, salt=1)
-        alpha = (0.0, 0.5, 2.0)[trial]
-        w = Whitening(_power(beta), b, a)
-        for kind in BOUND_KINDS:
-            got = w.apply(bound_spec(kind, alpha, beta, 2.0, 0.3))
-            want = op.bound(kind, a, b, alpha=alpha, beta=beta, delta=2.0,
-                            lam=0.3)
-            assert _bits(got) == _bits(want), kind
-        assert _bits(w.apply(geo_mean_spec(alpha, beta))) == _bits(
-            op.geo_mean(a, b, alpha, beta))
-        assert _bits(w.apply(rel_entropy_spec(alpha, beta))) == _bits(
-            op.rel_entropy_alpha_beta(a, b, alpha, beta))
-        if beta == 1.0:
-            assert _bits(w.apply(rel_entropy_spec(alpha, 1.0))) == _bits(
-                op.rel_entropy_alpha(a, b, alpha))
-            assert _bits(w.apply(rel_entropy_spec(0.0, 1.0))) == _bits(
-                op.rel_entropy(a, b))
+    betas = [0.5, 1.0, 2.0]
+    a = random_spd_stack(cfg, range(3))
+    b = random_spd_stack(cfg, range(3), salt=1)
+    fns = [_functions(alpha, beta)
+           for alpha, beta in zip((0.0, 0.5, 2.0), betas)]
+    frame = Frame.power(a, betas)
+    together = frame.assemble(b, fns, "C")
+    assert together.shape == (3, len(fns[0]), dim, dim)
+    for k in range(len(fns[0])):
+        alone = frame.assemble(b, [[f[k]] for f in fns], "C")
+        assert together[:, k].tobytes() == alone[:, 0].tobytes(), k
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_shared_whitening_raises_the_domain_error_of_each_call(field):
-    # an indefinite X puts negative eigenvalues in the whitened spectrum
+    # an indefinite X puts negative eigenvalues in the whitened spectrum;
+    # the assembly rejects it once, before any function runs, with the
+    # error an assembly of that matrix alone raises
     cfg = GenConfig(dim=4, field=field, master_seed=43)
-    a = random_spd(cfg, 0)
-    x = random_spd(cfg, 0, salt=1) - 5.0 * random_spd(cfg, 1)
-    w = Whitening(_power(1.5), x, a)
-    for spec in (bound_spec("III'", 0.5, 1.5, 2.0), geo_mean_spec(0.5, 1.5),
-                 rel_entropy_spec(0.5, 1.5)):
-        with pytest.raises(op.SpectrumError) as shared:
-            w.apply(spec)
-        with pytest.raises(op.SpectrumError) as alone:
-            perspective(spec, x, a)
-        assert type(shared.value) is type(alone.value)
-        assert str(shared.value) == str(alone.value)
-        assert "on the whitened spectrum" in str(shared.value)
+    a = random_spd_stack(cfg, range(3))
+    x = random_spd_stack(cfg, range(3), salt=1)
+    x[1] -= 5.0 * x[2]
+
+    def never(w):
+        raise AssertionError("evaluated a function on a rejected spectrum")
+
+    with pytest.raises(op.SpectrumError) as stacked:
+        Frame.power(a, [1.5] * 3).assemble(x, [[never, never]] * 3,
+                                           "the whitened X")
+    with pytest.raises(op.SpectrumError) as alone:
+        Frame.power(a[1:2], [1.5]).assemble(x[1:2], [[never]],
+                                            "the whitened X")
+    assert str(stacked.value) == str(alone.value)
+    assert str(stacked.value).endswith("of the whitened X")
 
 
 # ---------------------------------------------------------------------------
