@@ -55,7 +55,6 @@ from .matio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix
 from .perspective import (
     PerspectiveSpec,
     PowerFrame,
-    congruence,
     perspective,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "bound",
     "bound_explicit",
     "chain_check",
-    "congruence",
     "extremizer",
     "geo_mean",
     "grid_verify",

@@ -23,7 +23,6 @@ from .matcore import (
     _admit,
     _fro,
     _loewner,
-    _power,
     apply_fn,
     mat_pow,
 )
@@ -178,7 +177,7 @@ def bound_spec(kind: str, alpha: float = 0.0, beta: float = 1.0,
     """The perspective ``bound`` evaluates: the registry generator of
     ``kind`` against ``h = t^beta``."""
     g = scalar_generator(kind, alpha=alpha, delta=delta, lam=lam)
-    return PerspectiveSpec(f=g, h=_power(beta), name=kind)
+    return PerspectiveSpec(f=g, beta=beta, name=kind)
 
 
 def _lu_inv(m: SymMatrix) -> SymMatrix:
@@ -465,7 +464,7 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     bitwise those of ``chain_check`` on that trial alone.
 
     A caller that has already decomposed ``A`` passes ``frame``, the
-    ``Frame.power`` of ``a`` at each trial's effective beta, and, for a suite
+    ``Frame`` of ``a`` at each trial's effective beta, and, for a suite
     with a dominance hypothesis, ``hypothesis``, the ``_relation_margin``
     of the stack; ``gen.random_partner_stack`` returns both.  They are
     computed here otherwise.
@@ -485,7 +484,7 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
         _validate_params(spec, p)
         effective.append(p)
     betas = [p.beta for p in effective]
-    frame = frame or Frame.power(a, betas)
+    frame = frame or Frame(a, betas)
     if spec.relation != "none":
         _check_relation(spec, effective, tol, *(hypothesis or _relation_margin(
             frame.pair, b, betas, [p.delta for p in effective],

@@ -146,11 +146,14 @@ class RunConfig:
         return out
 
 
-def _config_from_args(args, suite: str = "") -> RunConfig:
+def _config_from_args(args, suite: str = "",
+                      tol: float = DEFAULT_LOEWNER_TOL) -> RunConfig:
+    """``verify`` passes its suite and ``--tol``; ``oracle``, whose verdict
+    is ``ORACLE_CONTRACT``, keeps the default ``tol`` in its config."""
     return RunConfig(
         suite=suite,
         trials=args.trials,
-        tol=args.tol,
+        tol=tol,
         dims=tuple(_parse_dims(args.dim)),
         field=args.field,
         seed=args.seed,
@@ -305,7 +308,7 @@ def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     # one frame and one assembly per h = t^e: t^beta first, then t^1
     for e in dict.fromkeys(row[1] for row in table):
         rows = [row for row in table if row[1] == e]
-        terms = Frame.power(a.data[None], [e]).assemble(
+        terms = Frame(a.data[None], [e]).assemble(
             b.data[None], [[row[2] for row in rows]], "the whitened B")[0]
         for (name, _, _, expected), term in zip(rows, terms):
             devs[name] = _oracle_deviation(term, expected)
@@ -415,7 +418,6 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
                    help="master seed (explicit; no environment fallback)")
     p.add_argument("--spec-lo", type=float, default=0.1, dest="spec_lo")
     p.add_argument("--spec-hi", type=float, default=10.0, dest="spec_hi")
-    p.add_argument("--tol", type=float, default=DEFAULT_LOEWNER_TOL)
     p.add_argument("--alpha", default="0")
     p.add_argument("--beta", default="1")
     p.add_argument("--delta", default="1")
@@ -438,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an inequality suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_LOEWNER_TOL)
     _add_gen_flags(p_verify)
 
     p_compute = sub.add_parser("compute", help="evaluate one expression")
@@ -479,7 +482,7 @@ def main(argv=None) -> int:
         return EXIT_OK if code in (0, None) else int(code)
     try:
         if args.command == "verify":
-            cfg = _config_from_args(args, suite=args.suite)
+            cfg = _config_from_args(args, args.suite, args.tol)
             report = run_suite(cfg)
             _print_verify_summary(report)
             if args.out:

@@ -28,7 +28,7 @@ def geo_mean(a: SymMatrix, b: SymMatrix, alpha: float,
 
 def geo_mean_spec(alpha: float, beta: float) -> PerspectiveSpec:
     """The perspective ``geo_mean`` evaluates: ``f = t^alpha``, ``h = t^beta``."""
-    return PerspectiveSpec(f=_power(alpha), h=_power(beta),
+    return PerspectiveSpec(f=_power(alpha), beta=beta,
                            name=f"geo_mean(alpha={alpha})")
 
 
@@ -49,7 +49,7 @@ def rel_entropy_alpha_beta(a: SymMatrix, b: SymMatrix, alpha: float,
 def rel_entropy_spec(alpha: float, beta: float) -> PerspectiveSpec:
     """The perspective ``rel_entropy_alpha_beta`` evaluates:
     ``f = t^alpha log t``, ``h = t^beta``."""
-    return PerspectiveSpec(f=_xalog(alpha), h=_power(beta),
+    return PerspectiveSpec(f=_xalog(alpha), beta=beta,
                            name=f"rel_entropy(alpha={alpha},beta={beta})")
 
 

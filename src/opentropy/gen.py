@@ -144,7 +144,7 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
     parameters.
 
     Returns ``(b, frame, hypothesis)``: the partners as one ``(T, n, n)``
-    array, ``perspective.Frame.power(a, betas)``, and the
+    array, ``perspective.Frame(a, betas)``, and the
     ``bounds._relation_margin`` that the confirmation measured.
     ``chain_check_stack`` takes the last two instead of decomposing A
     again.
@@ -181,7 +181,7 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
         inner[drawn] = _compose(_orthonormal(np.array(gauss)),
                                 np.array(vals))
 
-    frame = Frame.power(a, betas)
+    frame = Frame(a, betas)
     b = _admit(frame.conjugate(_admit(inner)))
     hypothesis = _relation_margin(frame.pair, b, betas, deltas, direction)
     margin, scale = hypothesis

@@ -1,11 +1,11 @@
 """Noncommutative perspective functions and congruence maps.
 
-The perspective ``P(X, Y) = h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``
-is the single primitive behind every entropy and bound operator in this
-package.  ``Frame`` builds its congruence ``H = h(Y)^{1/2}`` for one matrix
-or a ``(T, n, n)`` stack, and ``Frame.assemble`` builds every stacked
-``H f_k(C) H`` the chain checker and the scalar oracle compare;
-``perspective``, ``PowerFrame`` and ``congruence`` are its one-matrix cases.
+The perspective ``P(X, Y) = Y^{b/2} f(Y^{-b/2} X Y^{-b/2}) Y^{b/2}`` against
+``h(t) = t^b`` is the single primitive behind every entropy and bound
+operator in this package.  ``Frame`` builds its congruence ``H = Y^{b/2}``
+for one matrix or a ``(T, n, n)`` stack, and ``Frame.assemble`` builds
+every stacked ``H f_k(C) H`` the chain checker and the scalar oracle
+compare; ``perspective`` and ``PowerFrame`` are its one-matrix cases.
 """
 
 from __future__ import annotations
@@ -15,24 +15,28 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import (POSITIVE, SpectrumError, SymMatrix, _admit,
+from .matcore import (POSITIVE, OperatorError, SymMatrix, _admit,
                       _check_domain, _eigh)
 
 
 @dataclasses.dataclass(frozen=True)
 class PerspectiveSpec:
-    """Pair of scalar functions defining a perspective.
+    """A scalar function ``f`` and the exponent ``beta`` of ``h(t) = t^beta``.
 
-    ``f`` and ``h`` are vectorized real functions; ``h`` must be strictly
-    positive on the spectrum of the base matrix.  ``f_domain`` is the open
-    interval the whitened spectrum must lie in; when omitted, the ``domain``
-    attribute of ``f`` is used if present (bounds.ScalarFn carries one).
+    ``f`` is a vectorized real function and ``beta`` a finite real.
+    ``f_domain`` is the open interval the whitened spectrum must lie in;
+    when omitted, the ``domain`` attribute of ``f`` is used if present
+    (bounds.ScalarFn carries one).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
+    beta: float
     f_domain: tuple[float, float] | None = None
     name: str = ""
+
+    def __post_init__(self):
+        if not np.isfinite(self.beta):
+            raise OperatorError(f"beta must be finite, got {self.beta!r}")
 
     def resolved_domain(self):
         if self.f_domain is not None:
@@ -53,26 +57,22 @@ def _half_power(eigenvalues: np.ndarray, exponent) -> np.ndarray:
 
 
 class Frame:
-    """``H = U diag(v) U*`` and ``H^{-1}`` for a strictly positive base
-    ``U diag(lambda) U*``, one ``(n, n)`` matrix or a ``(T, n, n)`` stack;
-    ``half`` maps ``lambda`` to ``v`` once the base, called ``name`` in
-    errors, passes its positivity check.  ``whiten`` and ``conjugate``
-    return raw products, which the caller admits.
+    """``H = U diag(v) U*`` and ``H^{-1}``, ``v = lambda^{e/2}``, for a
+    strictly positive base ``U diag(lambda) U*``: one ``(n, n)`` matrix at
+    one exponent ``e``, or a ``(T, n, n)`` stack at one exponent per
+    matrix.  The base is called ``name`` in errors.  ``whiten`` and
+    ``conjugate`` return raw products, which the caller admits.
     """
 
-    def __init__(self, base: np.ndarray, half: Callable,
+    def __init__(self, base: np.ndarray, exponents,
                  name: str = "the congruence base"):
         self.pair = _eigh(base)
-        _check_domain(self.pair.eigenvalues, POSITIVE,
-                      f"{name}, which must be strictly positive")
-        v = half(self.pair.eigenvalues)
+        w = self.pair.eigenvalues
+        _check_domain(w, POSITIVE, f"{name}, which must be strictly positive")
+        v = (_half_power(w, exponents) if w.ndim == 1
+             else _rows(_half_power, w, exponents))
         self.half = self.pair.rebuild(v)
         self.ihalf = self.pair.rebuild(1.0 / v)
-
-    @classmethod
-    def power(cls, base: np.ndarray, exponents) -> "Frame":
-        """``v = lambda^{e/2}`` on a stack, each matrix at its own ``e``."""
-        return cls(base, lambda w: _rows(_half_power, w, exponents))
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """``H^{-1} X H^{-1}``, raw."""
@@ -99,29 +99,20 @@ class Frame:
 
 
 def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
-    """Evaluate ``h(Y)^{1/2} f(h(Y)^{-1/2} X h(Y)^{-1/2}) h(Y)^{1/2}``.
+    """Evaluate ``Y^{b/2} f(Y^{-b/2} X Y^{-b/2}) Y^{b/2}``, ``b = spec.beta``.
 
-    ``x`` is self-adjoint, ``y`` strictly positive, both of one dim and
-    field, and ``h`` strictly positive and finite on the spectrum of ``y``.
-    The whitened middle matrix is re-symmetrized before its
-    eigendecomposition to keep rounding drift out of the eigensolver input;
-    its spectrum is validated against the domain of ``f`` at evaluation time.
+    ``x`` is self-adjoint and ``y`` strictly positive, both of one dim and
+    field.  The frame is ``Frame(y, b)``, the one the chain checker builds,
+    so the result is bitwise the term ``Frame.assemble`` builds for ``f``.
+    A ``Y^{b/2}`` that over- or underflows is rejected downstream, as a
+    non-finite product or a whitened eigenvalue outside the domain of
+    ``f``.  The whitened middle matrix is re-symmetrized before its
+    eigendecomposition to keep rounding drift out of the eigensolver
+    input; its spectrum is validated against the domain of ``f`` at
+    evaluation time.
     """
     x._same_shape(y)
-
-    def half(eigenvalues):
-        hvals = np.asarray(spec.h(eigenvalues), dtype=np.float64)
-        # min and max propagate NaN, which fails both comparisons
-        lo, hi = hvals.min(), hvals.max()
-        if not 0.0 < lo:
-            raise SpectrumError("h is not strictly positive on the spectrum "
-                                f"of the base (min h = {float(lo)!r})")
-        if not hi < np.inf:
-            raise SpectrumError("h is not strictly positive and finite on the "
-                                f"spectrum of the base (max h = {float(hi)!r})")
-        return np.sqrt(hvals)
-
-    frame = Frame(y.data, half, "the perspective base")
+    frame = Frame(y.data, spec.beta, "the perspective base")
     inner = _eigh(SymMatrix._computed(frame.whiten(x.data)).data)
     _check_domain(inner.eigenvalues, spec.resolved_domain(),
                   f"{spec.name or 'f'} on the whitened spectrum")
@@ -131,25 +122,22 @@ def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
 class PowerFrame:
     """``B^{e/2} X B^{e/2}`` and ``B^{-e/2} X B^{-e/2}`` for one strictly
-    positive ``B``: the one-matrix case of ``Frame.power``.
+    positive ``B``: ``Frame(B, e)`` on ``SymMatrix`` values.
 
     Bound chains conjugate many terms by the same ``A^{beta/2}``; building
     the frame once keeps every term of a trial on identical rounding.
     """
 
     def __init__(self, base: SymMatrix, exponent: float):
-        self.frame = Frame(base.data, lambda w: _half_power(w, exponent))
+        self.base = base
+        self.frame = Frame(base.data, exponent)
 
     def conjugate(self, x: SymMatrix) -> SymMatrix:
         """``B^{e/2} X B^{e/2}``; preserves positive semidefiniteness."""
+        x._same_shape(self.base)
         return SymMatrix._computed(self.frame.conjugate(x.data))
 
     def whiten(self, x: SymMatrix) -> SymMatrix:
         """``B^{-e/2} X B^{-e/2}``."""
+        x._same_shape(self.base)
         return SymMatrix._computed(self.frame.whiten(x.data))
-
-
-def congruence(x: SymMatrix, b: SymMatrix, exponent: float) -> SymMatrix:
-    """Return ``B^{e/2} X B^{e/2}`` for strictly positive ``B``."""
-    x._same_shape(b)
-    return PowerFrame(b, exponent).conjugate(x)

@@ -559,6 +559,18 @@ def test_oracle_command(tmp_path, capsys):
     assert table["V"] == pytest.approx(1.875, abs=1e-12)
 
 
+def test_oracle_has_no_tolerance_flag(tmp_path, capsys):
+    # the oracle's verdict is its fixed ORACLE_CONTRACT, which no --tol
+    # moved; the flag is a usage error, and the report keeps the default
+    # tol in its config
+    assert main(["oracle", "--trials", "2", "--tol", "5"]) == EXIT_USAGE
+    assert "unrecognized arguments: --tol 5" in capsys.readouterr().err
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--trials", "2", "--out", str(out)]) == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert config["tol"] == op.matcore.DEFAULT_LOEWNER_TOL
+
+
 @pytest.mark.parametrize("beta, count", [(1.0, 2), (0.5, 4), (2.0, 4)])
 def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
     # per h exponent, one eigh of A for its frame and one of the whitened

@@ -12,8 +12,8 @@ from opentropy.perspective import (Frame, PerspectiveSpec, PowerFrame,
                                    perspective)
 
 
-def _spec(f, h, f_domain=None):
-    return PerspectiveSpec(f=f, h=h, f_domain=f_domain)
+def _spec(f, beta, f_domain=None):
+    return PerspectiveSpec(f=f, beta=beta, f_domain=f_domain)
 
 
 def test_identity_function_cancels_congruence():
@@ -21,13 +21,13 @@ def test_identity_function_cancels_congruence():
     b = random_spd(rng_cfg, 0)
     g = np.random.default_rng(4).standard_normal((5, 5))
     a = op.SymMatrix((g + g.T) / 2.0)  # self-adjoint, not positive
-    out = perspective(_spec(lambda x: x, np.exp), a, b)
+    out = perspective(_spec(lambda x: x, 1.5), a, b)
     np.testing.assert_allclose(out.data, a.data,
                                atol=1e-10 * max(1.0, a.fro))
 
 
 def test_identity_base_reduces_to_f():
-    out = perspective(_spec(np.square, lambda x: x),
+    out = perspective(_spec(np.square, 1.0),
                       op.SymMatrix.diagonal([1.0, 2.0]),
                       op.SymMatrix.identity(2))
     np.testing.assert_allclose(out.data, np.diag([1.0, 4.0]), atol=1e-14)
@@ -35,7 +35,7 @@ def test_identity_base_reduces_to_f():
 
 def test_diagonal_scalar_formula():
     # h(b) f(a/h(b)) entrywise: b * (a/b)^2 = a^2/b
-    out = perspective(_spec(np.square, lambda x: x),
+    out = perspective(_spec(np.square, 1.0),
                       op.SymMatrix.diagonal([2.0, 6.0]),
                       op.SymMatrix.diagonal([1.0, 3.0]))
     np.testing.assert_allclose(out.data, np.diag([4.0, 12.0]), atol=1e-13)
@@ -67,11 +67,10 @@ def test_commuting_oracle(field):
         check(op.rel_entropy_alpha_beta(a, b, alpha, beta),
               avals ** beta * x ** alpha * np.log(x))
         check(op.geo_mean(a, b, alpha, beta), avals ** beta * x ** alpha)
-        # a generic h, not a power
+        # a spec built directly, at an exponent off the suites' grid
         f = op.scalar_generator("II", alpha=0.5)
-        h = lambda t: np.power(t, 1.5)  # noqa: E731
-        check(perspective(_spec(f, h, POSITIVE), a, b),
-              h(bvals) * f(avals / h(bvals)))
+        h = bvals ** 1.5
+        check(perspective(_spec(f, 1.5, POSITIVE), a, b), h * f(avals / h))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -104,8 +103,8 @@ def test_positivity_transport():
         a = random_spd(cfg, trial)
         b = random_spd(cfg, trial, salt=1)
         out = perspective(
-            _spec(op.scalar_generator("arithmetic", lam=0.3),
-                  lambda x: np.power(x, 2.0), POSITIVE), b, a)
+            _spec(op.scalar_generator("arithmetic", lam=0.3), 2.0,
+                  POSITIVE), b, a)
         zero = op.SymMatrix(np.zeros((5, 5)))
         assert op.loewner_leq(zero, out, 1e-9).holds
 
@@ -113,38 +112,54 @@ def test_positivity_transport():
 def test_base_must_be_strictly_positive():
     indefinite = op.SymMatrix.diagonal([1.0, -1.0])
     with pytest.raises(op.SpectrumError, match="strictly positive"):
-        perspective(_spec(np.square, lambda x: x), op.SymMatrix.identity(2),
+        perspective(_spec(np.square, 1.0), op.SymMatrix.identity(2),
                     indefinite)
 
 
 def test_h_must_be_positive_on_spectrum():
-    b = op.SymMatrix.diagonal([1.0, 2.0])
-    with pytest.raises(op.SpectrumError, match="h is not strictly positive"):
-        perspective(_spec(np.square, lambda x: x - 5.0),
-                    op.SymMatrix.identity(2), b)
+    # h = t^beta is positive and finite on a strictly positive base in
+    # exact arithmetic, but lambda^{beta/2} can under- or overflow: the
+    # frame's H^{-1} or H is then not finite, and so is every product
+    # made with it, which the finiteness check of computed results
+    # rejects, unless a whitened eigenvalue of 0 fails the domain of f
+    # first.  No finite matrix comes back.  The command line ignores
+    # numpy's warnings about these values, as this does.  (A base entry
+    # above about 1e154 is rejected sooner: its Frobenius norm overflows.)
+    x = op.SymMatrix.identity(2)
+    specs = (bound_spec("I", 0.5, 8.0), geo_mean_spec(0.5, 8.0),
+             rel_entropy_spec(0.5, 8.0), _spec(np.square, 8.0))
+    for base in ([1e-200, 1.0], [1.0, 1e100], [1e-200, 1e100]):
+        y = op.SymMatrix.diagonal(base)
+        for spec in specs:
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                with pytest.raises(op.OperatorError):
+                    perspective(spec, x, y)
 
 
-@pytest.mark.parametrize("value,message", [
-    (np.nan, "h is not strictly positive on the spectrum of the base "
-             "(min h = nan)"),
-    (np.inf, "h is not strictly positive and finite on the spectrum of the "
-             "base (max h = inf)"),
-], ids=["nan", "inf"])
-def test_h_must_be_finite_on_spectrum(value, message):
-    # a non-finite h is rejected where h is checked, not later as a
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_h_must_be_finite_on_spectrum(value):
+    # h = t^beta needs a finite beta; a non-finite one is rejected where
+    # the perspective is specified, naming beta, not later as a
     # non-finite result
-    b = op.SymMatrix.diagonal([1.0, 2.0])
-    with pytest.raises(op.SpectrumError) as err:
-        perspective(_spec(np.square, lambda x: np.full_like(x, value)),
-                    op.SymMatrix.identity(2), b)
-    assert str(err.value) == message
+    a = op.SymMatrix.diagonal([1.0, 2.0])
+    b = op.SymMatrix.identity(2)
+    for beta in (value, -value):
+        with pytest.raises(op.OperatorError) as err:
+            _spec(np.square, beta)
+        assert str(err.value) == f"beta must be finite, got {beta!r}"
+        for call in (lambda: op.bound("I", a, b, beta=beta),
+                     lambda: op.geo_mean(a, b, 0.5, beta),
+                     lambda: op.rel_entropy_alpha_beta(a, b, 0.5, beta)):
+            with pytest.raises(op.OperatorError, match="beta must be finite"):
+                call()
 
 
 def test_inner_spectrum_domain_error():
     # indefinite first argument pushed through a positive-domain f
     indefinite = op.SymMatrix.diagonal([1.0, -1.0])
     with pytest.raises(op.SpectrumError, match="eigenvalue"):
-        perspective(_spec(np.log, lambda x: x, POSITIVE), indefinite,
+        perspective(_spec(np.log, 1.0, POSITIVE), indefinite,
                     op.SymMatrix.identity(2))
 
 
@@ -172,7 +187,7 @@ def test_shared_whitening_gives_the_bits_of_each_call(dim, field):
     b = random_spd_stack(cfg, range(3), salt=1)
     fns = [_functions(alpha, beta)
            for alpha, beta in zip((0.0, 0.5, 2.0), betas)]
-    frame = Frame.power(a, betas)
+    frame = Frame(a, betas)
     together = frame.assemble(b, fns, "C")
     assert together.shape == (3, len(fns[0]), dim, dim)
     for k in range(len(fns[0])):
@@ -194,11 +209,10 @@ def test_shared_whitening_raises_the_domain_error_of_each_call(field):
         raise AssertionError("evaluated a function on a rejected spectrum")
 
     with pytest.raises(op.SpectrumError) as stacked:
-        Frame.power(a, [1.5] * 3).assemble(x, [[never, never]] * 3,
-                                           "the whitened X")
+        Frame(a, [1.5] * 3).assemble(x, [[never, never]] * 3,
+                                     "the whitened X")
     with pytest.raises(op.SpectrumError) as alone:
-        Frame.power(a[1:2], [1.5]).assemble(x[1:2], [[never]],
-                                            "the whitened X")
+        Frame(a[1:2], [1.5]).assemble(x[1:2], [[never]], "the whitened X")
     assert str(stacked.value) == str(alone.value)
     assert str(stacked.value).endswith("of the whitened X")
 
@@ -218,7 +232,7 @@ def test_stacked_frame_rows_give_the_bits_of_one_matrix_frames(dim, field):
     trials = range(len(exponents))
     a = random_spd_stack(cfg, trials)
     x = random_spd_stack(cfg, trials, salt=1)
-    stacked = Frame.power(a, exponents)
+    stacked = Frame(a, exponents)
     whitened = stacked.whiten(x)
     # several matrices per trial broadcast over a leading axis, as the
     # chain check conjugates its terms
@@ -246,7 +260,7 @@ def test_stacked_frame_rows_give_the_bits_of_one_matrix_frames(dim, field):
 def test_stacked_frame_names_the_first_non_positive_base():
     a = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.diag([-3.0, 1.0])])
     with pytest.raises(op.SpectrumError) as stacked:
-        Frame.power(a, [1.0, 1.0, 1.0])
+        Frame(a, [1.0, 1.0, 1.0])
     with pytest.raises(op.SpectrumError) as alone:
         PowerFrame(op.SymMatrix(a[1]), 1.0)
     assert str(stacked.value) == str(alone.value)
@@ -254,23 +268,63 @@ def test_stacked_frame_names_the_first_non_positive_base():
 
 
 # ---------------------------------------------------------------------------
-# congruence
+# compute's perspective is the checker's term
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 32])
+def test_perspective_gives_the_bits_of_the_checker_terms(dim, field):
+    # compute evaluates every expression through perspective(), whose frame
+    # is the chain checker's: each bound is, bit for bit, the term
+    # bounds._terms assembles on a stacked frame for the same pair and
+    # parameters, and the entropy and the geometric mean are the
+    # Frame.assemble terms of their f.  A failing trial replays through
+    # compute on the checker's own bits
+    every_kind = bounds.SuiteSpec("every-kind",
+                                  tuple(sorted(bounds._GENERATORS)), (),
+                                  "none", "ge1")
+    betas = [0.5, 1.0, 1.5, 2.0, 3.0]
+    alphas = [0.0, 0.5, 2.0, 1.0, 0.5]
+    params = [bounds.ChainParams(alpha, beta, 1.5, 0.3)
+              for alpha, beta in zip(alphas, betas)]
+    cfg = GenConfig(dim=dim, field=field, master_seed=53)
+    a = random_spd_stack(cfg, range(len(betas)))
+    b = random_spd_stack(cfg, range(len(betas)), salt=1)
+    frame = Frame(a, betas)
+    terms = bounds._terms(every_kind, params, frame, b)
+    means = frame.assemble(b, [[rel_entropy_spec(p.alpha, p.beta).f,
+                                geo_mean_spec(p.alpha, p.beta).f]
+                               for p in params], "C")
+    for t, p in enumerate(params):
+        at = op.SymMatrix._computed(a[t])
+        bt = op.SymMatrix._computed(b[t])
+        for kind, term in zip(every_kind.terms, terms[t]):
+            got = op.bound(kind, at, bt, alpha=p.alpha, beta=p.beta,
+                           delta=p.delta, lam=p.lam)
+            assert _bits(got) == term.tobytes(), (kind, p.beta)
+        assert _bits(op.rel_entropy_alpha_beta(at, bt, p.alpha, p.beta)) \
+            == means[t, 0].tobytes(), p.beta
+        assert _bits(op.geo_mean(at, bt, p.alpha, p.beta)) \
+            == means[t, 1].tobytes(), p.beta
+
+
+# ---------------------------------------------------------------------------
+# PowerFrame: one congruence B^{e/2} X B^{e/2}
 
 def test_congruence_identity_base():
     x = op.SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    out = op.congruence(x, op.SymMatrix.identity(2), 3.0)
+    out = PowerFrame(op.SymMatrix.identity(2), 3.0).conjugate(x)
     np.testing.assert_allclose(out.data, x.data, atol=1e-14)
 
 
 def test_congruence_of_identity_recovers_base():
     b = op.SymMatrix.diagonal([4.0, 9.0])
-    out = op.congruence(op.SymMatrix.identity(2), b, 1.0)
+    out = PowerFrame(b, 1.0).conjugate(op.SymMatrix.identity(2))
     np.testing.assert_allclose(out.data, b.data, atol=1e-13)
 
 
 def test_congruence_negative_exponent():
     b = op.SymMatrix.diagonal([4.0, 9.0])
-    out = op.congruence(op.SymMatrix.identity(2), b, -1.0)
+    out = PowerFrame(b, -1.0).conjugate(op.SymMatrix.identity(2))
     np.testing.assert_allclose(out.data, np.diag([0.25, 1.0 / 9.0]),
                                atol=1e-14)
 
@@ -279,14 +333,13 @@ def test_congruence_preserves_psd():
     cfg = GenConfig(dim=6, master_seed=31)
     x = random_spd(cfg, 0)
     b = random_spd(cfg, 0, salt=1)
-    out = op.congruence(x, b, 1.5)
+    out = PowerFrame(b, 1.5).conjugate(x)
     assert op.sym_eig(out).eigenvalues[0] > 0.0
 
 
 def test_congruence_rejects_nonpositive_base():
     with pytest.raises(op.SpectrumError):
-        op.congruence(op.SymMatrix.identity(2),
-                      op.SymMatrix.diagonal([1.0, 0.0]), 1.0)
+        PowerFrame(op.SymMatrix.diagonal([1.0, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("b", [op.SymMatrix.identity(3),
@@ -294,7 +347,9 @@ def test_congruence_rejects_nonpositive_base():
                          ids=["dim", "field"])
 def test_congruence_and_perspective_reject_disagreeing_operands(b):
     x = op.SymMatrix.identity(2)
+    frame = PowerFrame(b, 1.0)
+    for congruence in (frame.conjugate, frame.whiten):
+        with pytest.raises(op.DimensionError, match="operands disagree"):
+            congruence(x)
     with pytest.raises(op.DimensionError, match="operands disagree"):
-        op.congruence(x, b, 1.0)
-    with pytest.raises(op.DimensionError, match="operands disagree"):
-        perspective(_spec(np.square, lambda t: t), x, b)
+        perspective(_spec(np.square, 1.0), x, b)

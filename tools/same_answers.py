@@ -89,7 +89,10 @@ HH = (
     ["--alpha", "nan", "--x", "4"],
     ["--alpha", "0", "--x", "4", "--grid", "100000000000"],
 )
-PARAMS = ["--alpha", "0.5", "--beta", "2", "--delta", "1.5", "--lam", "0.3"]
+# beta 2, and two betas whose half exponents 0.25 and 0.75 np.power
+# computes without a special case
+PARAMS = tuple(["--alpha", "0.5", "--beta", beta, "--delta", "1.5",
+                "--lam", "0.3"] for beta in ("2", "0.5", "1.5"))
 
 
 def _pair(dim: int, field: str) -> list[str]:
@@ -101,7 +104,8 @@ def _compute() -> list[list[str]]:
     for field in ("real", "complex"):
         for dim in (2, 4):
             for expr in EXPRS:
-                runs.append(["--expr", expr] + _pair(dim, field) + PARAMS)
+                runs += [["--expr", expr] + _pair(dim, field) + params
+                         for params in PARAMS]
             runs.append(["--expr", "perspective", "--f", "II'",
                          "--delta", "2"] + _pair(dim, field))
     runs += [
