@@ -16,7 +16,6 @@ import numpy as np
 from .entropy import geo_mean, weighted_means
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
-    POSITIVE,
     EigenPair,
     OperatorError,
     SymMatrix,
@@ -129,15 +128,12 @@ BOUND_KINDS = ("I", "II", "III", "V", "I'", "II'", "III'", "V'",
 @dataclasses.dataclass(frozen=True)
 class ScalarFn:
     """A named scalar generator on (0, inf), parameterized by the suite
-    parameters.  Vectorized; ``domain`` feeds the functional-calculus
-    domain checks."""
+    parameters.  Vectorized."""
 
     kind: str
     alpha: float = 0.0
     delta: float = 1.0
     lam: float = 0.5
-
-    domain = POSITIVE
 
     @property
     def name(self) -> str:
@@ -238,7 +234,7 @@ def bound_explicit(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
         mid = _mul(c_alpha, _lu_inv(mat_pow(c, 0.5) + eye))
         return 4.0 * gm(alpha) - 8.0 * frame.conjugate(mid)
     if kind == "S":
-        mid = _mul(c_alpha, apply_fn(c, np.log, domain=POSITIVE, name="log"))
+        mid = _mul(c_alpha, apply_fn(c, np.log, "log"))
         return frame.conjugate(mid)
     if kind == "I'":
         mid = _mul(_lu_inv(c + delta * eye), c_alpha)

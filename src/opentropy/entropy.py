@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import POSITIVE, OperatorError, SymMatrix, _power, mat_pow
+from .matcore import OperatorError, SymMatrix, _power, mat_pow
 from .perspective import PerspectiveSpec, perspective
 
 
@@ -34,7 +34,6 @@ def geo_mean_spec(alpha: float, beta: float) -> PerspectiveSpec:
 
 def _xalog(alpha: float):
     fn = lambda x: np.power(x, alpha) * np.log(x)  # noqa: E731
-    fn.domain = POSITIVE
     fn.name = f"x**{alpha} * log(x)"
     return fn
 

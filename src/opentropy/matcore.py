@@ -21,7 +21,7 @@ MAX_SWEEPS = 64
 # Default Loewner comparison tolerance (relative, scale-aware).
 DEFAULT_LOEWNER_TOL = 1e-8
 
-# Open-interval domain for functions defined on the positive half line.
+# The open interval every function of the package is taken on.
 POSITIVE = (0.0, np.inf)
 
 
@@ -301,11 +301,10 @@ def jacobi_herm(a, thresh: float, max_sweeps: int = MAX_SWEEPS):
     return _jacobi(np.asarray(a, dtype=np.complex128), thresh, max_sweeps)
 
 
-def _check_domain(eigenvalues: np.ndarray, domain, name: str) -> None:
-    """Name the first eigenvalue outside ``domain``, in C order on stacks."""
-    if domain is None:
-        return
-    lo, hi = domain
+def _check_domain(eigenvalues: np.ndarray, name: str) -> None:
+    """Name the first eigenvalue outside ``POSITIVE``, in C order on
+    stacks: every function of this package is taken on (0, inf)."""
+    lo, hi = POSITIVE
     inside = (lo < eigenvalues) & (eigenvalues < hi)
     if not inside.all():
         val = np.ravel(eigenvalues)[np.argmin(inside)]
@@ -316,40 +315,32 @@ def _check_domain(eigenvalues: np.ndarray, domain, name: str) -> None:
 
 
 def _power(exponent: float):
-    """``x -> x**exponent`` as a named scalar function on ``POSITIVE``."""
+    """``x -> x**exponent`` as a named scalar function."""
     fn = lambda x: np.power(x, exponent)  # noqa: E731
-    fn.domain = POSITIVE
     fn.name = f"x**{exponent}"
     return fn
 
 
-def apply_fn(
-    m: SymMatrix,
-    fn: Callable[[np.ndarray], np.ndarray],
-    domain: tuple[float, float] | None = None,
-    name: str = "",
-) -> SymMatrix:
+def apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray],
+             name: str = "") -> SymMatrix:
     """Functional calculus: ``f(M) = U f(diag) U*`` from the spectral form.
 
     Parameters
     ----------
     m : SymMatrix
-        Self-adjoint input.
+        Strictly positive input: an eigenvalue outside ``POSITIVE`` raises
+        ``SpectrumError`` naming it, as ``name`` (default: ``fn.name``).
     fn : callable
         Vectorized real function evaluated on the eigenvalue vector.
-    domain : (lo, hi), optional
-        Open interval every eigenvalue must lie in; violations raise
-        ``SpectrumError`` naming the offending eigenvalue.  Use
-        ``matcore.POSITIVE`` for log, roots and real powers.
     """
     pair = sym_eig(m)
-    _check_domain(pair.eigenvalues, domain, name or getattr(fn, "name", ""))
+    _check_domain(pair.eigenvalues, name or getattr(fn, "name", ""))
     return SymMatrix._computed(pair.rebuild(fn(pair.eigenvalues)))
 
 
 def mat_pow(m: SymMatrix, exponent: float) -> SymMatrix:
     """Real matrix power of a strictly positive matrix."""
-    return apply_fn(m, _power(exponent), domain=POSITIVE)
+    return apply_fn(m, _power(exponent))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -478,11 +478,23 @@ def test_compute_perspective_requires_f(tmp_path, spd_json, capsys):
 
 
 def test_compute_domain_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "indefinite.json"
+    # an indefinite A fails the positivity check of the frame, an
+    # indefinite B the check of the whitened spectrum; each exits 2 with
+    # one error line that names the eigenvalue and what it belongs to
+    bad = str(tmp_path / "indefinite.json")
+    eye = str(tmp_path / "identity.json")
     save_matrix(op.SymMatrix.diagonal([1.0, -1.0]), bad)
-    code = main(["compute", "--expr", "S", "--A", str(bad), "--B", str(bad)])
-    assert code == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+    save_matrix(op.SymMatrix.identity(2), eye)
+    for flags, blamed in (
+            (["--expr", "S", "--A", bad, "--B", eye],
+             "the perspective base, which must be strictly positive"),
+            (["--expr", "perspective", "--f", "S", "--A", eye, "--B", bad],
+             "S on the whitened spectrum")):
+        code = main(["compute"] + flags)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: eigenvalue -1.0 outside the open domain (0.0, inf) "
+            f"of {blamed}\n")
 
 
 @pytest.mark.parametrize("expr", ["S", "V", "geomean", "means"])

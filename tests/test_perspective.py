@@ -7,20 +7,18 @@ from opentropy.bounds import BOUND_KINDS, bound_spec
 from opentropy.entropy import geo_mean_spec, rel_entropy_spec
 from opentropy.gen import (GenConfig, random_diag_pair, random_spd,
                            random_spd_stack)
-from opentropy.matcore import POSITIVE
 from opentropy.perspective import (Frame, PerspectiveSpec, PowerFrame,
                                    perspective)
 
 
-def _spec(f, beta, f_domain=None):
-    return PerspectiveSpec(f=f, beta=beta, f_domain=f_domain)
+def _spec(f, beta):
+    return PerspectiveSpec(f=f, beta=beta)
 
 
 def test_identity_function_cancels_congruence():
     rng_cfg = GenConfig(dim=5, master_seed=1)
     b = random_spd(rng_cfg, 0)
-    g = np.random.default_rng(4).standard_normal((5, 5))
-    a = op.SymMatrix((g + g.T) / 2.0)  # self-adjoint, not positive
+    a = random_spd(rng_cfg, 0, salt=1)
     out = perspective(_spec(lambda x: x, 1.5), a, b)
     np.testing.assert_allclose(out.data, a.data,
                                atol=1e-10 * max(1.0, a.fro))
@@ -70,7 +68,7 @@ def test_commuting_oracle(field):
         # a spec built directly, at an exponent off the suites' grid
         f = op.scalar_generator("II", alpha=0.5)
         h = bvals ** 1.5
-        check(perspective(_spec(f, 1.5, POSITIVE), a, b), h * f(avals / h))
+        check(perspective(_spec(f, 1.5), a, b), h * f(avals / h))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -103,8 +101,7 @@ def test_positivity_transport():
         a = random_spd(cfg, trial)
         b = random_spd(cfg, trial, salt=1)
         out = perspective(
-            _spec(op.scalar_generator("arithmetic", lam=0.3), 2.0,
-                  POSITIVE), b, a)
+            _spec(op.scalar_generator("arithmetic", lam=0.3), 2.0), b, a)
         zero = op.SymMatrix(np.zeros((5, 5)))
         assert op.loewner_leq(zero, out, 1e-9).holds
 
@@ -118,23 +115,26 @@ def test_base_must_be_strictly_positive():
 
 def test_h_must_be_positive_on_spectrum():
     # h = t^beta is positive and finite on a strictly positive base in
-    # exact arithmetic, but lambda^{beta/2} can under- or overflow: the
-    # frame's H^{-1} or H is then not finite, and so is every product
-    # made with it, which the finiteness check of computed results
-    # rejects, unless a whitened eigenvalue of 0 fails the domain of f
-    # first.  No finite matrix comes back.  The command line ignores
+    # exact arithmetic, but lambda^{beta/2} can under- or overflow, so that
+    # the frame's H or H^{-1} is not finite.  The frame rejects such a
+    # base when it is built, naming the first such eigenvalue and the
+    # exponent, before anything is whitened.  The command line ignores
     # numpy's warnings about these values, as this does.  (A base entry
     # above about 1e154 is rejected sooner: its Frobenius norm overflows.)
     x = op.SymMatrix.identity(2)
     specs = (bound_spec("I", 0.5, 8.0), geo_mean_spec(0.5, 8.0),
              rel_entropy_spec(0.5, 8.0), _spec(np.square, 8.0))
-    for base in ([1e-200, 1.0], [1.0, 1e100], [1e-200, 1e100]):
+    for base, blamed in (([1e-200, 1.0], "1e-200"), ([1.0, 1e100], "1e+100"),
+                         ([1e-200, 1e100], "1e-200")):
         y = op.SymMatrix.diagonal(base)
         for spec in specs:
-            with np.errstate(over="ignore", divide="ignore",
-                             invalid="ignore"):
-                with pytest.raises(op.OperatorError):
+            with np.errstate(over="ignore", divide="ignore"):
+                with pytest.raises(op.OperatorError) as err:
                     perspective(spec, x, y)
+            assert str(err.value) == (
+                f"the power 8.0/2 of eigenvalue {blamed} of the perspective "
+                f"base over- or underflows")
+            assert type(err.value) is op.OperatorError
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -156,11 +156,14 @@ def test_h_must_be_finite_on_spectrum(value):
 
 
 def test_inner_spectrum_domain_error():
-    # indefinite first argument pushed through a positive-domain f
-    indefinite = op.SymMatrix.diagonal([1.0, -1.0])
-    with pytest.raises(op.SpectrumError, match="eigenvalue"):
-        perspective(_spec(np.log, 1.0, POSITIVE), indefinite,
-                    op.SymMatrix.identity(2))
+    # an indefinite first argument is rejected for every f, also for one
+    # defined on the whole line, such as the square
+    indefinite = op.SymMatrix.diagonal([1.0, -2.0])
+    for f in (np.log, np.square):
+        with pytest.raises(op.SpectrumError) as err:
+            perspective(_spec(f, 1.0), indefinite, op.SymMatrix.identity(2))
+        assert str(err.value) == ("eigenvalue -2.0 outside the open domain "
+                                  "(0.0, inf) of f on the whitened spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,16 @@ def test_stacked_frame_names_the_first_non_positive_base():
         PowerFrame(op.SymMatrix(a[1]), 1.0)
     assert str(stacked.value) == str(alone.value)
     assert "-2.0" in str(stacked.value)
+    # and the first base whose lambda^{e/2} over- or underflows at its own
+    # exponent: 1e100 at e = 2 is fine, 1e-200 at e = 8 underflows
+    a = np.stack([np.eye(2), np.diag([1.0, 1e100]), np.diag([1e-200, 1.0])])
+    with np.errstate(divide="ignore"):
+        with pytest.raises(op.OperatorError) as stacked:
+            Frame(a, [1.0, 2.0, 8.0])
+        with pytest.raises(op.OperatorError) as alone:
+            PowerFrame(op.SymMatrix(a[2]), 8.0)
+    assert str(stacked.value) == str(alone.value)
+    assert str(stacked.value).startswith("the power 8.0/2 of eigenvalue 1e-200")
 
 
 # ---------------------------------------------------------------------------

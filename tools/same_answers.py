@@ -117,7 +117,16 @@ def _compute() -> list[list[str]]:
         ["--expr", "S", "--A", "a2r.json", "--B", "missing.json"],
         ["--expr", "I'", "--delta", "nan"] + _pair(2, "real"),
         ["--expr", "S", "--A", "a2r.json", "--B", "indefinite.json"],
+        ["--expr", "S", "--A", "indefinite.json", "--B", "a2r.json"],
+        ["--expr", "perspective", "--f", "S", "--A", "indefinite.json",
+         "--B", "indefinite.json"],
+        ["--expr", "means", "--A", "indefinite.json", "--B", "a2r.json"],
     ]
+    # A^{beta/2} overflows at beta 8 on the base diag(1, 1e100)
+    for field in ("real", "complex"):
+        runs += [["--expr", expr, "--beta", "8", "--A",
+                  f"overflow2{field[0]}.json", "--B", f"a2{field[0]}.json"]
+                 for expr in ("I", "S_ab", "geomean")]
     return runs
 
 
@@ -161,9 +170,11 @@ def _write_inputs(workdir: str) -> None:
     with open(os.path.join(workdir, "a2r.txt"), "w", encoding="utf-8") as fh:
         fh.write("2\n" + "\n".join(" ".join(repr(v) for v in row)
                                    for row in rows) + "\n")
-    with open(os.path.join(workdir, "indefinite.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(_matrix_obj(np.diag([1.0, -1.0])), fh)
+    for name, m in (("indefinite.json", np.diag([1.0, -1.0])),
+                    ("overflow2r.json", np.diag([1.0, 1e100])),
+                    ("overflow2c.json", np.diag([1.0, 1e100 + 0j]))):
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            json.dump(_matrix_obj(m), fh)
 
 
 def _run(tree: str, workdir: str, argv: list[str]) -> tuple:
