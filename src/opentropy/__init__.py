@@ -17,11 +17,11 @@ from .bounds import (
     HypothesisError,
     ScalarFn,
     bound,
-    bound_explicit,
     chain_check,
     scalar_generator,
 )
 from .entropy import (
+    bound_explicit,
     geo_mean,
     rel_entropy,
     rel_entropy_alpha,
@@ -52,11 +52,7 @@ from .matcore import (
     sym_eig,
 )
 from .matio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix
-from .perspective import (
-    PerspectiveSpec,
-    PowerFrame,
-    perspective,
-)
+from .perspective import PowerFrame, perspective
 
 __all__ = [
     "BOUND_KINDS",
@@ -72,7 +68,6 @@ __all__ = [
     "L_of_lambda",
     "OperatorError",
     "OrderVerdict",
-    "PerspectiveSpec",
     "PowerFrame",
     "ScalarFn",
     "SelfAdjointError",

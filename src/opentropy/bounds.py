@@ -2,9 +2,12 @@
 
 Each bound operator is the perspective of one scalar generator against
 ``h(t) = t^beta``; the registry below is the single source of truth for
-those generators.  A suite is data: an ordered list of term labels, the
-index pairs to compare, and a dominance hypothesis.  One checker walks any
-suite link by link in the Loewner order.
+those generators, the relative entropy ``S`` and the geometric mean
+``geometric`` included (``entropy.rel_entropy_alpha_beta`` and
+``entropy.geo_mean`` are ``bound`` of them).  A suite is data: an ordered
+list of term labels, the index pairs to compare, and a dominance
+hypothesis.  One checker walks any suite link by link in the Loewner
+order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import dataclasses
 
 import numpy as np
 
-from .entropy import geo_mean, weighted_means
 from .matcore import (
     DEFAULT_LOEWNER_TOL,
     EigenPair,
@@ -22,11 +24,9 @@ from .matcore import (
     _admit,
     _fro,
     _loewner,
-    apply_fn,
-    mat_pow,
 )
 from .matio import matrix_to_obj
-from .perspective import Frame, PerspectiveSpec, PowerFrame, _rows, perspective
+from .perspective import Frame, _rows, perspective
 
 
 class HypothesisError(OperatorError):
@@ -165,85 +165,8 @@ def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
     A^{beta/2}`` for the registry generator ``g``; domain errors from
     non-positive inputs propagate from the perspective.
     """
-    return perspective(bound_spec(kind, alpha, beta, delta, lam), b, a)
-
-
-def bound_spec(kind: str, alpha: float = 0.0, beta: float = 1.0,
-               delta: float = 1.0, lam: float = 0.5) -> PerspectiveSpec:
-    """The perspective ``bound`` evaluates: the registry generator of
-    ``kind`` against ``h = t^beta``."""
     g = scalar_generator(kind, alpha=alpha, delta=delta, lam=lam)
-    return PerspectiveSpec(f=g, beta=beta, name=kind)
-
-
-def _lu_inv(m: SymMatrix) -> SymMatrix:
-    # LU-based inverse: keeps the explicit route off the eigendecomposition
-    # path shared with the perspective route.
-    return SymMatrix._computed(np.linalg.inv(m.data))
-
-
-def _mul(x: SymMatrix, y: SymMatrix) -> SymMatrix:
-    # product of commuting self-adjoint factors; resymmetrized
-    return SymMatrix._computed(x.data @ y.data)
-
-
-def bound_explicit(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
-                   beta: float = 1.0, delta: float = 1.0,
-                   lam: float = 0.5) -> SymMatrix:
-    """The same operator built from its explicit geometric-mean formula.
-
-    Used by the dual-route checks: lives on geometric means, congruences
-    and LU inverses rather than on a single composite functional calculus.
-    The second term of the primed lower bound carries coefficient
-    ``4*delta`` (resp. ``8*sqrt(delta)``), the one consistent with the
-    ``delta = 1`` collapse onto the unprimed bound.
-    """
-    if kind in ("harmonic", "geometric", "arithmetic"):
-        triple = weighted_means(a, b, lam)
-        return triple[("harmonic", "geometric", "arithmetic").index(kind)]
-
-    def gm(al):
-        return geo_mean(a, b, al, beta)
-
-    if kind == "III":
-        return gm(alpha + 0.5) - gm(alpha - 0.5)
-    if kind == "V":
-        return 0.5 * (gm(alpha + 1.0) - gm(alpha - 1.0))
-    if kind == "lower_shift":
-        return gm(alpha) - gm(alpha - 1.0)
-    if kind == "upper_shift":
-        return gm(alpha + 1.0) - gm(alpha)
-    if kind == "base_lower":
-        return gm(0.0) - gm(-1.0)
-    if kind == "III'":
-        return (gm(alpha + 0.5) * (1.0 / np.sqrt(delta))
-                - np.sqrt(delta) * gm(alpha - 0.5)
-                + np.log(delta) * gm(alpha))
-    if kind == "V'":
-        return (0.5 * (gm(alpha + 1.0) * (1.0 / delta) - delta * gm(alpha - 1.0))
-                + np.log(delta) * gm(alpha))
-
-    frame = PowerFrame(a, beta)
-    c = frame.whiten(b)
-    eye = SymMatrix.identity(a.dim, a.field)
-    c_alpha = mat_pow(c, alpha)
-    if kind == "I":
-        mid = _mul(eye - 2.0 * _lu_inv(eye + c), c_alpha)
-        return 2.0 * frame.conjugate(mid)
-    if kind == "II":
-        mid = _mul(c_alpha, _lu_inv(mat_pow(c, 0.5) + eye))
-        return 4.0 * gm(alpha) - 8.0 * frame.conjugate(mid)
-    if kind == "S":
-        mid = _mul(c_alpha, apply_fn(c, np.log, "log"))
-        return frame.conjugate(mid)
-    if kind == "I'":
-        mid = _mul(_lu_inv(c + delta * eye), c_alpha)
-        return (np.log(delta) + 2.0) * gm(alpha) - 4.0 * delta * frame.conjugate(mid)
-    if kind == "II'":
-        mid = _mul(_lu_inv(mat_pow(c, 0.5) + np.sqrt(delta) * eye), c_alpha)
-        return ((np.log(delta) + 4.0) * gm(alpha)
-                - 8.0 * np.sqrt(delta) * frame.conjugate(mid))
-    raise OperatorError(f"unknown bound kind {kind!r}")
+    return perspective(g, b, a, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,13 @@ class SymMatrix:
         """Finiteness check, then freeze (arr + arr*)/2; returns ||arr||_F."""
         fro = float(np.linalg.norm(arr))
         if not np.isfinite(fro):
+            # an infinite norm would make an infinite Loewner scale, which
+            # every link passes, so finite entries are rejected here too
+            if np.isfinite(arr).all():
+                raise OperatorError(
+                    f"matrix Frobenius norm overflows: every entry is "
+                    f"finite, the largest magnitude is "
+                    f"{float(np.abs(arr).max())!r}")
             raise OperatorError(
                 f"matrix entries must be finite: Frobenius norm is {fro!r}")
         sym = _resym(arr)
@@ -314,13 +321,6 @@ def _check_domain(eigenvalues: np.ndarray, name: str) -> None:
         )
 
 
-def _power(exponent: float):
-    """``x -> x**exponent`` as a named scalar function."""
-    fn = lambda x: np.power(x, exponent)  # noqa: E731
-    fn.name = f"x**{exponent}"
-    return fn
-
-
 def apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray],
              name: str = "") -> SymMatrix:
     """Functional calculus: ``f(M) = U f(diag) U*`` from the spectral form.
@@ -340,7 +340,7 @@ def apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray],
 
 def mat_pow(m: SymMatrix, exponent: float) -> SymMatrix:
     """Real matrix power of a strictly positive matrix."""
-    return apply_fn(m, _power(exponent))
+    return apply_fn(m, lambda x: np.power(x, exponent), f"x**{exponent}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,30 +12,12 @@ is a stack-of-one ``Frame`` on ``SymMatrix`` values.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 import numpy as np
 
 from .matcore import (OperatorError, SymMatrix, _admit, _check_domain, _eigh,
                       apply_fn)
-
-
-@dataclasses.dataclass(frozen=True)
-class PerspectiveSpec:
-    """A scalar function ``f`` on (0, inf) and the exponent ``beta`` of
-    ``h(t) = t^beta``.
-
-    ``f`` is a vectorized real function and ``beta`` a finite real.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    beta: float
-    name: str = ""
-
-    def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise OperatorError(f"beta must be finite, got {self.beta!r}")
 
 
 def _rows(fn, *columns) -> np.ndarray:
@@ -95,20 +77,26 @@ class Frame:
                       self.conjugate(mid).swapaxes(0, 1))
 
 
-def perspective(spec: PerspectiveSpec, x: SymMatrix, y: SymMatrix) -> SymMatrix:
-    """Evaluate ``Y^{b/2} f(Y^{-b/2} X Y^{-b/2}) Y^{b/2}``, ``b = spec.beta``.
+def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
+                y: SymMatrix, beta: float) -> SymMatrix:
+    """Evaluate ``Y^{b/2} f(Y^{-b/2} X Y^{-b/2}) Y^{b/2}``, ``b = beta``.
 
-    ``x`` and ``y`` are strictly positive, of one dim and field.  This is
+    ``f`` is a vectorized real function on (0, inf), called by its
+    ``name`` attribute (else ``f``) in errors; ``beta`` is the finite exponent of ``h(t) = t^beta``.  ``x``
+    and ``y`` are strictly positive, of one dim and field.  This is
     whiten -> ``apply_fn`` -> conjugate on ``Frame(y, [b])``, the frame the
     chain checker builds, so the result is bitwise the term
     ``Frame.assemble`` builds for ``f``.  The whitened matrix is admitted
     (re-symmetrized) before ``apply_fn`` decomposes it and checks its
     spectrum strictly positive.
     """
+    if not np.isfinite(beta):
+        raise OperatorError(f"beta must be finite, got {beta!r}")
     x._same_shape(y)
-    frame = Frame(y.data[None], [spec.beta], "the perspective base")
+    frame = Frame(y.data[None], [beta], "the perspective base")
     c = SymMatrix._computed(frame.whiten(x.data)[0])
-    mid = apply_fn(c, spec.f, f"{spec.name or 'f'} on the whitened spectrum")
+    name = getattr(f, "name", "f")
+    mid = apply_fn(c, f, f"{name} on the whitened spectrum")
     return SymMatrix._computed(frame.conjugate(mid.data)[0])
 
 

@@ -489,7 +489,13 @@ def test_compute_domain_error_exit_code(tmp_path, capsys):
             (["--expr", "S", "--A", bad, "--B", eye],
              "the perspective base, which must be strictly positive"),
             (["--expr", "perspective", "--f", "S", "--A", eye, "--B", bad],
-             "S on the whitened spectrum")):
+             "S on the whitened spectrum"),
+            # the entropy and the geometric mean are the registry's S and
+            # geometric bounds, and are named so
+            (["--expr", "S_ab", "--A", eye, "--B", bad],
+             "S on the whitened spectrum"),
+            (["--expr", "geomean", "--A", eye, "--B", bad],
+             "geometric on the whitened spectrum")):
         code = main(["compute"] + flags)
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
@@ -583,6 +589,17 @@ def test_oracle_has_no_tolerance_flag(tmp_path, capsys):
     assert config["tol"] == op.matcore.DEFAULT_LOEWNER_TOL
 
 
+def test_oracle_records_the_delta_asked_for(tmp_path):
+    # the primed generators take any delta > 0, so a delta below 1 runs
+    # as given, within the contract
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--trials", "3", "--dim", "2",
+                 "--delta", "0.5,2", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert [t["params"]["delta"] for t in report["trials"]] == [0.5, 2.0, 0.5]
+    assert report["summary"]["max_rel_dev"] <= ORACLE_CONTRACT
+
+
 @pytest.mark.parametrize("beta, count", [(1.0, 2), (0.5, 4), (2.0, 4)])
 def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
     # per h exponent, one eigh of A for its frame and one of the whitened
@@ -600,18 +617,22 @@ def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
     assert len(calls) == count
 
 
-@pytest.mark.parametrize("kind", ["harmonic", "geometric", "arithmetic"])
+@pytest.mark.parametrize("kind", ["harmonic", "geometric", "arithmetic", "S"])
 def test_oracle_pins_the_mean_generators(kind, monkeypatch):
-    # the oracle's means come from the registry generators that prop-means
-    # checks, and its expected values from independent closed forms, so a
-    # generator off by a relative 1e-6 breaks the contract
+    # the oracle's means, its geomean and its S come from the registry
+    # generators that prop-means checks and compute evaluates, and their
+    # expected values from closed forms that do not call the registry, so
+    # a generator off by a relative 1e-6 breaks the contract
+    rows = {"geometric": ("geometric_mean", "geomean"),
+            "S": ("S_ab", "S_a", "S")}.get(kind, (f"{kind}_mean",))
     real = bounds._GENERATORS[kind]
     monkeypatch.setitem(bounds._GENERATORS, kind,
                         lambda *args: real(*args) * (1.0 + 1e-6))
     cfg = RunConfig(dims=(3,), alphas=(0.5,), betas=(2.0,), deltas=(2.0,),
                     lams=(0.3,))
     devs = _oracle_trial(cfg, 0)["deviations"]
-    assert devs[f"{kind}_mean"] > ORACLE_CONTRACT
+    for row in rows:
+        assert devs[row] > ORACLE_CONTRACT, row
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

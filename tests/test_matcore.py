@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import opentropy as op
 from opentropy.gen import GenConfig, random_partner, random_spd
-from opentropy.matcore import _eigh, _fro, _resym
+from opentropy.matcore import _admit, _eigh, _fro, _resym
 from opentropy.perspective import PowerFrame
 
 RECON_TOL = 1e-10
@@ -166,6 +166,27 @@ def test_rejects_non_finite_entries(bad):
                 op.SymMatrix._computed(arr)
         assert type(computed.value) is type(full.value)
         assert str(computed.value) == str(full.value)
+
+
+def test_overflowing_norm_of_finite_entries_is_named():
+    # squares of entries above about 1.34e154 overflow, so the Frobenius
+    # norm is inf although every entry is finite; such a matrix is still
+    # rejected (an infinite Loewner scale would pass every link), with a
+    # message that says the norm overflows, for entering, computed and
+    # stacked matrices alike
+    arr = np.diag([1.0, 1e160])
+    message = ("matrix Frobenius norm overflows: every entry is finite, "
+               "the largest magnitude is 1e+160")
+    with np.errstate(over="ignore"):
+        for admit in (op.SymMatrix, op.SymMatrix._computed,
+                      lambda m: _admit(np.stack([np.eye(2), m]))):
+            with pytest.raises(op.OperatorError) as err:
+                admit(arr)
+            assert str(err.value) == message
+        with pytest.raises(op.OperatorError,
+                           match="entries must be finite: Frobenius norm "
+                                 "is inf"):
+            op.SymMatrix(np.diag([1e160, np.inf]))
 
 
 _ENTRIES = {

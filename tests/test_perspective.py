@@ -3,39 +3,31 @@ import pytest
 
 import opentropy as op
 from opentropy import bounds
-from opentropy.bounds import BOUND_KINDS, bound_spec
-from opentropy.entropy import geo_mean_spec, rel_entropy_spec
+from opentropy.bounds import BOUND_KINDS, scalar_generator
 from opentropy.gen import (GenConfig, random_diag_pair, random_spd,
                            random_spd_stack)
-from opentropy.perspective import (Frame, PerspectiveSpec, PowerFrame,
-                                   perspective)
-
-
-def _spec(f, beta):
-    return PerspectiveSpec(f=f, beta=beta)
+from opentropy.perspective import Frame, PowerFrame, perspective
 
 
 def test_identity_function_cancels_congruence():
     rng_cfg = GenConfig(dim=5, master_seed=1)
     b = random_spd(rng_cfg, 0)
     a = random_spd(rng_cfg, 0, salt=1)
-    out = perspective(_spec(lambda x: x, 1.5), a, b)
+    out = perspective(lambda x: x, a, b, 1.5)
     np.testing.assert_allclose(out.data, a.data,
                                atol=1e-10 * max(1.0, a.fro))
 
 
 def test_identity_base_reduces_to_f():
-    out = perspective(_spec(np.square, 1.0),
-                      op.SymMatrix.diagonal([1.0, 2.0]),
-                      op.SymMatrix.identity(2))
+    out = perspective(np.square, op.SymMatrix.diagonal([1.0, 2.0]),
+                      op.SymMatrix.identity(2), 1.0)
     np.testing.assert_allclose(out.data, np.diag([1.0, 4.0]), atol=1e-14)
 
 
 def test_diagonal_scalar_formula():
     # h(b) f(a/h(b)) entrywise: b * (a/b)^2 = a^2/b
-    out = perspective(_spec(np.square, 1.0),
-                      op.SymMatrix.diagonal([2.0, 6.0]),
-                      op.SymMatrix.diagonal([1.0, 3.0]))
+    out = perspective(np.square, op.SymMatrix.diagonal([2.0, 6.0]),
+                      op.SymMatrix.diagonal([1.0, 3.0]), 1.0)
     np.testing.assert_allclose(out.data, np.diag([4.0, 12.0]), atol=1e-13)
 
 
@@ -65,10 +57,10 @@ def test_commuting_oracle(field):
         check(op.rel_entropy_alpha_beta(a, b, alpha, beta),
               avals ** beta * x ** alpha * np.log(x))
         check(op.geo_mean(a, b, alpha, beta), avals ** beta * x ** alpha)
-        # a spec built directly, at an exponent off the suites' grid
+        # a perspective called directly, at an exponent off the suites' grid
         f = op.scalar_generator("II", alpha=0.5)
         h = bvals ** 1.5
-        check(perspective(_spec(f, 1.5), a, b), h * f(avals / h))
+        check(perspective(f, a, b, 1.5), h * f(avals / h))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -100,8 +92,8 @@ def test_positivity_transport():
         cfg = GenConfig(dim=5, master_seed=29)
         a = random_spd(cfg, trial)
         b = random_spd(cfg, trial, salt=1)
-        out = perspective(
-            _spec(op.scalar_generator("arithmetic", lam=0.3), 2.0), b, a)
+        out = perspective(op.scalar_generator("arithmetic", lam=0.3), b, a,
+                          2.0)
         zero = op.SymMatrix(np.zeros((5, 5)))
         assert op.loewner_leq(zero, out, 1e-9).holds
 
@@ -109,8 +101,7 @@ def test_positivity_transport():
 def test_base_must_be_strictly_positive():
     indefinite = op.SymMatrix.diagonal([1.0, -1.0])
     with pytest.raises(op.SpectrumError, match="strictly positive"):
-        perspective(_spec(np.square, 1.0), op.SymMatrix.identity(2),
-                    indefinite)
+        perspective(np.square, op.SymMatrix.identity(2), indefinite, 1.0)
 
 
 def test_h_must_be_positive_on_spectrum():
@@ -122,15 +113,16 @@ def test_h_must_be_positive_on_spectrum():
     # numpy's warnings about these values, as this does.  (A base entry
     # above about 1e154 is rejected sooner: its Frobenius norm overflows.)
     x = op.SymMatrix.identity(2)
-    specs = (bound_spec("I", 0.5, 8.0), geo_mean_spec(0.5, 8.0),
-             rel_entropy_spec(0.5, 8.0), _spec(np.square, 8.0))
     for base, blamed in (([1e-200, 1.0], "1e-200"), ([1.0, 1e100], "1e+100"),
                          ([1e-200, 1e100], "1e-200")):
         y = op.SymMatrix.diagonal(base)
-        for spec in specs:
+        for call in (lambda: op.bound("I", y, x, alpha=0.5, beta=8.0),
+                     lambda: op.geo_mean(y, x, 0.5, 8.0),
+                     lambda: op.rel_entropy_alpha_beta(y, x, 0.5, 8.0),
+                     lambda: perspective(np.square, x, y, 8.0)):
             with np.errstate(over="ignore", divide="ignore"):
                 with pytest.raises(op.OperatorError) as err:
-                    perspective(spec, x, y)
+                    call()
             assert str(err.value) == (
                 f"the power 8.0/2 of eigenvalue {blamed} of the perspective "
                 f"base over- or underflows")
@@ -139,20 +131,19 @@ def test_h_must_be_positive_on_spectrum():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_h_must_be_finite_on_spectrum(value):
-    # h = t^beta needs a finite beta; a non-finite one is rejected where
-    # the perspective is specified, naming beta, not later as a
+    # h = t^beta needs a finite beta; a non-finite one is rejected before
+    # the perspective builds its frame, naming beta, not later as a
     # non-finite result
     a = op.SymMatrix.diagonal([1.0, 2.0])
     b = op.SymMatrix.identity(2)
     for beta in (value, -value):
-        with pytest.raises(op.OperatorError) as err:
-            _spec(np.square, beta)
-        assert str(err.value) == f"beta must be finite, got {beta!r}"
-        for call in (lambda: op.bound("I", a, b, beta=beta),
+        for call in (lambda: perspective(np.square, a, b, beta),
+                     lambda: op.bound("I", a, b, beta=beta),
                      lambda: op.geo_mean(a, b, 0.5, beta),
                      lambda: op.rel_entropy_alpha_beta(a, b, 0.5, beta)):
-            with pytest.raises(op.OperatorError, match="beta must be finite"):
+            with pytest.raises(op.OperatorError) as err:
                 call()
+            assert str(err.value) == f"beta must be finite, got {beta!r}"
 
 
 def test_inner_spectrum_domain_error():
@@ -161,7 +152,7 @@ def test_inner_spectrum_domain_error():
     indefinite = op.SymMatrix.diagonal([1.0, -2.0])
     for f in (np.log, np.square):
         with pytest.raises(op.SpectrumError) as err:
-            perspective(_spec(f, 1.0), indefinite, op.SymMatrix.identity(2))
+            perspective(f, indefinite, op.SymMatrix.identity(2), 1.0)
         assert str(err.value) == ("eigenvalue -2.0 outside the open domain "
                                   "(0.0, inf) of f on the whitened spectrum")
 
@@ -173,9 +164,10 @@ def _bits(m):
     return m.data.tobytes()
 
 
-def _functions(alpha, beta):
-    return ([bound_spec(kind, alpha, beta, 2.0, 0.3).f for kind in BOUND_KINDS]
-            + [geo_mean_spec(alpha, beta).f, rel_entropy_spec(alpha, beta).f])
+def _functions(alpha):
+    return ([scalar_generator(kind, alpha, 2.0, 0.3) for kind in BOUND_KINDS]
+            + [scalar_generator("geometric", lam=alpha),
+               scalar_generator("S", alpha=alpha)])
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -188,8 +180,7 @@ def test_shared_whitening_gives_the_bits_of_each_call(dim, field):
     betas = [0.5, 1.0, 2.0]
     a = random_spd_stack(cfg, range(3))
     b = random_spd_stack(cfg, range(3), salt=1)
-    fns = [_functions(alpha, beta)
-           for alpha, beta in zip((0.0, 0.5, 2.0), betas)]
+    fns = [_functions(alpha) for alpha in (0.0, 0.5, 2.0)]
     frame = Frame(a, betas)
     together = frame.assemble(b, fns, "C")
     assert together.shape == (3, len(fns[0]), dim, dim)
@@ -304,8 +295,8 @@ def test_perspective_gives_the_bits_of_the_checker_terms(dim, field):
     b = random_spd_stack(cfg, range(len(betas)), salt=1)
     frame = Frame(a, betas)
     terms = bounds._terms(every_kind, params, frame, b)
-    means = frame.assemble(b, [[rel_entropy_spec(p.alpha, p.beta).f,
-                                geo_mean_spec(p.alpha, p.beta).f]
+    means = frame.assemble(b, [[scalar_generator("S", alpha=p.alpha),
+                                scalar_generator("geometric", lam=p.alpha)]
                                for p in params], "C")
     for t, p in enumerate(params):
         at = op.SymMatrix._computed(a[t])
@@ -365,4 +356,4 @@ def test_congruence_and_perspective_reject_disagreeing_operands(b):
         with pytest.raises(op.DimensionError, match="operands disagree"):
             congruence(x)
     with pytest.raises(op.DimensionError, match="operands disagree"):
-        perspective(_spec(np.square, 1.0), x, b)
+        perspective(np.square, x, b, 1.0)

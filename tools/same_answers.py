@@ -116,12 +116,15 @@ def _compute() -> list[list[str]]:
         ["--expr", "S", "--A", "a2r.json", "--B", "b2c.json"],
         ["--expr", "S", "--A", "a2r.json", "--B", "missing.json"],
         ["--expr", "I'", "--delta", "nan"] + _pair(2, "real"),
-        ["--expr", "S", "--A", "a2r.json", "--B", "indefinite.json"],
         ["--expr", "S", "--A", "indefinite.json", "--B", "a2r.json"],
         ["--expr", "perspective", "--f", "S", "--A", "indefinite.json",
          "--B", "indefinite.json"],
         ["--expr", "means", "--A", "indefinite.json", "--B", "a2r.json"],
     ]
+    # an indefinite B fails the check of the whitened spectrum, which
+    # names the generator
+    runs += [["--expr", expr, "--A", "a2r.json", "--B", "indefinite.json"]
+             for expr in ("S", "S_a", "S_ab", "geomean")]
     # A^{beta/2} overflows at beta 8 on the base diag(1, 1e100)
     for field in ("real", "complex"):
         runs += [["--expr", expr, "--beta", "8", "--A",
