@@ -379,8 +379,8 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     ``a[t]``, ``b[t]``, ``params[t]`` and ``trial_seeds[t]`` are trial
     ``t``'s inputs; ``a`` and ``b`` are ``(T, n, n)`` arrays of one dtype,
     each matrix self-adjoint as ``SymMatrix`` stores it.  Each stage runs
-    as stacked ``eigh``/``matmul`` calls, and each trial's results are
-    bitwise those of ``chain_check`` on that trial alone.
+    as stacked ``eigh``/``eigvalsh``/``matmul`` calls, and each trial's
+    results are bitwise those of ``chain_check`` on that trial alone.
 
     A caller that has already decomposed ``A`` passes ``frame``, the
     ``Frame`` of ``a`` at each trial's effective beta, and, for a suite

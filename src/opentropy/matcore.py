@@ -365,8 +365,16 @@ def _loewner(diff: np.ndarray, lhs_fro, rhs_fro):
     axes of ``diff = rhs - lhs``, given the operands' ``_fro`` norms: the
     smallest eigenvalue of ``diff``, admitted as ``SymMatrix._computed``
     admits it, and ``max(1, ||lhs||_F, ||rhs||_F)``.  The comparison holds
-    at ``tol`` when ``margin >= -tol * scale``."""
-    margin = _eigh(_admit(diff)).eigenvalues[..., 0]
+    at ``tol`` when ``margin >= -tol * scale``.
+
+    The margin comes from LAPACK's eigenvalues-only routine (``eigvalsh``),
+    not from ``_eigh``: no eigenvectors are formed, so it can differ from
+    ``sym_eig``'s smallest eigenvalue in its last bits.  A LAPACK failure
+    raises the ``ConvergenceError`` that ``_eigh`` raises."""
+    try:
+        margin = np.linalg.eigvalsh(_admit(diff))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return margin, np.maximum(np.maximum(1.0, lhs_fro), rhs_fro)
 
 

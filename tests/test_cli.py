@@ -297,6 +297,20 @@ def test_negative_tolerance_is_a_hypothesis_error(capsys, draw_alone):
     assert capsys.readouterr().err == f"error: {run.value}\n"
 
 
+def _count_solvers(monkeypatch, counts):
+    """Make ``np.linalg.eigh`` and ``eigvalsh`` add the number of matrices
+    of each call to ``counts()[name]``."""
+    def counting(name, real):
+        def solver(arr, *args, **kwargs):
+            counts()[name] += int(np.prod(arr.shape[:-2]))
+            return real(arr, *args, **kwargs)
+        return solver
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+
+
 def test_passing_run_never_reruns(monkeypatch):
     # a passing run draws and checks each (chunk, dim) as one stack, hands
     # the draw's A frame and hypothesis margins to the checker, and never
@@ -304,9 +318,9 @@ def test_passing_run_never_reruns(monkeypatch):
     # same bytes more slowly
     from opentropy import cli
 
-    draws, stacked, decomposed = [], [], []
+    draws, stacked = [], []
+    decomposed = {"eigh": 0, "eigvalsh": 0}
     draw, stack_check = cli._draw, cli.chain_check_stack
-    real_eigh = np.linalg.eigh
 
     def counting_draw(cfg, trials):
         draws.append(list(trials))
@@ -319,13 +333,9 @@ def test_passing_run_never_reruns(monkeypatch):
         return stack_check(suite, a, b, params, tol, trial_seeds, frame,
                            hypothesis)
 
-    def counting_eigh(arr, *args, **kwargs):
-        decomposed.append(int(np.prod(arr.shape[:-2])))
-        return real_eigh(arr, *args, **kwargs)
-
     monkeypatch.setattr(cli, "_draw", counting_draw)
     monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _count_solvers(monkeypatch, lambda: decomposed)
     cfg = RunConfig(suite="cor-delta-le", trials=cli.CHUNK_TRIALS + 9,
                     dims=(2, 3, 4), field="complex", seed=3,
                     deltas=(1.0, 2.0))
@@ -333,10 +343,10 @@ def test_passing_run_never_reruns(monkeypatch):
     assert draws == [list(range(cli.CHUNK_TRIALS)),
                      list(range(cli.CHUNK_TRIALS, cfg.trials))]
     assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 4)]
-    # per trial: W's top eigenvalue (skipped on the 4 exact-boundary
-    # trials 0, 20, 40, 60), A's frame, the hypothesis margin, the
-    # whitened B and the 8 links
-    assert sum(decomposed) == 73 * 12 - 4
+    # per trial, full decompositions: W's top eigenvalue (skipped on the
+    # 4 exact-boundary trials 0, 20, 40, 60), A's frame and the whitened
+    # B; eigenvalues only: the hypothesis margin and the 8 links
+    assert decomposed == {"eigh": 73 * 3 - 4, "eigvalsh": 73 * 9}
 
 
 def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
@@ -351,7 +361,6 @@ def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
 
     draws, seen, decomposed = [], [], []
     draw, stack_check = cli._draw, cli.chain_check_stack
-    real_eigh = np.linalg.eigh
 
     def plant(stacks):
         planted = []
@@ -366,7 +375,7 @@ def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
 
     def planted_draw(cfg, trials):
         draws.append(list(trials))
-        decomposed.append(0)
+        decomposed.append({"eigh": 0, "eigvalsh": 0})
         return plant(draw(cfg, trials))
 
     def chain_check_stack(suite, a, b, params, tol, trial_seeds, frame,
@@ -375,10 +384,6 @@ def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
                      hypothesis is not None))
         return stack_check(suite, a, b, params, tol, trial_seeds, frame,
                            hypothesis)
-
-    def counting_eigh(arr, *args, **kwargs):
-        decomposed[-1] += int(np.prod(arr.shape[:-2]))
-        return real_eigh(arr, *args, **kwargs)
 
     def check_alone(trials):
         group, a, b, params, frame, hypothesis = plant(draw(cfg, trials))[0]
@@ -393,19 +398,18 @@ def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
         check_alone([5])
     monkeypatch.setattr(cli, "_draw", planted_draw)
     monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _count_solvers(monkeypatch, lambda: decomposed[-1])
     with pytest.raises(op.OperatorError) as run:
         cli.run_suite(cfg)
     assert draws == [list(range(9))] + [[t] for t in range(6)]
     assert seen == [(list(range(9)), True, True)] + [
         ([t], True, True) for t in range(6)]
-    # a passing trial checked again: W's top eigenvalue (skipped on the
-    # exact-boundary trial 0), A's frame, the hypothesis margin, the
-    # whitened B and the 8 links; the one-trial generators followed by
-    # chain_check decompose A and the hypothesis difference twice (14, and
-    # 13 on trial 0)
-    assert decomposed[1:6] == [12 - (t % gen.BOUNDARY_EVERY == 0)
-                               for t in range(5)]
+    # a passing trial checked again, in full: W's top eigenvalue (skipped
+    # on the exact-boundary trial 0), A's frame and the whitened B;
+    # eigenvalues only: the hypothesis margin and the 8 links
+    assert decomposed[1:6] == [
+        {"eigh": 3 - (t % gen.BOUNDARY_EVERY == 0), "eigvalsh": 9}
+        for t in range(5)]
     assert type(run.value) is type(alone.value)
     assert str(run.value) == str(alone.value)
 

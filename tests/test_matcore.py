@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import opentropy as op
 from opentropy.gen import GenConfig, random_partner, random_spd
-from opentropy.matcore import _admit, _eigh, _fro, _resym
+from opentropy.matcore import _admit, _eigh, _fro, _loewner, _resym
 from opentropy.perspective import PowerFrame
 
 RECON_TOL = 1e-10
@@ -381,6 +381,93 @@ def test_loewner_dimension_mismatch():
     with pytest.raises(op.DimensionError):
         op.loewner_leq(op.SymMatrix.identity(2),
                        op.SymMatrix.identity(2, "complex"))
+
+
+def _random_pairs(field):
+    """Random self-adjoint pairs at dims 1-8, 17 and 32: most differences
+    indefinite, and one per dim a singular PSD difference, margin ~0."""
+    rng = np.random.default_rng(1901 if field == "real" else 1902)
+    for dim in list(range(1, 9)) + [17, 32]:
+        for _ in range(4):
+            yield _random_sym(rng, dim, field), _random_sym(rng, dim, field)
+        a = _random_sym(rng, dim, field)
+        g = _random_sym(rng, dim, field).data[:, :max(1, dim - 1)]
+        yield a, a + op.SymMatrix._computed(g @ g.conj().T)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_loewner_margin_agrees_with_sym_eig(field):
+    # the margin comes from eigenvalues only, so it may differ from
+    # sym_eig's smallest eigenvalue in its last bits, never in the verdict
+    for a, b in _random_pairs(field):
+        verdict = op.loewner_leq(a, b)
+        smallest = float(op.sym_eig(b - a).eigenvalues[0])
+        assert abs(verdict.margin - smallest) <= 1e-12 * verdict.scale
+        assert verdict.holds == (smallest >= -verdict.tol * verdict.scale)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stacked_loewner_gives_the_bits_of_loewner_leq(field):
+    # chain_check_stack reproduces chain_check bit for bit only while a
+    # stacked margin equals the one-pair margin, matrix by matrix
+    pairs = {}
+    for a, b in _random_pairs(field):
+        pairs.setdefault(a.dim, []).append((a, b))
+    for dim, group in pairs.items():
+        lhs = np.stack([a.data for a, _ in group]).reshape(-1, 1, dim, dim)
+        rhs = np.stack([b.data for _, b in group]).reshape(-1, 1, dim, dim)
+        # (T, L, n, n) as _links stacks its link differences
+        lhs, rhs = lhs[:, [0, 0]], rhs[:, [0, 0]]
+        margin, scale = _loewner(rhs - lhs, _fro(lhs), _fro(rhs))
+        for t, (a, b) in enumerate(group):
+            one = op.loewner_leq(a, b)
+            for k in range(2):
+                assert margin[t, k].tobytes() == np.float64(
+                    one.margin).tobytes(), dim
+                assert scale[t, k] == one.scale
+
+
+def test_loewner_reports_lapack_failure_as_convergence_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    a = op.SymMatrix.diagonal([2.0, 1.0])
+    message = "eigendecomposition failed: Eigenvalues did not converge"
+    with pytest.raises(op.matcore.ConvergenceError) as leq:
+        op.loewner_leq(a, 2.0 * a)
+    with pytest.raises(op.matcore.ConvergenceError) as chain:
+        op.chain_check("thm-main1", a, 2.0 * a)
+    assert str(leq.value) == str(chain.value) == message
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(op.matcore.ConvergenceError) as eig:
+        op.sym_eig(a)
+    assert str(eig.value) == message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_loewner_checks_finiteness_before_decomposing(monkeypatch):
+    # a difference whose norm overflows is rejected as SymMatrix._computed
+    # rejects it, and a stack with one non-finite difference decomposes
+    # none of them
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(arr, *args, **kwargs):
+        calls.append(arr.shape)
+        return real(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    big = op.SymMatrix.diagonal([1e154, 1.0])
+    with pytest.raises(op.OperatorError, match="norm overflows") as leq:
+        op.loewner_leq(big, -1.0 * big)
+    with pytest.raises(op.OperatorError) as computed:
+        (-1.0 * big) - big
+    assert str(leq.value) == str(computed.value)
+    diff = np.stack([np.eye(2), np.diag([1.0, np.inf])])
+    with pytest.raises(op.OperatorError, match="entries must be finite"):
+        _loewner(diff, _fro(diff), _fro(diff))
+    assert calls == []
 
 
 @settings(max_examples=20, deadline=None)

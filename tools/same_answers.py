@@ -7,10 +7,16 @@ command line of ``argvs()`` then runs as ``python -m opentropy ARGV`` once
 per tree, with ``PYTHONPATH`` set to that tree's ``src`` and in a fresh
 working directory per tree holding the same seeded matrix files.  Each
 run's exit status, stdout, stderr (tree and working-directory paths
-normalized) and ``--out`` bytes are compared.  The script prints one line
-per differing run, with the JSON values that moved when both reports
-parse, then the count of runs per exit status on each side.  It exits 0
-when every run agrees and 1 otherwise.
+normalized) and ``--out`` bytes are compared.
+
+The script prints one line per differing run, with the JSON values that
+moved when both reports parse and the largest scaled change
+``|new - old| / max(1, |old|, |new|)`` of a moved float.  The run is marked
+``numbers only`` when every moved report value is a float and the exit
+status, stderr and stdout (its floats aside) agree, and ``verdict moved``
+otherwise.  It then prints the count of runs per exit status on each side
+and of differing runs of each kind.  It exits 0 when every run agrees and
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import argparse
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -210,34 +217,57 @@ def _leaves(obj, path=""):
         yield path, obj
 
 
-def _report_diff(old: bytes, new: bytes) -> str:
+NUMBERS_ONLY, VERDICT_MOVED = "numbers only", "verdict moved"
+# a float as the CLI prints it; integers (trial counts) stay literal
+_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
+                    r"|\b(?:inf|nan)\b)")
+
+
+def _report_diff(old: bytes, new: bytes) -> tuple[str, list[float] | None]:
+    """A phrase naming the report values that moved, and the scaled
+    change ``|new - old| / max(1, |old|, |new|)`` of each when every moved
+    value is a float on both sides (``None`` when another value moved, or
+    a report does not parse)."""
     try:
         a = dict(_leaves(json.loads(old)))
         b = dict(_leaves(json.loads(new)))
     except ValueError:
-        return "out bytes differ"
+        return "out bytes differ", None
     moved = [k for k in a.keys() | b.keys() if a.get(k) != b.get(k)]
-    gaps = [abs(a[k] - b[k]) for k in moved
+    gaps = [abs(a[k] - b[k]) / max(1.0, abs(a[k]), abs(b[k])) for k in moved
             if isinstance(a.get(k), float) and isinstance(b.get(k), float)]
     names = sorted({k.rsplit(".", 1)[-1].split("[")[0] for k in moved})
-    worst = f", max |change| {max(gaps):.3g}" if gaps else ""
-    return f"out: {len(moved)} values differ{worst}, keys {','.join(names)}"
+    worst = f", max scaled change {max(gaps):.3g}" if gaps else ""
+    return (f"out: {len(moved)} values differ{worst}, keys {','.join(names)}",
+            gaps if len(gaps) == len(moved) else None)
 
 
-def compare(old: tuple, new: tuple) -> list[str]:
-    """What differs between two ``_run`` results, one phrase each."""
-    notes = []
+def compare(old: tuple, new: tuple) -> tuple[list[str], str | None, float]:
+    """What differs between two ``_run`` results: one phrase each, the
+    kind of difference (``None`` when they agree) and the largest scaled
+    change of a moved report float."""
+    notes, numbers_only, gaps = [], True, []
     if old[0] != new[0]:
         notes.append(f"exit {old[0]} -> {new[0]}")
+        numbers_only = False
     if old[1] != new[1]:
         notes.append("stdout differs")
+        numbers_only &= _FLOAT.sub("#", old[1]) == _FLOAT.sub("#", new[1])
     if old[2] != new[2]:
         notes.append(f"stderr {old[2]!r} -> {new[2]!r}")
+        numbers_only = False
     if old[3] != new[3]:
-        notes.append("out present only on one side"
-                     if old[3] is None or new[3] is None
-                     else _report_diff(old[3], new[3]))
-    return notes
+        if old[3] is None or new[3] is None:
+            notes.append("out present only on one side")
+            numbers_only = False
+        else:
+            phrase, gaps = _report_diff(old[3], new[3])
+            notes.append(phrase)
+            numbers_only &= gaps is not None
+    if not notes:
+        return notes, None, 0.0
+    return (notes, NUMBERS_ONLY if numbers_only else VERDICT_MOVED,
+            max(gaps or [0.0]))
 
 
 def main(argv=None) -> int:
@@ -262,18 +292,23 @@ def main(argv=None) -> int:
             results = [[pool.submit(_run, tree, workdir, run) for run in runs]
                        for tree, workdir in sides]
             old, new = ([f.result() for f in side] for side in results)
-    differ = 0
+    kinds, worst = {NUMBERS_ONLY: 0, VERDICT_MOVED: 0}, 0.0
     for run, a, b in zip(runs, old, new):
-        notes = compare(a, b)
-        if notes:
-            differ += 1
-            print(f"DIFF {' '.join(run[:-2])}: {'; '.join(notes)}")
+        notes, kind, gap = compare(a, b)
+        if kind:
+            kinds[kind] += 1
+            worst = max(worst, gap)
+            print(f"DIFF [{kind}] {' '.join(run[:-2])}: {'; '.join(notes)}")
+    differ = sum(kinds.values())
     for label, side in ((args.rev, old), ("tree", new)):
         counts = {}
         for result in side:
             counts[result[0]] = counts.get(result[0], 0) + 1
         print(f"{label}: " + ", ".join(f"exit {code}: {n}"
                                        for code, n in sorted(counts.items())))
+    print(f"{kinds[NUMBERS_ONLY]} runs differ in numbers only, max scaled "
+          f"change {worst:.3g}")
+    print(f"{kinds[VERDICT_MOVED]} runs differ with a verdict moved")
     print(f"{differ} of {len(runs)} runs differ")
     return 1 if differ else 0
 
