@@ -43,7 +43,7 @@ from .entropy import (
 from .gen import (
     DIM_CAP,
     GenConfig,
-    random_diag_pair,
+    random_diag_pair_stack,
     random_partner_stack,
     random_spd_stack,
 )
@@ -59,6 +59,8 @@ EXIT_USAGE = 2
 ORACLE_CONTRACT = 1e-10
 # trials per stacked check; bounds the (T, K, n, n) term stacks at dim 32
 CHUNK_TRIALS = 64
+# matrix entries T * n**2 per oracle stack: 4 trials at dim 32, 64 at dim 8
+ORACLE_CHUNK_ENTRIES = 4096
 
 
 def _number(cast, token: str):
@@ -267,23 +269,17 @@ def _scalar_means(a: float, b: float, lam: float):
             (1.0 - lam) * a + lam * b)
 
 
-def _oracle_deviation(term: np.ndarray, expected: np.ndarray) -> float:
-    diff = np.abs(term - np.diag(expected).astype(term.dtype)).max()
-    return float(diff / max(1.0, float(np.abs(expected).max())))
-
-
-def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
-    gcfg, p = cfg.decode(trial)
+def _oracle_table(p: ChainParams, avals: np.ndarray,
+                  bvals: np.ndarray) -> list:
+    """One trial's oracle rows ``(name, h exponent e, f, closed form)``
+    for the diagonal pair ``diag(avals)``, ``diag(bvals)``: the matrix
+    ``A^{e/2} f(C) A^{e/2}``, ``C = A^{-e/2} B A^{-e/2}``, is assembled as
+    ``chain_check_stack`` assembles terms and compared with the closed
+    form on its diagonal.  Rows at ``t^beta`` come first, then rows at
+    ``t^1``."""
     alpha, beta, delta, lam = p.alpha, p.beta, p.delta, p.lam
-    if not 0.0 <= lam <= 1.0:
-        raise OperatorError(f"lambda must lie in [0, 1], got {lam!r}")
-    a, b = random_diag_pair(gcfg, trial)
-    avals = np.diagonal(a.data).real
-    bvals = np.diagonal(b.data).real
     x = bvals / avals ** beta
     s_alpha = scalar_generator("S", alpha=alpha)
-    # (name, h exponent e, f, closed form): A^{e/2} f(C) A^{e/2}, with
-    # C = A^{-e/2} B A^{-e/2}, assembled as chain_check_stack assembles terms
     gens = {kind: scalar_generator(kind, alpha, delta, lam)
             for kind in BOUND_KINDS}
     table = [(kind, beta, g, avals ** beta * g(x)) for kind, g in gens.items()]
@@ -300,21 +296,72 @@ def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
     table += [(f"{kind}_mean", 1.0, scalar_generator(kind, lam=lam), expected)
               for kind, expected in zip(("harmonic", "geometric", "arithmetic"),
                                         _scalar_means(avals, bvals, lam))]
-    devs: dict[str, float] = {}
-    # one frame and one assembly per h = t^e: t^beta first, then t^1
-    for e in dict.fromkeys(row[1] for row in table):
-        rows = [row for row in table if row[1] == e]
-        terms = Frame(a.data[None], [e]).assemble(
-            b.data[None], [[row[2] for row in rows]], "the whitened B")[0]
-        for (name, _, _, expected), term in zip(rows, terms):
-            devs[name] = _oracle_deviation(term, expected)
-    return {
-        "trial_seed": trial,
-        "params": {"alpha": alpha, "beta": beta, "delta": delta,
-                   "lambda": lam, "dim": gcfg.dim},
-        "max_rel_dev": max(devs.values()),
-        "deviations": devs,
-    }
+    return table
+
+
+def _oracle_deviation(terms: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """``max |term - diag(expected)| / max(1, max |expected|)`` for each
+    matrix of a ``(T, K, n, n)`` stack and its ``(T, K, n)`` closed forms.
+    Off the diagonal ``|term - 0|`` is ``|term|``, so no second complex
+    stack is built."""
+    diag = range(terms.shape[-1])
+    dev = np.abs(terms)
+    dev[..., diag, diag] = np.abs(terms[..., diag, diag] - expected)
+    return dev.max(axis=(-2, -1)) / np.maximum(
+        1.0, np.abs(expected).max(axis=-1))
+
+
+def _oracle_check(cfg: RunConfig, trials) -> list:
+    """Check ``trials`` as one stack per dim and row layout (whether beta
+    is 1); one record per trial, in order.
+
+    Each stack is drawn by one ``random_diag_pair_stack`` call and gets
+    one ``Frame`` of its A's and one ``Frame.assemble`` call per h
+    exponent, ``t^beta`` then ``t^1`` (one frame when beta is 1), with
+    each trial's own functions; the records are bitwise those of checking
+    each trial alone.
+    """
+    stacks: dict[tuple, list] = {}
+    for trial in trials:
+        gcfg, p = cfg.decode(trial)
+        if not 0.0 <= p.lam <= 1.0:
+            raise OperatorError(f"lambda must lie in [0, 1], got {p.lam!r}")
+        stacks.setdefault((gcfg, p.beta == 1.0), []).append((trial, p))
+    records = {}
+    for (gcfg, _), drawn in stacks.items():
+        a, b = random_diag_pair_stack(gcfg, [trial for trial, _ in drawn])
+        layouts = []
+        for i, (_, p) in enumerate(drawn):
+            table = _oracle_table(p, np.diagonal(a[i]).real,
+                                  np.diagonal(b[i]).real)
+            layouts.append([(e, [row for row in table if row[1] == e])
+                            for e in dict.fromkeys(row[1] for row in table)])
+        devs: list[dict[str, float]] = [{} for _ in drawn]
+        # one frame stack and one assembly per h = t^e: t^beta, then t^1
+        for slot in zip(*layouts):
+            dev = _oracle_deviation(
+                Frame(a, [e for e, _ in slot]).assemble(
+                    b, [[row[2] for row in rows] for _, rows in slot],
+                    "the whitened B"),
+                np.array([[row[3] for row in rows] for _, rows in slot]))
+            for i, (_, rows) in enumerate(slot):
+                for (name, *_), d in zip(rows, dev[i]):
+                    devs[i][name] = float(d)
+        for (trial, p), d in zip(drawn, devs):
+            records[trial] = {
+                "trial_seed": trial,
+                "params": {"alpha": p.alpha, "beta": p.beta,
+                           "delta": p.delta, "lambda": p.lam,
+                           "dim": gcfg.dim},
+                "max_rel_dev": max(d.values()),
+                "deviations": d,
+            }
+    return [records[trial] for trial in trials]
+
+
+def _oracle_trial(cfg: RunConfig, trial: int) -> dict:
+    """Check trial ``trial`` alone: ``_oracle_check`` on a chunk of one."""
+    return _oracle_check(cfg, [trial])[0]
 
 
 def _reference_table() -> dict:
@@ -326,8 +373,25 @@ def _reference_table() -> dict:
 
 
 def oracle_compare(cfg: RunConfig) -> dict:
-    """Diagonal-pair oracle: matrix path vs scalar closed forms."""
-    trials = [_oracle_trial(cfg, t) for t in range(cfg.trials)]
+    """Diagonal-pair oracle: matrix path vs scalar closed forms.
+
+    Consecutive trials are checked in chunks of at most ``CHUNK_TRIALS``,
+    and of at most ``ORACLE_CHUNK_ENTRIES / n**2`` at the run's largest dim
+    ``n``, as ``_oracle_check`` stacks, which give the same bits as
+    checking them one at a time.  When anything in a chunk fails, its
+    trials are checked again one at a time and the first error is raised:
+    that of the lowest failing trial.
+    """
+    size = min(CHUNK_TRIALS, ORACLE_CHUNK_ENTRIES // max(cfg.dims) ** 2)
+    trials = []
+    for start in range(0, cfg.trials, size):
+        chunk = range(start, min(start + size, cfg.trials))
+        try:
+            trials.extend(_oracle_check(cfg, chunk))
+        except OperatorError:
+            for trial in chunk:
+                _oracle_trial(cfg, trial)
+            raise
     max_dev = max((t["max_rel_dev"] for t in trials), default=0.0)
     return {
         "tool_version": __version__,

@@ -8,8 +8,10 @@ trials that share one dim: each trial's scalars (its Gaussians, its
 log-uniform spectrum, its target uniform) come from its own streams, and
 the matrix work (QR, frame products, the top eigenvalue of ``W``, the
 congruence by ``A^{beta/2}`` and the hypothesis confirmation) runs as
-stacked calls, each bitwise the per-matrix call.  ``random_spd`` and
-``random_partner`` are their one-trial cases.
+stacked calls, each bitwise the per-matrix call.  ``random_spd``,
+``random_partner`` and ``random_diag_pair`` are the one-trial cases of
+``random_spd_stack``, ``random_partner_stack`` and
+``random_diag_pair_stack``.
 """
 
 from __future__ import annotations
@@ -213,10 +215,20 @@ def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
     return SymMatrix._computed(b[0])
 
 
+def random_diag_pair_stack(cfg: GenConfig, trials):
+    """``random_diag_pair(cfg, trial)`` of each of ``trials``, as two
+    ``(T, n, n)`` arrays symmetrized as ``SymMatrix`` stores them."""
+    vals = np.array([[_log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi,
+                                   cfg.dim) for _ in "ab"]
+                     for rng in _streams(cfg, trials, _SALT_DIAG)])
+    dtype = np.complex128 if cfg.field == "complex" else np.float64
+    pair = np.zeros((2, len(trials), cfg.dim, cfg.dim), dtype=dtype)
+    pair[..., range(cfg.dim), range(cfg.dim)] = vals.swapaxes(0, 1)
+    return _admit(pair[0]), _admit(pair[1])
+
+
 def random_diag_pair(cfg: GenConfig, trial: int) -> tuple[SymMatrix, SymMatrix]:
-    """Simultaneously diagonal strictly positive pair, for the scalar oracle."""
-    rng = next(_streams(cfg, [trial], _SALT_DIAG))
-    avals = _log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi, cfg.dim)
-    bvals = _log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi, cfg.dim)
-    return (SymMatrix.diagonal(avals, cfg.field),
-            SymMatrix.diagonal(bvals, cfg.field))
+    """Simultaneously diagonal strictly positive pair, for the scalar
+    oracle: the one-trial case of ``random_diag_pair_stack``."""
+    a, b = random_diag_pair_stack(cfg, [trial])
+    return SymMatrix._computed(a[0]), SymMatrix._computed(b[0])

@@ -621,6 +621,143 @@ def test_oracle_trial_whitens_once_per_h(beta, count, monkeypatch):
     assert len(calls) == count
 
 
+def _spy_oracle_chunks(monkeypatch):
+    """Record the trials of every ``cli._oracle_check`` call."""
+    from opentropy import cli
+
+    chunks, check = [], cli._oracle_check
+
+    def spy(cfg, trials):
+        chunks.append(list(trials))
+        return check(cfg, trials)
+
+    monkeypatch.setattr(cli, "_oracle_check", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims, trials, size", [
+    # the dim-32 cap keeps 4 trials per chunk, each of dims 2, 5 and 32
+    ((2, 5, 32), 30, 4),
+    # at dims up to 8 the chunks hold 64 trials, as verify's do
+    ((2, 5), 70, 64),
+])
+def test_stacked_oracle_gives_the_bits_of_one_trial_at_a_time(
+        field, dims, trials, size, monkeypatch):
+    from opentropy import cli
+
+    cfg = RunConfig(trials=trials, dims=dims, field=field, alphas=(0.5, 2.0),
+                    betas=(0.5, 1.0, 2.0), deltas=(2.0,), lams=(0.3,))
+    chunks = _spy_oracle_chunks(monkeypatch)
+    report = cli.oracle_compare(cfg)
+    assert chunks == [list(range(start, min(start + size, trials)))
+                      for start in range(0, trials, size)]
+    assert {t["params"]["dim"] for t in report["trials"]} == set(dims)
+    monkeypatch.undo()
+    for trial, record in enumerate(report["trials"]):
+        alone = _oracle_trial(cfg, trial)
+        assert json.dumps(record, sort_keys=True) == json.dumps(
+            alone, sort_keys=True), trial
+    assert report["summary"]["max_rel_dev"] <= ORACLE_CONTRACT
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stacked_oracle_deviation_gives_the_bits_of_the_scalar_formula(
+        field):
+    # the one-matrix formula the stacked deviation replaces; a NaN closed
+    # form makes both NaN, whichever max takes it
+    from opentropy.cli import _oracle_deviation
+
+    def one_at_a_time(term, expected):
+        diff = np.abs(term - np.diag(expected).astype(term.dtype)).max()
+        return float(diff / max(1.0, float(np.abs(expected).max())))
+
+    rng = np.random.default_rng(29)
+    for dim in (1, 2, 5, 32):
+        terms = rng.standard_normal((3, 4, dim, dim))
+        if field == "complex":
+            terms = terms + 1j * rng.standard_normal((3, 4, dim, dim))
+        expected = np.diagonal(terms, axis1=-2, axis2=-1).real * (
+            1.0 + 1e-9 * rng.standard_normal((3, 4, dim)))
+        expected *= np.logspace(-2, 2, 4)[:, None]
+        expected[0, 0] = 1.0
+        expected[2, 3, 0] = np.nan
+        dev = _oracle_deviation(terms, expected)
+        for t, k in itertools.product(range(3), range(4)):
+            want = one_at_a_time(terms[t, k], expected[t, k])
+            assert np.array(float(dev[t, k])).tobytes() == np.array(
+                want).tobytes(), (dim, t, k)
+
+
+@pytest.mark.parametrize("trials", [3, 12, 64])
+def test_oracle_chunk_decomposes_one_stack_per_frame(trials, monkeypatch):
+    # a chunk draws one stack per row layout, beta 1 or not, and makes a
+    # fixed number of eigh calls on (T_g, n, n) stacks however many trials
+    # it holds: A's frame and the whitened B at t^beta and at t^1, 4
+    # matrices per trial, and at beta 1 one frame, 2 matrices per trial
+    from opentropy import cli
+
+    real_eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(arr, *args, **kwargs):
+        calls.append(arr.shape)
+        return real_eigh(arr, *args, **kwargs)
+
+    cfg = RunConfig(trials=trials, dims=(3,), alphas=(0.5,),
+                    betas=(0.5, 1.0, 2.0), deltas=(2.0,), lams=(0.3,))
+    chunks = _spy_oracle_chunks(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cli.oracle_compare(cfg)
+    assert chunks == [list(range(trials))]
+    at_one = len(range(1, trials, 3))
+    others = trials - at_one
+    assert calls == [(others, 3, 3)] * 4 + [(at_one, 3, 3)] * 2
+    assert sum(shape[0] for shape in calls) == 4 * others + 2 * at_one
+
+
+@pytest.mark.parametrize("flags, plant, failing", [
+    # trial 1's A^400 whitening overflows inside a chunk whose trial 0
+    # passes
+    (["--beta", "0.5,400"], None, 1),
+    (["--lam", "0.5,1.5"], None, 1),
+    # the chunk meets trial 3's lambda before it draws anything, but the
+    # lowest failing trial is 1, whose whitened B is negative definite
+    (["--lam", "0.5,0.5,0.5,1.5"], 1, 1),
+])
+def test_oracle_chunk_raises_the_lowest_failing_trial(flags, plant, failing,
+                                                      monkeypatch, capsys):
+    from opentropy import cli
+
+    argv = ["oracle", "--trials", "6", "--dim", "2"] + flags
+    cfg = cli._config_from_args(build_parser().parse_args(argv))
+    draw = cli.random_diag_pair_stack
+
+    def planted(gcfg, trials):
+        # the B of trial `plant`, if any, becomes negative definite
+        a, b = draw(gcfg, trials)
+        b = b.copy()
+        b[[i for i, t in enumerate(trials) if t == plant]] *= -1.0
+        return a, b
+
+    monkeypatch.setattr(cli, "random_diag_pair_stack", planted)
+    # as under main, numpy does not warn about the values that are rejected
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for trial in range(failing):
+            _oracle_trial(cfg, trial)
+        with pytest.raises(op.OperatorError) as alone:
+            _oracle_trial(cfg, failing)
+        chunks = _spy_oracle_chunks(monkeypatch)
+        with pytest.raises(op.OperatorError) as run:
+            cli.oracle_compare(cfg)
+    assert chunks == [list(range(6))] + [[t] for t in range(failing + 1)]
+    assert type(run.value) is type(alone.value)
+    assert str(run.value) == str(alone.value)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {alone.value}\n"
+
+
 @pytest.mark.parametrize("kind", ["harmonic", "geometric", "arithmetic", "S"])
 def test_oracle_pins_the_mean_generators(kind, monkeypatch):
     # the oracle's means, its geomean and its S come from the registry

@@ -7,6 +7,7 @@ from opentropy.gen import (
     GenConfig,
     GenerationError,
     random_diag_pair,
+    random_diag_pair_stack,
     random_partner,
     random_spd,
 )
@@ -105,6 +106,30 @@ def test_diag_pair_is_diagonal_and_positive():
         off = m.data - np.diag(np.diagonal(m.data))
         assert np.max(np.abs(off)) == 0.0
         assert np.all(np.diagonal(m.data).real > 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_diag_pair_stack_gives_the_bits_of_one_trial_draws(field):
+    # the oracle draws each (chunk, dim, row layout) as one stack; every
+    # trial's pair must be the one-trial draw, whatever trials share it,
+    # and that draw the diagonal SymMatrix of its own Philox stream
+    from opentropy import gen
+
+    for dim in (1, 2, 5, 32):
+        cfg = GenConfig(dim=dim, field=field, master_seed=17)
+        trials = [0, 3, 1, 64, 65, 2 ** 40]
+        a, b = random_diag_pair_stack(cfg, trials)
+        assert a.shape == b.shape == (len(trials), dim, dim)
+        for i, trial in enumerate(trials):
+            rng = np.random.Generator(np.random.Philox(
+                key=[cfg.master_seed, trial * gen._STREAMS + gen._SALT_DIAG]))
+            pair = [op.SymMatrix.diagonal(
+                        0.1 * 100.0 ** rng.uniform(0.0, 1.0, size=dim), field)
+                    for _ in "ab"]
+            one = random_diag_pair(cfg, trial)
+            for stack, alone, want in zip((a, b), one, pair):
+                assert stack[i].tobytes() == want.data.tobytes()
+                assert alone.data.tobytes() == want.data.tobytes()
 
 
 def test_generation_error_is_operator_error():

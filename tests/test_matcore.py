@@ -2,14 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import opentropy as op
 from opentropy.gen import GenConfig, random_partner, random_spd
 from opentropy.matcore import _admit, _eigh, _fro, _loewner, _resym
-from opentropy.perspective import PowerFrame
+from opentropy.perspective import Frame, PowerFrame
 
 RECON_TOL = 1e-10
 ORTHO_TOL = 1e-11
@@ -278,6 +278,134 @@ def test_rejects_non_self_adjoint():
 def test_rejects_non_square():
     with pytest.raises(op.DimensionError):
         op.SymMatrix(np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# admission boundary
+
+_FIELDS = st.sampled_from(("real", "complex"))
+
+
+def _unitary(rng, dim, field):
+    g = rng.standard_normal((dim, dim))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=_FIELDS, seed=st.integers(0, 10_000),
+       values=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+       counts=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+@example(field="complex", seed=0, values=[2.0], counts=[3, 1, 1])
+def test_repeated_eigenvalues_are_resolved(field, seed, values, counts):
+    # an eigenvalue of multiplicity k comes back k times, and a function of
+    # the matrix does not depend on the basis eigh picks in its eigenspace
+    lam = np.repeat(values, counts[:len(values)])
+    dim = len(lam)
+    q = _unitary(np.random.default_rng(seed), dim, field)
+    m = op.SymMatrix((q * lam) @ q.conj().T)
+    scale = max(1.0, m.fro)
+    pair = op.sym_eig(m)
+    assert np.abs(pair.eigenvalues - np.sort(lam)).max() <= 1e-12 * scale
+    v = pair.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= ORTHO_TOL
+    want = (q * np.sqrt(lam)) @ q.conj().T
+    assert np.abs(op.apply_fn(m, np.sqrt).data - want).max() <= (
+        RECON_TOL * scale)
+    # c * I, a single eigenvalue of full multiplicity, maps exactly
+    ci = op.SymMatrix(values[0] * np.eye(dim, dtype=m.data.dtype))
+    assert np.array_equal(op.apply_fn(ci, np.log).data,
+                          np.log(values[0]) * np.eye(dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=_FIELDS, seed=st.integers(0, 10_000), dim=st.integers(2, 6),
+       log_eps=st.floats(-323.5, -6.0))
+@example(field="real", seed=0, dim=2, log_eps=-323.5)  # 5e-324
+@example(field="complex", seed=1, dim=3, log_eps=-308.3)  # 1/eps overflows
+def test_near_singular_input_is_answered_or_rejected(field, seed, dim,
+                                                     log_eps):
+    # lambda_min -> 0+ is still strictly positive: a diagonal input keeps
+    # it exactly and gets its answer, unless a quantity overflows, which
+    # is named; zero and negative eigenvalues are rejected
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** log_eps
+    assert eps > 0.0
+    lam = np.concatenate([[eps], 0.1 * 100.0 ** rng.uniform(0.0, 1.0,
+                                                             dim - 1)])
+    d = op.SymMatrix.diagonal(lam, field)
+    assert np.array_equal(op.sym_eig(d).eigenvalues, np.sort(lam))
+    log = op.apply_fn(d, np.log)
+    assert np.array_equal(log.data, np.diag(np.log(lam)))
+    # 1/eps, and the norm of diag(1/lambda), overflow for the smallest eps;
+    # as under the CLI, numpy does not warn about values that are rejected
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if np.isfinite(np.linalg.norm(1.0 / lam)):
+            assert np.array_equal(op.mat_pow(d, -1.0).data,
+                                  np.diag(1.0 / lam))
+        else:
+            with pytest.raises(op.OperatorError,
+                               match="matrix (entries must be finite|"
+                                     "Frobenius norm overflows)"):
+                op.mat_pow(d, -1.0)
+        if np.isfinite(1.0 / eps):
+            Frame(d.data[None], [2.0])
+        else:
+            with pytest.raises(op.OperatorError, match="over- or underflows"):
+                Frame(d.data[None], [2.0])
+    # rotated, lambda_min sits under the rounding of the other entries;
+    # it is found to 1e-13 of the scale, or the matrix is rejected by name
+    q = _unitary(rng, dim, field)
+    m = op.SymMatrix((q * lam) @ q.conj().T)
+    smallest = op.sym_eig(m).eigenvalues[0]
+    assert abs(smallest - eps) <= 1e-13 * max(1.0, m.fro)
+    if smallest > 0.0:
+        assert np.isfinite(op.apply_fn(m, np.log).data).all()
+    else:
+        with pytest.raises(op.SpectrumError, match="outside the open domain"):
+            op.apply_fn(m, np.log)
+    for bad in (0.0, -0.0, -eps):
+        with pytest.raises(op.SpectrumError, match="outside the open domain"):
+            op.apply_fn(op.SymMatrix.diagonal(np.where(lam == eps, bad, lam),
+                                              field), np.log)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=_FIELDS, seed=st.integers(0, 10_000), dim=st.integers(2, 6),
+       log_size=st.floats(-8.0, 8.0), imaginary=st.booleans(),
+       data=st.data())
+def test_hermiticity_tolerance_edge_is_exact(field, seed, dim, log_size,
+                                             imaginary, data):
+    # an asymmetry of exactly 1e-13 * max(1, ||M||_F) is admitted and one
+    # ulp more is not, at every scale, in either part of a complex entry
+    i, j = sorted(data.draw(st.lists(st.integers(0, dim - 1), min_size=2,
+                                     max_size=2, unique=True)))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) * 10.0 ** log_size
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((dim, dim)) * 10.0 ** log_size
+    base = (g + g.conj().T) / 2.0  # exactly Hermitian
+    base[i, j] = base[j, i] = 0.0
+    edge = op.matcore.HERMITICITY_TOL * max(1.0, float(np.linalg.norm(base)))
+    unit = 1j if field == "complex" and imaginary else 1.0
+    for asym, admitted in ((np.nextafter(edge, 0.0), True), (edge, True),
+                           (np.nextafter(edge, np.inf), False)):
+        arr = base.copy()
+        arr[i, j] = unit * asym
+        scale = max(1.0, float(np.linalg.norm(arr)))
+        # the asymmetry is far below the rounding of the norm
+        assume(op.matcore.HERMITICITY_TOL * scale == edge)
+        if admitted:
+            m = op.SymMatrix(arr)
+            assert not np.any(m.data - m.data.conj().T)
+            assert m.data[i, j] == unit * asym / 2.0
+        else:
+            with pytest.raises(op.SelfAdjointError) as err:
+                op.SymMatrix(arr)
+            assert str(err.value) == (
+                f"matrix is not self-adjoint: max asymmetry {asym:.3e} "
+                f"exceeds 1e-13 * {scale:.3e}")
 
 
 # ---------------------------------------------------------------------------

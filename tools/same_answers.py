@@ -86,6 +86,10 @@ ORACLE = (
     ["--trials", "3", "--dim", "2", "--beta", "400"],
     ["--trials", "2", "--dim", "2", "--lam", "2"],
     ["--trials", "2", "--dim", "2", "--lam=-0.5"],
+    # dims 2 and 32 share each 4-trial chunk, and 70 trials make 18 chunks
+    ["--trials", "70", "--dim", "2,32", "--beta", "0.5,1,2"],
+    # trial 1 fails inside a chunk whose trial 0 passes
+    ["--trials", "6", "--dim", "2", "--beta", "0.5,400"],
 ) + EDGES
 HH = (
     ["--alpha", "0", "--x", "4"],
