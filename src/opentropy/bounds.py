@@ -199,11 +199,28 @@ class SuiteSpec:
     fixed_beta: float | None = None
     uses_lambda: bool = False
 
-    def effective(self, params: ChainParams) -> ChainParams:
+    def resolve(self, params: ChainParams) -> ChainParams:
+        """The parameters the suite runs at: ``params`` with the suite's
+        fixed alpha, beta and delta substituted.  A value the suite
+        forbids raises ``HypothesisError``; resolving twice changes
+        nothing."""
         alpha = self.fixed_alpha if self.fixed_alpha is not None else params.alpha
         beta = self.fixed_beta if self.fixed_beta is not None else params.beta
         delta = 1.0 if self.delta_mode == "fixed1" else params.delta
-        return ChainParams(alpha=alpha, beta=beta, delta=delta, lam=params.lam)
+        p = ChainParams(alpha=alpha, beta=beta, delta=delta, lam=params.lam)
+        if self.uses_lambda and not 0.0 <= p.lam <= 1.0:
+            forbidden = f"lambda must lie in [0, 1], got {p.lam!r}"
+        elif p.alpha < 0.0:
+            forbidden = f"requires alpha >= 0, got {p.alpha!r}"
+        elif p.beta <= 0.0:
+            forbidden = f"requires beta > 0, got {p.beta!r}"
+        elif self.delta_mode == "ge1" and p.delta < 1.0:
+            forbidden = f"requires delta >= 1, got {p.delta!r}"
+        elif self.delta_mode == "le1" and not 0.0 < p.delta <= 1.0:
+            forbidden = f"requires 0 < delta <= 1, got {p.delta!r}"
+        else:
+            return p
+        raise HypothesisError(f"suite {self.name}: {forbidden}")
 
 
 def _adjacent(n: int) -> tuple[tuple[int, int], ...]:
@@ -292,34 +309,16 @@ class ChainReport:
         return out
 
 
-def _validate_params(spec: SuiteSpec, p: ChainParams) -> None:
-    if spec.uses_lambda:
-        if not 0.0 <= p.lam <= 1.0:
-            raise HypothesisError(
-                f"suite {spec.name}: lambda must lie in [0, 1], got {p.lam!r}")
-        return
-    if p.alpha < 0.0:
-        raise HypothesisError(
-            f"suite {spec.name}: requires alpha >= 0, got {p.alpha!r}")
-    if p.beta <= 0.0:
-        raise HypothesisError(
-            f"suite {spec.name}: requires beta > 0, got {p.beta!r}")
-    if spec.delta_mode == "ge1" and p.delta < 1.0:
-        raise HypothesisError(
-            f"suite {spec.name}: requires delta >= 1, got {p.delta!r}")
-    if spec.delta_mode == "le1" and not 0.0 < p.delta <= 1.0:
-        raise HypothesisError(
-            f"suite {spec.name}: requires 0 < delta <= 1, got {p.delta!r}")
-
-
 def _relation_margin(pair: EigenPair, b: np.ndarray, betas, deltas,
                      relation: str) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's dominance hypothesis as ``loewner_leq`` measures it:
     the ``matcore._loewner`` margin and scale of ``delta A^beta <= B``
     (``dominating``) or of ``B <= delta A^beta`` (``dominated``).
-    ``pair`` is ``A``'s, from its ``Frame``."""
+    ``pair`` is ``A``'s, from its ``Frame``.  The powers go through
+    ``_rows`` for ``np.power``'s scalar exponents; the delta scaling is
+    one broadcast product, bitwise the per-matrix one."""
     power = _admit(pair.rebuild(_rows(np.power, pair.eigenvalues, betas)))
-    a_beta = _admit(_rows(lambda m, delta: m * float(delta), power, deltas))
+    a_beta = _admit(power * np.asarray(deltas)[:, None, None])
     lhs, rhs = (a_beta, b) if relation == "dominating" else (b, a_beta)
     return _loewner(rhs - lhs, _fro(lhs), _fro(rhs))
 
@@ -397,11 +396,7 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     failing trial check the trials again one at a time.
     """
     spec = SUITES[suite] if isinstance(suite, str) else suite
-    effective = []
-    for p in params:
-        p = spec.effective(p)
-        _validate_params(spec, p)
-        effective.append(p)
+    effective = [spec.resolve(p) for p in params]
     betas = [p.beta for p in effective]
     frame = frame or Frame(a, betas)
     if spec.relation != "none":

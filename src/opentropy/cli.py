@@ -171,29 +171,29 @@ def _draw(cfg: RunConfig, trials) -> list:
     bitwise those of the one-trial ``gen.random_spd`` and
     ``gen.random_partner``.
 
-    Returns one ``(group, a, b, params, frame, hypothesis)`` per dim: the
-    group's trials, their A and B as ``(T, n, n)`` arrays, their
-    parameters and, for a suite with a dominance hypothesis, the A frame
-    and hypothesis margins the partner draw computed (``None`` otherwise),
-    for ``chain_check_stack``.
+    Each trial's parameters are resolved by ``SuiteSpec.resolve`` as it
+    is decoded, so a value the suite forbids raises ``HypothesisError``
+    before any matrix is drawn.  Returns one ``(group, a, b, params,
+    frame, hypothesis)`` per dim: the group's trials, their A and B as
+    ``(T, n, n)`` arrays, their resolved parameters and, for a suite with
+    a dominance hypothesis, the A frame and hypothesis margins the partner
+    draw computed (``None`` otherwise), for ``chain_check_stack``.
     """
     spec = SUITES[cfg.suite]
     by_dim: dict[GenConfig, list] = {}
     for trial in trials:
         gcfg, params = cfg.decode(trial)
-        by_dim.setdefault(gcfg, []).append((trial, params))
+        by_dim.setdefault(gcfg, []).append((trial, spec.resolve(params)))
     stacks = []
     for gcfg, drawn in by_dim.items():
-        group = [trial for trial, _ in drawn]
-        params = [p for _, p in drawn]
+        group, params = map(list, zip(*drawn))
         a = random_spd_stack(gcfg, group)
         if spec.relation == "none":
             b = random_spd_stack(gcfg, group, salt=1)
             frame = hypothesis = None
         else:
-            eff = [spec.effective(p) for p in params]
             b, frame, hypothesis = random_partner_stack(
-                a, [p.beta for p in eff], [p.delta for p in eff],
+                a, [p.beta for p in params], [p.delta for p in params],
                 spec.relation, gcfg, group)
         stacks.append((group, a, b, params, frame, hypothesis))
     return stacks
@@ -214,27 +214,35 @@ def _run_trial(cfg: RunConfig, trial: int):
     return _check(cfg, [trial])[0]
 
 
+def _chunked(cfg: RunConfig, size: int, check, alone) -> list:
+    """``check(cfg, chunk)`` on each run of at most ``size`` consecutive
+    trials, results concatenated in trial order.  ``check`` must give the
+    bits of ``alone(cfg, trial)`` on each trial.  When a chunk raises
+    ``OperatorError``, its trials are run again one at a time through
+    ``alone`` and the first error is raised: that of the lowest failing
+    trial."""
+    results = []
+    for start in range(0, cfg.trials, size):
+        chunk = range(start, min(start + size, cfg.trials))
+        try:
+            results.extend(check(cfg, chunk))
+        except OperatorError:
+            for trial in chunk:
+                alone(cfg, trial)
+            raise
+    return results
+
+
 def run_suite(cfg: RunConfig) -> dict:
     """Run ``cfg.trials`` instances through one suite; aggregate a report.
 
     Each trial is a pure function of ``(seed, trial index)``.  Every
     ``CHUNK_TRIALS`` consecutive trials are drawn and checked as stacked
-    per-dim batches, which give the same bits as drawing and checking them
-    one at a time.  When anything in a chunk fails, its trials are checked
-    again one at a time, as chunks of one, and the first error is raised:
-    that of the lowest failing trial.  The report is byte-identical for
-    fixed flags on one build.
+    per-dim batches by ``_chunked``, which reruns a failing chunk one
+    trial at a time.  The report is byte-identical for fixed flags on one
+    build.
     """
-    reports = []
-    for start in range(0, cfg.trials, CHUNK_TRIALS):
-        chunk = range(start, min(start + CHUNK_TRIALS, cfg.trials))
-        try:
-            reports.extend(_check(cfg, chunk))
-        except OperatorError:
-            for trial in chunk:
-                _run_trial(cfg, trial)
-            raise
-
+    reports = _chunked(cfg, CHUNK_TRIALS, _check, _run_trial)
     passed = sum(1 for r in reports if r.passed)
     worst: dict[str, float] = {}
     for r in reports:
@@ -271,32 +279,33 @@ def _scalar_means(a: float, b: float, lam: float):
 
 def _oracle_table(p: ChainParams, avals: np.ndarray,
                   bvals: np.ndarray) -> list:
-    """One trial's oracle rows ``(name, h exponent e, f, closed form)``
-    for the diagonal pair ``diag(avals)``, ``diag(bvals)``: the matrix
-    ``A^{e/2} f(C) A^{e/2}``, ``C = A^{-e/2} B A^{-e/2}``, is assembled as
-    ``chain_check_stack`` assembles terms and compared with the closed
-    form on its diagonal.  Rows at ``t^beta`` come first, then rows at
-    ``t^1``."""
+    """One trial's oracle rows for the diagonal pair ``diag(avals)``,
+    ``diag(bvals)``, grouped by h exponent: ``[(e, [(name, f, closed
+    form)])]``, the ``t^beta`` rows, then the ``t^1`` rows, as one group
+    when beta is 1.  Each row's matrix ``A^{e/2} f(C) A^{e/2}``,
+    ``C = A^{-e/2} B A^{-e/2}``, is assembled as ``chain_check_stack``
+    assembles terms and compared with the closed form on its diagonal."""
     alpha, beta, delta, lam = p.alpha, p.beta, p.delta, p.lam
     x = bvals / avals ** beta
     s_alpha = scalar_generator("S", alpha=alpha)
     gens = {kind: scalar_generator(kind, alpha, delta, lam)
             for kind in BOUND_KINDS}
-    table = [(kind, beta, g, avals ** beta * g(x)) for kind, g in gens.items()]
+    at_beta = [(kind, g, avals ** beta * g(x)) for kind, g in gens.items()]
     # the registry generators compute's S_ab, geomean, S_a and S evaluate,
     # against closed forms written without the registry
     r = bvals / avals
-    table += [
-        ("S_ab", beta, s_alpha, avals ** beta * x ** alpha * np.log(x)),
-        ("geomean", beta, scalar_generator("geometric", lam=alpha),
-         avals ** beta * x ** alpha),
-        ("S_a", 1.0, s_alpha, avals * r ** alpha * np.log(r)),
-        ("S", 1.0, scalar_generator("S"), avals * np.log(r)),
-    ]
-    table += [(f"{kind}_mean", 1.0, scalar_generator(kind, lam=lam), expected)
-              for kind, expected in zip(("harmonic", "geometric", "arithmetic"),
-                                        _scalar_means(avals, bvals, lam))]
-    return table
+    at_beta += [("S_ab", s_alpha, avals ** beta * x ** alpha * np.log(x)),
+                ("geomean", scalar_generator("geometric", lam=alpha),
+                 avals ** beta * x ** alpha)]
+    at_one = [("S_a", s_alpha, avals * r ** alpha * np.log(r)),
+              ("S", scalar_generator("S"), avals * np.log(r))]
+    means = zip(("harmonic", "geometric", "arithmetic"),
+                _scalar_means(avals, bvals, lam))
+    at_one += [(f"{kind}_mean", scalar_generator(kind, lam=lam), expected)
+               for kind, expected in means]
+    if beta == 1.0:
+        return [(1.0, at_beta + at_one)]
+    return [(beta, at_beta), (1.0, at_one)]
 
 
 def _oracle_deviation(terms: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -330,20 +339,18 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
     records = {}
     for (gcfg, _), drawn in stacks.items():
         a, b = random_diag_pair_stack(gcfg, [trial for trial, _ in drawn])
-        layouts = []
-        for i, (_, p) in enumerate(drawn):
-            table = _oracle_table(p, np.diagonal(a[i]).real,
-                                  np.diagonal(b[i]).real)
-            layouts.append([(e, [row for row in table if row[1] == e])
-                            for e in dict.fromkeys(row[1] for row in table)])
+        tables = [_oracle_table(p, np.diagonal(a[i]).real,
+                                np.diagonal(b[i]).real)
+                  for i, (_, p) in enumerate(drawn)]
         devs: list[dict[str, float]] = [{} for _ in drawn]
         # one frame stack and one assembly per h = t^e: t^beta, then t^1
-        for slot in zip(*layouts):
+        for slot in zip(*tables):
             dev = _oracle_deviation(
                 Frame(a, [e for e, _ in slot]).assemble(
-                    b, [[row[2] for row in rows] for _, rows in slot],
+                    b, [[f for _, f, _ in rows] for _, rows in slot],
                     "the whitened B"),
-                np.array([[row[3] for row in rows] for _, rows in slot]))
+                np.array([[closed for *_, closed in rows]
+                          for _, rows in slot]))
             for i, (_, rows) in enumerate(slot):
                 for (name, *_), d in zip(rows, dev[i]):
                     devs[i][name] = float(d)
@@ -377,21 +384,11 @@ def oracle_compare(cfg: RunConfig) -> dict:
 
     Consecutive trials are checked in chunks of at most ``CHUNK_TRIALS``,
     and of at most ``ORACLE_CHUNK_ENTRIES / n**2`` at the run's largest dim
-    ``n``, as ``_oracle_check`` stacks, which give the same bits as
-    checking them one at a time.  When anything in a chunk fails, its
-    trials are checked again one at a time and the first error is raised:
-    that of the lowest failing trial.
+    ``n``, as ``_oracle_check`` stacks by ``_chunked``, which reruns a
+    failing chunk one trial at a time.
     """
     size = min(CHUNK_TRIALS, ORACLE_CHUNK_ENTRIES // max(cfg.dims) ** 2)
-    trials = []
-    for start in range(0, cfg.trials, size):
-        chunk = range(start, min(start + size, cfg.trials))
-        try:
-            trials.extend(_oracle_check(cfg, chunk))
-        except OperatorError:
-            for trial in chunk:
-                _oracle_trial(cfg, trial)
-            raise
+    trials = _chunked(cfg, size, _oracle_check, _oracle_trial)
     max_dev = max((t["max_rel_dev"] for t in trials), default=0.0)
     return {
         "tool_version": __version__,

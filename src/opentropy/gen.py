@@ -120,15 +120,23 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
     return lo * (hi / lo) ** rng.uniform(0.0, 1.0, size=size)
 
 
+def _spd(rngs, ranges, dim: int, field: str) -> np.ndarray:
+    """``U diag(lambda) U*``, raw, for each stream of ``rngs`` and its
+    ``(lo, hi)`` of ``ranges``: each stream draws its log-uniform spectrum
+    ``lambda`` in ``[lo, hi]``, then the Gaussian that is QR'd into ``U``."""
+    vals, gauss = [], []
+    for rng, (lo, hi) in zip(rngs, ranges):
+        vals.append(_log_uniform(rng, lo, hi, dim))
+        gauss.append(_gaussian(rng, dim, field))
+    return _compose(_orthonormal(np.array(gauss)), np.array(vals))
+
+
 def random_spd_stack(cfg: GenConfig, trials, salt: int = 0) -> np.ndarray:
     """``random_spd(cfg, trial, salt)`` of each of ``trials``, as one
     ``(T, n, n)`` array symmetrized as ``SymMatrix`` stores it."""
-    vals, gauss = [], []
-    for rng in _streams(cfg, trials, salt):
-        vals.append(_log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi,
-                                 cfg.dim))
-        gauss.append(_gaussian(rng, cfg.dim, cfg.field))
-    return _admit(_compose(_orthonormal(np.array(gauss)), np.array(vals)))
+    ranges = [(cfg.spectrum_lo, cfg.spectrum_hi)] * len(trials)
+    return _admit(_spd(_streams(cfg, trials, salt), ranges, cfg.dim,
+                       cfg.field))
 
 
 def random_spd(cfg: GenConfig, trial: int, salt: int = 0) -> SymMatrix:
@@ -175,13 +183,8 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
                  for target, top in zip(targets, tops)]
         inner[drawn] += w * np.array(gains)[:, None, None]
     elif drawn:
-        vals, gauss = [], []
-        for rng, i in zip(rngs, drawn):
-            vals.append(_log_uniform(rng, deltas[i] / DOMINATED_SPREAD,
-                                     deltas[i], dim))
-            gauss.append(_gaussian(rng, dim, field))
-        inner[drawn] = _compose(_orthonormal(np.array(gauss)),
-                                np.array(vals))
+        inner[drawn] = _spd(rngs, [(deltas[i] / DOMINATED_SPREAD, deltas[i])
+                                   for i in drawn], dim, field)
 
     frame = Frame(a, betas)
     b = _admit(frame.conjugate(_admit(inner)))

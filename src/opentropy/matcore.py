@@ -201,12 +201,19 @@ class EigenPair:
         return _resym((u * vals) @ u.conj().swapaxes(-1, -2))
 
 
-def _eigh(arr: np.ndarray) -> EigenPair:
-    """``sym_eig`` of each matrix in the last two axes of a raw array."""
+def _lapack(solver, arr: np.ndarray):
+    """``solver(arr)`` for a ``numpy.linalg`` eigensolver, with a LAPACK
+    failure raised as ``ConvergenceError``: the one place it is turned
+    into an error of this package."""
     try:
-        w, v = np.linalg.eigh(arr)
+        return solver(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _eigh(arr: np.ndarray) -> EigenPair:
+    """``sym_eig`` of each matrix in the last two axes of a raw array."""
+    w, v = _lapack(np.linalg.eigh, arr)
     # the pivot of a column is its first largest-magnitude entry; an
     # orthonormal column has an entry of magnitude >= 1/sqrt(n), so the
     # pivot is never zero
@@ -371,10 +378,7 @@ def _loewner(diff: np.ndarray, lhs_fro, rhs_fro):
     not from ``_eigh``: no eigenvectors are formed, so it can differ from
     ``sym_eig``'s smallest eigenvalue in its last bits.  A LAPACK failure
     raises the ``ConvergenceError`` that ``_eigh`` raises."""
-    try:
-        margin = np.linalg.eigvalsh(_admit(diff))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    margin = _lapack(np.linalg.eigvalsh, _admit(diff))[..., 0]
     return margin, np.maximum(np.maximum(1.0, lhs_fro), rhs_fro)
 
 

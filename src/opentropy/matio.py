@@ -7,6 +7,7 @@ complex entries written as ``[re, im]`` pairs.  Plain text (real only):
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -24,10 +25,33 @@ def matrix_to_obj(m: SymMatrix) -> dict:
     return {"field": m.field, "dim": m.dim, "data": data}
 
 
-def _complex_entry(entry) -> complex:
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(entry[0], entry[1])
-    return complex(entry)  # a bare number; any other list is malformed
+# the types json gives a number; bool, a subclass of int, is not one
+_NUMBER = {int, float}
+
+
+def _check_numbers(rows, field: str) -> None:
+    """Name the first entry of ``rows`` that is not a JSON number, nor, in
+    the complex field, an ``[re, im]`` pair of two: numpy alone would read
+    ``true`` as 1.0 and the string ``"1_0"`` as 10.0.  A row that is not a
+    list is left to the conversion, which rejects it."""
+    try:
+        entries = list(itertools.chain.from_iterable(rows))
+    except TypeError:
+        return
+    kinds = set(map(type, entries))
+    complex_field = field == "complex"
+    if complex_field and kinds == {list} and set(map(len, entries)) == {2}:
+        kinds = set(map(type, itertools.chain.from_iterable(entries)))
+    if kinds <= _NUMBER:
+        return
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if type(entry) not in _NUMBER and not (
+                    complex_field and type(entry) is list and len(entry) == 2
+                    and set(map(type, entry)) <= _NUMBER):
+                pair = " or an [re, im] pair of numbers" * complex_field
+                raise OperatorError(f"matrix entry [{i}][{j}] must be a JSON "
+                                    f"number{pair}, got {json.dumps(entry)}")
 
 
 def matrix_from_obj(obj: dict) -> SymMatrix:
@@ -39,12 +63,15 @@ def matrix_from_obj(obj: dict) -> SymMatrix:
         raise OperatorError(f"field must be 'real' or 'complex', got {field!r}")
     if type(dim) is not int:
         raise OperatorError(f"dim must be an integer, got {dim!r}")
+    _check_numbers(rows, field)
     try:
         if field == "complex":
-            rows = [[_complex_entry(e) for e in row] for row in rows]
+            rows = [[complex(*e) if type(e) is list else e for e in row]
+                    for row in rows]
         arr = np.asarray(rows, dtype=np.complex128 if field == "complex"
                          else np.float64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # OverflowError: an integer too large for a float
         raise OperatorError(f"malformed matrix data: {exc}") from exc
     if arr.shape != (dim, dim):
         raise OperatorError(f"data is not a {dim}x{dim} matrix")

@@ -21,7 +21,7 @@ def draw_alone():
     def draw(cfg, trial):
         spec = op.SUITES[cfg.suite]
         gcfg, params = cfg.decode(trial)
-        eff = spec.effective(params)
+        eff = spec.resolve(params)
         a = op.random_spd(gcfg, trial)
         if spec.relation == "none":
             return a, op.random_spd(gcfg, trial, salt=1), params

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,12 +10,14 @@ from opentropy.bounds import (
     ChainParams,
     HypothesisError,
     SuiteSpec,
+    _relation_margin,
     chain_check,
     scalar_generator,
 )
-from opentropy.gen import GenConfig, random_partner, random_spd
+from opentropy.gen import (GenConfig, random_partner, random_spd,
+                           random_spd_stack)
 from opentropy.matcore import ConvergenceError
-from opentropy.perspective import PowerFrame
+from opentropy.perspective import Frame, PowerFrame
 
 
 def _slack(values):
@@ -305,7 +308,7 @@ def test_partnered_suites_random_sample(name, relation, deltas):
         params = ChainParams(alpha=(0.0, 0.5, 1.0, 2.0)[trial % 4],
                              beta=(0.5, 1.0, 2.0)[trial % 3],
                              delta=deltas[trial % len(deltas)])
-        eff = spec.effective(params)
+        eff = spec.resolve(params)
         a = random_spd(cfg, trial)
         b = random_partner(a, eff.beta, eff.delta, relation, cfg, trial)
         report = chain_check(name, a, b, params)
@@ -349,7 +352,7 @@ def test_every_suite_500_instances_per_field(name):
 
 def _serial_margins(spec, a, b, params, tol):
     # the chain as 2-D library calls, one matrix at a time
-    p = spec.effective(params)
+    p = spec.resolve(params)
     frame = PowerFrame(a, p.beta)
     cp = op.sym_eig(frame.whiten(b))
     terms = []
@@ -490,3 +493,43 @@ def test_overflowing_term_fails_as_the_serial_chain_does():
     with pytest.raises(op.OperatorError) as stacked:
         chain_check("thm-main1", a, b, params)
     assert str(stacked.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("relation", ["dominating", "dominated"])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_relation_margin_is_the_per_matrix_comparison_bit_for_bit(
+        dim, relation, field):
+    # the delta scaling is one broadcast product over the stack; each
+    # trial's margin and scale must be bitwise those loewner_leq gives on
+    # delta * mat_pow(A, beta) and B, with betas and deltas mixed in the
+    # stack and a diagonal A, whose power has zero entries
+    cfg = GenConfig(dim=dim, field=field, master_seed=17)
+    trials = range(12)
+    betas = [(0.5, 1.0, 2.0)[t % 3] for t in trials]
+    deltas = [(1.0 / 3.0, 0.5, 1.5, 3.0)[t % 4] for t in trials]
+    a = np.array(random_spd_stack(cfg, trials))
+    a[0] = np.diag(np.linspace(0.5, 4.0, dim))
+    b = random_spd_stack(cfg, trials, salt=1)
+    margin, scale = _relation_margin(Frame(a, betas).pair, b, betas, deltas,
+                                     relation)
+    for t in trials:
+        power = deltas[t] * op.mat_pow(op.SymMatrix._computed(a[t]),
+                                       betas[t])
+        other = op.SymMatrix._computed(b[t])
+        one = (op.loewner_leq(power, other) if relation == "dominating"
+               else op.loewner_leq(other, power))
+        assert margin[t].tobytes() == np.float64(one.margin).tobytes(), t
+        assert scale[t].tobytes() == np.float64(one.scale).tobytes(), t
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_resolve_is_idempotent(name):
+    # chain_check_stack resolves parameters that the CLI draw has already
+    # resolved; the second pass must change nothing
+    spec = SUITES[name]
+    deltas = (1.0, 0.5) if spec.delta_mode == "le1" else (1.0, 3.0)
+    for alpha, beta, delta in itertools.product((0.0, 2.0), (0.5, 1.0),
+                                                deltas):
+        once = spec.resolve(ChainParams(alpha, beta, delta, 0.3))
+        assert spec.resolve(once) == once

@@ -64,7 +64,7 @@ def test_text_format_rejects_complex(tmp_path):
         save_matrix(m, tmp_path / "m.txt")
 
 
-def test_malformed_files_rejected(tmp_path):
+def test_malformed_files_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for body in (
             '{"field": "real", "dim": 3, "data": [[1, 0], [0, 1]]}',
@@ -91,6 +91,34 @@ def test_malformed_files_rejected(tmp_path):
     bad.write_bytes(b'{"field": "real", "dim": 1, "data": [[\xff]]}')
     with pytest.raises(op.OperatorError):
         load_matrix(bad)
+    # an entry must be a JSON number (complex: or an [re, im] pair of two);
+    # numpy alone would read true as 1.0 and "1_0" as 10.0
+    for body, message in (
+            ('{"field": "real", "dim": 2, '
+             '"data": [[true, false], [false, true]]}',
+             r"entry \[0\]\[0\] must be a JSON number, got true$"),
+            ('{"field": "real", "dim": 2, "data": [[1, 0], [0, "1_0"]]}',
+             r"entry \[1\]\[1\] must be a JSON number, got \"1_0\"$"),
+            ('{"field": "real", "dim": 1, "data": [[null]]}',
+             r"entry \[0\]\[0\] must be a JSON number, got null$"),
+            ('{"field": "complex", "dim": 1, "data": ["1"]}',
+             r"entry \[0\]\[0\] must be a JSON number or an \[re, im\] "
+             r"pair of numbers, got \"1\"$"),
+            ('{"field": "complex", "dim": 2, '
+             '"data": [[1, [0, 1]], [[0, false], 1]]}',
+             r"entry \[1\]\[0\] .* got \[0, false\]$"),
+            ('{"field": "complex", "dim": 1, "data": [[[1, 2, 3]]]}',
+             r"entry \[0\]\[0\] .* got \[1, 2, 3\]$"),
+            ('{"field": "real", "dim": 1, "data": [[1' + "0" * 400 + ']]}',
+             "int too large to convert to float")):
+        bad.write_text(body)
+        with pytest.raises(op.OperatorError, match=message):
+            load_matrix(bad)
+    bad.write_text('{"field": "real", "dim": 1, "data": [[true]]}')
+    assert main(["compute", "--expr", "S", "--A", str(bad),
+                 "--B", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: matrix entry [0][0] must be a "
+                                       "JSON number, got true\n")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +337,28 @@ def _count_solvers(monkeypatch, counts):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name,
                             counting(name, getattr(np.linalg, name)))
+
+
+@pytest.mark.parametrize("suite, delta, stated", [
+    ("thm-primed-le", "-1", "requires delta >= 1, got -1.0"),
+    ("thm-primed-ge", "0", "requires 0 < delta <= 1, got 0.0"),
+])
+def test_forbidden_parameter_is_rejected_before_the_draw(
+        suite, delta, stated, monkeypatch, capsys):
+    # a delta the suite forbids gets the suite's own message, not the
+    # generator's, and nothing is drawn or decomposed before it
+    from opentropy import cli
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    decomposed = {"eigh": 0, "eigvalsh": 0}
+    _count_solvers(monkeypatch, lambda: decomposed)
+    monkeypatch.setattr(cli, "random_spd_stack", drawn)
+    assert main(["verify", "--suite", suite, "--delta", delta,
+                 "--trials", "3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: suite {suite}: {stated}\n"
+    assert decomposed == {"eigh": 0, "eigvalsh": 0}
 
 
 def test_passing_run_never_reruns(monkeypatch):

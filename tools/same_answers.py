@@ -68,7 +68,16 @@ VERIFY = (
     ["--trials", "5", "--dim", "3", "--tol=-1e-3"],
     ["--trials", "5", "--dim", "3", "--spec-lo", "1e-300",
      "--spec-hi", "1e-297"],
+    # at tolerance 0 a dominance suite fails by rounding: on the
+    # hypothesis of the exact-boundary trial 0 when its margin is negative
+    # (exit 2), else on a link (exit 1)
+    ["--trials", "21", "--dim", "3", "--tol", "0"],
 ) + EDGES
+# a delta the suite forbids, rejected before anything is drawn
+REJECTED = (
+    ["--suite", "thm-primed-le", "--delta", "-1"],
+    ["--suite", "thm-primed-ge", "--delta", "0"],
+)
 ORACLE = (
     # the README command
     ["--trials", "100", "--dim", "1-8", "--alpha", "0,1,2",
@@ -131,6 +140,8 @@ def _compute() -> list[list[str]]:
         ["--expr", "perspective", "--f", "S", "--A", "indefinite.json",
          "--B", "indefinite.json"],
         ["--expr", "means", "--A", "indefinite.json", "--B", "a2r.json"],
+        # JSON true and false are not matrix entries
+        ["--expr", "S", "--A", "boolean.json", "--B", "a2r.json"],
     ]
     # an indefinite B fails the check of the whitened spectrum, which
     # names the generator
@@ -150,6 +161,7 @@ def argvs() -> list[list[str]]:
     runs = [["verify", "--suite", suite, "--field", field] + shape
             for suite in SUITES for field in ("real", "complex")
             for shape in VERIFY]
+    runs += [["verify"] + argv for argv in REJECTED]
     runs += [["oracle", "--field", field] + shape
              for field in ("real", "complex") for shape in ORACLE]
     runs += [["compute"] + argv for argv in _compute()]
@@ -189,6 +201,10 @@ def _write_inputs(workdir: str) -> None:
                     ("overflow2c.json", np.diag([1.0, 1e100 + 0j]))):
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             json.dump(_matrix_obj(m), fh)
+    with open(os.path.join(workdir, "boolean.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"field": "real", "dim": 2,
+                   "data": [[True, False], [False, True]]}, fh)
 
 
 def _run(tree: str, workdir: str, argv: list[str]) -> tuple:
