@@ -325,10 +325,10 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
     is 1); one record per trial, in order.
 
     Each stack is drawn by one ``random_diag_pair_stack`` call and gets
-    one ``Frame`` of its A's and one ``Frame.assemble`` call per h
-    exponent, ``t^beta`` then ``t^1`` (one frame when beta is 1), with
-    each trial's own functions; the records are bitwise those of checking
-    each trial alone.
+    one ``Frame`` of its A's per h exponent, ``t^beta`` then ``t^1`` (one
+    frame when beta is 1), both from one decomposition of A, and one
+    ``Frame.assemble`` call on each, with each trial's own functions; the
+    records are bitwise those of checking each trial alone.
     """
     stacks: dict[tuple, list] = {}
     for trial in trials:
@@ -343,10 +343,15 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
                                 np.diagonal(b[i]).real)
                   for i, (_, p) in enumerate(drawn)]
         devs: list[dict[str, float]] = [{} for _ in drawn]
-        # one frame stack and one assembly per h = t^e: t^beta, then t^1
+        # one frame stack and one assembly per h = t^e: t^beta, then t^1,
+        # both from one decomposition of the A stack
+        frame = None
         for slot in zip(*tables):
+            exponents = [e for e, _ in slot]
+            frame = Frame(a, exponents) if frame is None else frame.at(
+                exponents)
             dev = _oracle_deviation(
-                Frame(a, [e for e, _ in slot]).assemble(
+                frame.assemble(
                     b, [[f for _, f, _ in rows] for _, rows in slot],
                     "the whitened B"),
                 np.array([[closed for *_, closed in rows]

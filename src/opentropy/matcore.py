@@ -170,17 +170,16 @@ def _fro(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(sq).reshape(arr.shape[:-2])
 
 
-def _admit(*arrays: np.ndarray) -> np.ndarray:
-    """The finiteness check of ``SymMatrix._computed`` on stacks of
-    matrices: matrix by matrix over the leading axes, and at one position
-    ``arrays`` in the order given, so the error raised is the one a loop of
-    ``_computed`` calls meets first.  Returns the last array, symmetrized as
-    ``_computed`` stores it."""
-    bad = np.stack([~np.isfinite(_fro(x)) for x in arrays], axis=-1)
-    if bad.any():
-        where = np.unravel_index(np.argmax(bad), bad.shape)
-        SymMatrix._computed(arrays[where[-1]][where[:-1]])
-    return _resym(arrays[-1])
+def _admit(arr: np.ndarray) -> np.ndarray:
+    """The finiteness check of ``SymMatrix._computed`` on a stack of
+    matrices, matrix by matrix over the leading axes in C order, so the
+    error raised is the one a loop of ``_computed`` calls meets first.
+    Returns ``arr`` symmetrized as ``_computed`` stores it."""
+    finite = np.isfinite(_fro(arr))
+    if not finite.all():
+        SymMatrix._computed(
+            arr[np.unravel_index(np.argmin(finite), finite.shape)])
+    return _resym(arr)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

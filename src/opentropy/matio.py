@@ -2,7 +2,8 @@
 
 JSON: ``{"field": "real"|"complex", "dim": n, "data": [[...], ...]}`` with
 complex entries written as ``[re, im]`` pairs.  Plain text (real only):
-``n`` on the first line, then ``n`` whitespace-separated rows.
+``n`` on the first line, then ``n`` whitespace-separated rows of ASCII
+numbers without digit separators.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def _load_text(text: str) -> SymMatrix:
     tokens = text.split()
     if not tokens:
         raise OperatorError("empty matrix file")
+    if "_" in text or not text.isascii():
+        # Python's int and float read "1_0" as 10 and other scripts' digits
+        # as ASCII ones; a matrix file's numbers are plain ASCII
+        bad = next(t for t in tokens if "_" in t or not t.isascii())
+        raise OperatorError(f"malformed text matrix: not a plain number: "
+                            f"{bad!r}")
     try:
         dim = int(tokens[0])
         values = [float(t) for t in tokens[1:]]

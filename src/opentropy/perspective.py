@@ -5,19 +5,26 @@ scalar ``f`` on (0, inf), at strictly positive ``X`` and ``Y``, is the
 single primitive behind every entropy and bound operator in this package.
 ``Frame`` builds its congruence ``H = Y^{b/2}`` for a ``(T, n, n)`` stack,
 and ``Frame.assemble`` builds every stacked ``H f_k(C) H`` the chain
-checker and the scalar oracle compare.  ``perspective`` is whiten ->
-``apply_fn`` -> conjugate on a stack-of-one ``Frame``, and ``PowerFrame``
-is a stack-of-one ``Frame`` on ``SymMatrix`` values.
+checker and the scalar oracle compare, each as the one product
+``(H U) diag f_k(lambda) (H U)*`` of ``C = U diag(lambda) U*``.
+``perspective`` is ``Frame.assemble`` on a stack of one, and
+``PowerFrame`` is a stack-of-one ``Frame`` on ``SymMatrix`` values.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
 
-from .matcore import (OperatorError, SymMatrix, _admit, _check_domain, _eigh,
-                      apply_fn)
+from .matcore import (EigenPair, OperatorError, SymMatrix, _admit,
+                      _check_domain, _eigh, _fro)
+
+# f(C) = U diag(f(lambda)) U* has Frobenius norm |f(lambda)|_2 <=
+# sqrt(n) max |f(lambda)| up to rounding, finite when max |f(lambda)| is
+# below this bound over n; Frame.assemble rebuilds f(C) only above it
+_SPECTRUM_SAFE = 2.0 ** 500
 
 
 def _rows(fn, *columns) -> np.ndarray:
@@ -33,15 +40,21 @@ class Frame:
     strictly positive base ``U diag(lambda) U*`` of a ``(T, n, n)`` stack,
     at one exponent ``e`` per matrix.  The bases are called ``name`` in
     errors.  A ``v`` that over- or underflows, so that ``H`` or ``H^{-1}``
-    is not finite, is rejected here.  ``whiten`` and ``conjugate`` return
-    raw products, which the caller admits.
+    is not finite, is rejected here.  ``at`` gives the same bases at other
+    exponents without decomposing them again.  ``whiten`` and ``conjugate``
+    return raw products, which the caller admits.
     """
 
     def __init__(self, base: np.ndarray, exponents,
                  name: str = "the congruence base"):
         self.pair = _eigh(base)
+        self.name = name
+        _check_domain(self.pair.eigenvalues,
+                      f"{name}, which must be strictly positive")
+        self._power(exponents)
+
+    def _power(self, exponents) -> None:
         w = self.pair.eigenvalues
-        _check_domain(w, f"{name}, which must be strictly positive")
         v = _rows(lambda lam, e: np.power(lam, float(e) / 2.0), w, exponents)
         iv = 1.0 / v  # inf where v underflowed
         finite = np.isfinite(v) & np.isfinite(iv)
@@ -49,9 +62,17 @@ class Frame:
             t, k = np.unravel_index(np.argmin(finite), finite.shape)
             raise OperatorError(
                 f"the power {float(exponents[t])!r}/2 of eigenvalue "
-                f"{float(w[t, k])!r} of {name} over- or underflows")
+                f"{float(w[t, k])!r} of {self.name} over- or underflows")
         self.half = self.pair.rebuild(v)
         self.ihalf = self.pair.rebuild(iv)
+
+    def at(self, exponents) -> "Frame":
+        """The frame of the same bases at other exponents, built from this
+        frame's decomposition: bitwise ``Frame(base, exponents, name)``
+        without decomposing the bases again."""
+        frame = copy.copy(self)
+        frame._power(exponents)
+        return frame
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """``H^{-1} X H^{-1}``, raw."""
@@ -64,17 +85,40 @@ class Frame:
     def assemble(self, x: np.ndarray, fns, name: str) -> np.ndarray:
         """Every ``H f_k(C) H``, ``C = H^{-1} X H^{-1}``, as one
         ``(T, K, n, n)`` stack; ``fns[t]`` lists matrix ``t``'s K functions.
-        ``C`` must be strictly positive (``name`` names it in errors); the
-        results are admitted in ``chain_check`` order, ``f_0(C)``, term 0,
-        ``f_1(C)``, term 1, ..., and returned symmetrized."""
+        ``C`` must be strictly positive (``name`` names it in errors).
+
+        With ``C = U diag(lambda) U*`` and ``M = H U``, each term is the one
+        product ``(M diag f_k(lambda)) M*``, as ``H`` is self-adjoint; the
+        terms are admitted and returned symmetrized.  ``f_k(C)`` itself is
+        not formed, but it is admitted as if it were, in ``chain_check``
+        order ``f_0(C)``, term 0, ``f_1(C)``, term 1, ...: a spectrum that
+        could make its norm non-finite has that one matrix rebuilt, and a
+        non-finite one raises the error its ``SymMatrix._computed`` raises.
+        """
         inner = _eigh(_admit(self.whiten(x)))
         _check_domain(inner.eigenvalues, name)
         vals = _rows(lambda w, fs: [f(w) for f in fs], inner.eigenvalues,
                      fns)
-        # term-major (K, T, n, n), so that each matrix's H broadcasts over K
-        mid = inner.rebuild(vals.swapaxes(0, 1))
-        return _admit(mid.swapaxes(0, 1),
-                      self.conjugate(mid).swapaxes(0, 1))
+        m = self.half @ inner.eigenvectors
+        adjoint = m.conj().swapaxes(-1, -2)
+        terms = (m[:, None] * vals[..., None, :]) @ adjoint[:, None]
+        if not np.abs(vals).max() * vals.shape[-1] < _SPECTRUM_SAFE:
+            _admit_in_chain_order(inner, vals, terms)
+        return _admit(terms)
+
+
+def _admit_in_chain_order(inner: EigenPair, vals: np.ndarray,
+                          terms: np.ndarray) -> None:
+    """Admit each ``f_k(C) = U diag(vals[t, k]) U*`` whose spectrum could
+    make it non-finite, rebuilt from ``inner``, and each of the raw
+    ``terms``, in ``chain_check`` order: trial by trial, ``f_k(C)`` before
+    its term.  The first non-finite matrix raises the error its
+    ``SymMatrix._computed`` raises."""
+    suspect = ~(np.abs(vals).max(axis=-1) * vals.shape[-1] < _SPECTRUM_SAFE)
+    bad = np.stack([suspect, ~np.isfinite(_fro(terms))], axis=-1)
+    for t, k, term in zip(*np.nonzero(bad)):
+        SymMatrix._computed(terms[t, k] if term else EigenPair(
+            inner.eigenvalues[t], inner.eigenvectors[t]).rebuild(vals[t, k]))
 
 
 def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
@@ -82,22 +126,21 @@ def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
     """Evaluate ``Y^{b/2} f(Y^{-b/2} X Y^{-b/2}) Y^{b/2}``, ``b = beta``.
 
     ``f`` is a vectorized real function on (0, inf), called by its
-    ``name`` attribute (else ``f``) in errors; ``beta`` is the finite exponent of ``h(t) = t^beta``.  ``x``
-    and ``y`` are strictly positive, of one dim and field.  This is
-    whiten -> ``apply_fn`` -> conjugate on ``Frame(y, [b])``, the frame the
-    chain checker builds, so the result is bitwise the term
-    ``Frame.assemble`` builds for ``f``.  The whitened matrix is admitted
-    (re-symmetrized) before ``apply_fn`` decomposes it and checks its
-    spectrum strictly positive.
+    ``name`` attribute (else ``f``) in errors; ``beta`` is the finite
+    exponent of ``h(t) = t^beta``.  ``x`` and ``y`` are strictly positive,
+    of one dim and field.  This is ``Frame.assemble`` of ``f`` on
+    ``Frame(y, [b])``, the frame the chain checker builds, on a stack of
+    one, so the result is bitwise the term the checker assembles for
+    ``f``.
     """
     if not np.isfinite(beta):
         raise OperatorError(f"beta must be finite, got {beta!r}")
     x._same_shape(y)
     frame = Frame(y.data[None], [beta], "the perspective base")
-    c = SymMatrix._computed(frame.whiten(x.data)[0])
     name = getattr(f, "name", "f")
-    mid = apply_fn(c, f, f"{name} on the whitened spectrum")
-    return SymMatrix._computed(frame.conjugate(mid.data)[0])
+    term = frame.assemble(x.data[None], [[f]],
+                          f"{name} on the whitened spectrum")
+    return SymMatrix._computed(term[0, 0])
 
 
 class PowerFrame:

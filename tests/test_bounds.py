@@ -351,15 +351,19 @@ def test_every_suite_500_instances_per_field(name):
 # stacked checks: the same bits and the same first error as one at a time
 
 def _serial_margins(spec, a, b, params, tol):
-    # the chain as 2-D library calls, one matrix at a time
+    # the chain as 2-D library calls, one matrix at a time: with
+    # C = U diag(lambda) U* and M = A^{beta/2} U, each term is the one
+    # product (M diag g(lambda)) M*, after g(C) itself is admitted
     p = spec.resolve(params)
     frame = PowerFrame(a, p.beta)
     cp = op.sym_eig(frame.whiten(b))
+    m = frame.frame.half[0] @ cp.eigenvectors
     terms = []
     for label in spec.terms:
         g = scalar_generator(label, alpha=p.alpha, delta=p.delta, lam=p.lam)
-        terms.append(frame.conjugate(
-            op.SymMatrix._computed(cp.rebuild(g(cp.eigenvalues)))))
+        vals = g(cp.eigenvalues)
+        op.SymMatrix._computed(cp.rebuild(vals))
+        terms.append(op.SymMatrix._computed((m * vals) @ m.conj().T))
     return [op.loewner_leq(terms[i], terms[j], tol).margin
             for i, j in spec.links]
 

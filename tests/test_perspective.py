@@ -211,6 +211,117 @@ def test_shared_whitening_raises_the_domain_error_of_each_call(field):
     assert str(stacked.value).endswith("of the whitened X")
 
 
+# Frame.assemble builds H f(C) H as the one product (H U) f(lambda) (H U)*;
+# the three-product formula rebuilds f(C) = U f(lambda) U* and conjugates it
+# by H.  Both round at about n eps |H|_2^2 max |f(lambda)|.  Over 36000
+# terms (seeds 20-79, dims 1/3/8/32, both fields, every registry kind, the
+# betas and alphas below; numpy 2.4.6 with OpenBLAS 0.3.31) the largest
+# entry of |one - three| measured 7.4e-16 of that scale (median 8.6e-18;
+# always 0 at dim 1).  The bound is 2e-15, about 9 ulps; it is not to be
+# raised to let a case pass
+ONE_PRODUCT_BOUND = 2e-15
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 32])
+def test_one_product_term_is_the_three_product_term_within_rounding(
+        dim, field):
+    kinds = sorted(bounds._GENERATORS)
+    betas = [0.5, 1.0, 1.5, 2.0, 3.0]
+    alphas = [0.0, 0.5, 2.0, 1.0, 0.5]
+    fns = [[scalar_generator(kind, alpha, 1.5, 0.3) for kind in kinds]
+           for alpha in alphas]
+    cfg = GenConfig(dim=dim, field=field, master_seed=53)
+    a = random_spd_stack(cfg, range(len(betas)))
+    b = random_spd_stack(cfg, range(len(betas)), salt=1)
+    frame = Frame(a, betas)
+    new = frame.assemble(b, fns, "C")
+    for t, fs in enumerate(fns):
+        inner = op.sym_eig(op.SymMatrix._computed(frame.whiten(b)[t]))
+        h_norm = frame.pair.eigenvalues[t].max() ** (betas[t] / 2.0)
+        for k, f in enumerate(fs):
+            vals = f(inner.eigenvalues)
+            old = op.SymMatrix._computed(frame.conjugate(
+                inner.rebuild(vals)[None])[t])
+            scale = h_norm ** 2 * np.abs(vals).max()
+            gap = np.abs(new[t, k] - old.data).max()
+            assert gap <= ONE_PRODUCT_BOUND * scale, (kinds[k], betas[t],
+                                                      gap / scale)
+
+
+def _first_serial_error(a, exponents, x, fns):
+    """The first error of admitting each trial's f_k(C), then its term
+    H f_k(C) H, one matrix at a time, in chain_check order."""
+    for t, fs in enumerate(fns):
+        frame = PowerFrame(op.SymMatrix._computed(a[t]), exponents[t])
+        inner = op.sym_eig(frame.whiten(op.SymMatrix._computed(x[t])))
+        for f in fs:
+            frame.conjugate(op.SymMatrix._computed(
+                inner.rebuild(f(inner.eigenvalues))))
+    raise AssertionError("no matrix is non-finite")
+
+
+@pytest.mark.parametrize("a, x, fns, message", [
+    # term 0 of trial 0 overflows (H = diag(1e100, 1)) before trial 0's
+    # f_1(C) and trial 1's f_0(C), both infinite
+    ([[1e100, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+     [[np.ones_like, lambda w: np.full_like(w, np.inf)],
+      [lambda w: np.full_like(w, np.inf), np.ones_like]],
+     "matrix Frobenius norm overflows: every entry is finite, the largest "
+     "magnitude is 1e+200"),
+    # trial 0's f_0(C) spectrum 2^500 could overflow but does not; trial
+    # 1's f_1(C) = diag(1e200, 1) has finite entries and an overflowing
+    # norm, while its term H f_1(C) H, H = diag(1e-100, 1), is the identity
+    ([[1.0, 1.0], [1e-100, 1.0]], [[1.0, 1.0], [2e-200, 1.0]],
+     [[lambda w: np.full_like(w, 2.0 ** 500), np.ones_like],
+      [np.ones_like, lambda w: np.where(w > 1.5, 1e200, 1.0)]],
+     "matrix Frobenius norm overflows: every entry is finite, the largest "
+     "magnitude is 1e+200"),
+    # trial 0's f_0(C) = diag(1e200, 1) overflows, with a finite term,
+    # before trial 1's term diag(1e250, 1)
+    ([[1e-100, 1.0], [1e125, 1.0]], [[2e-200, 1.0], [1.0, 1.0]],
+     [[lambda w: np.where(w > 1.5, 1e200, 1.0), np.ones_like],
+      [np.ones_like, np.ones_like]],
+     "matrix Frobenius norm overflows: every entry is finite, the largest "
+     "magnitude is 1e+200"),
+    ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+     [[np.ones_like, np.ones_like],
+      [np.ones_like, lambda w: np.full_like(w, np.nan)]],
+     "matrix entries must be finite: Frobenius norm is nan"),
+], ids=["term-first", "spectrum-near-the-bound", "spectrum-first", "nan"])
+def test_assembly_raises_the_first_non_finite_matrix_in_chain_order(
+        a, x, fns, message):
+    # f_k(C) is not formed, yet a non-finite one is met where the serial
+    # chain meets it, and raises the error its admission raises
+    a, x = (np.stack([np.diag(d) for d in diags]) for diags in (a, x))
+    exponents = [2.0, 2.0]
+    with np.errstate(all="ignore"):
+        with pytest.raises(op.OperatorError) as serial:
+            _first_serial_error(a, exponents, x, fns)
+        with pytest.raises(op.OperatorError) as stacked:
+            Frame(a, exponents).assemble(x, fns, "C")
+    assert str(stacked.value) == str(serial.value) == message
+
+
+def test_frame_at_other_exponents_gives_the_bits_of_a_new_frame():
+    # the oracle builds its t^1 frame from its t^beta frame's decomposition
+    cfg = GenConfig(dim=5, field="complex", master_seed=59)
+    a = random_spd_stack(cfg, range(3))
+    first = Frame(a, [0.5, 2.0, 3.0], "A")
+    moved = first.at([1.0, 1.0, -1.0])
+    fresh = Frame(a, [1.0, 1.0, -1.0], "A")
+    for name in ("half", "ihalf"):
+        assert getattr(moved, name).tobytes() == getattr(fresh,
+                                                         name).tobytes()
+    assert moved.pair is first.pair
+    assert first.half.tobytes() == Frame(a, [0.5, 2.0, 3.0]).half.tobytes()
+    with np.errstate(all="ignore"):
+        with pytest.raises(op.OperatorError) as err:
+            moved.at([1.0, 1e300, 1.0])
+    assert str(err.value).startswith("the power 1e+300/2 of eigenvalue")
+    assert str(err.value).endswith("of A over- or underflows")
+
+
 # ---------------------------------------------------------------------------
 # one frame for a stack and for one matrix
 

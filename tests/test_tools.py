@@ -49,8 +49,9 @@ def _run(margin, verdict="pass", passed=3, exit_status=0, stderr=""):
 
 
 def test_same_answers_tells_moved_numbers_from_moved_verdicts(same_answers):
-    numbers_only, verdict_moved = (same_answers.NUMBERS_ONLY,
-                                   same_answers.VERDICT_MOVED)
+    numbers_only, message_moved, verdict_moved = (
+        same_answers.NUMBERS_ONLY, same_answers.MESSAGE_MOVED,
+        same_answers.VERDICT_MOVED)
     old = _run(-1.25e-15)
     assert same_answers.compare(old, _run(-1.25e-15)) == ([], None, 0.0)
     notes, kind, gap = same_answers.compare(old, _run(-1.5e-15))
@@ -59,14 +60,33 @@ def test_same_answers_tells_moved_numbers_from_moved_verdicts(same_answers):
                      "out: 1 values differ, max scaled change 2.5e-16, "
                      "keys margin"]
     assert gap == pytest.approx(2.5e-16, rel=1e-12)
-    # one moved string, bool or integer, or a moved exit status or stderr,
-    # makes the run a moved verdict, whatever floats moved with it
+    # one moved string, bool or integer, or a moved exit status, makes the
+    # run a moved verdict, whatever floats or stderr moved with it
     for new in (_run(-1.25e-15, verdict="fail"),
                 _run(-1.5e-15, verdict="fail"),
                 _run(-1.25e-15, passed=2),
                 _run(-1.25e-15, exit_status=1),
-                _run(-1.25e-15, stderr="error: x\n")):
+                _run(-1.25e-15, exit_status=2, stderr="error: x\n"),
+                _run(-1.25e-15, passed=2, stderr="error: x\n")):
         assert same_answers.compare(old, new)[1] == verdict_moved
+    # stderr is compared with its floats masked, as stdout is: at one exit
+    # status, moved floats in an error line are numbers, moved words a
+    # moved message
+    failing = _run(-1.25e-15, exit_status=2,
+                   stderr="error: fails with margin -6.6e-17 (tolerance "
+                          "1e-08 * 1.000e+00)\n")
+    notes, kind, gap = same_answers.compare(failing, failing[:2] + (
+        failing[2].replace("-6.6e-17", "-5.2e-17"),) + failing[3:])
+    assert kind == numbers_only and gap == 0.0
+    assert notes == ["stderr 'error: fails with margin -6.6e-17 (tolerance "
+                     "1e-08 * 1.000e+00)\\n' -> 'error: fails with margin "
+                     "-5.2e-17 (tolerance 1e-08 * 1.000e+00)\\n'"]
+    for new in (_run(-1.25e-15, stderr="error: x\n"),
+                _run(-1.5e-15, stderr="error: x\n"),
+                failing[:2] + (failing[2].replace("margin", "gap"),)
+                + failing[3:]):
+        base = failing if new[0] == 2 else old
+        assert same_answers.compare(base, new)[1] == message_moved
     stdout = old[1].replace("pass", "fail")
     assert same_answers.compare(old, (0, stdout) + old[2:])[1] == verdict_moved
     assert same_answers.compare(old, old[:3] + (None,))[1] == verdict_moved

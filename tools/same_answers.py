@@ -11,12 +11,18 @@ normalized) and ``--out`` bytes are compared.
 
 The script prints one line per differing run, with the JSON values that
 moved when both reports parse and the largest scaled change
-``|new - old| / max(1, |old|, |new|)`` of a moved float.  The run is marked
-``numbers only`` when every moved report value is a float and the exit
-status, stderr and stdout (its floats aside) agree, and ``verdict moved``
-otherwise.  It then prints the count of runs per exit status on each side
-and of differing runs of each kind.  It exits 0 when every run agrees and
-1 otherwise.
+``|new - old| / max(1, |old|, |new|)`` of a moved float.  Each differing
+run is of one kind:
+
+- ``verdict moved``: the exit status, a report value that is not a float,
+  the presence of the report, or stdout (its floats aside) moved;
+- ``message moved``: only stderr moved, in more than its floats, at the
+  same exit status;
+- ``numbers only``: only floats moved, in the report, stdout or stderr.
+
+It then prints the count of runs per exit status on each side and of
+differing runs of each kind.  It exits 0 when every run agrees and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -237,7 +243,9 @@ def _leaves(obj, path=""):
         yield path, obj
 
 
-NUMBERS_ONLY, VERDICT_MOVED = "numbers only", "verdict moved"
+NUMBERS_ONLY, MESSAGE_MOVED, VERDICT_MOVED = ("numbers only",
+                                              "message moved",
+                                              "verdict moved")
 # a float as the CLI prints it; integers (trial counts) stay literal
 _FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
                     r"|\b(?:inf|nan)\b)")
@@ -266,28 +274,29 @@ def compare(old: tuple, new: tuple) -> tuple[list[str], str | None, float]:
     """What differs between two ``_run`` results: one phrase each, the
     kind of difference (``None`` when they agree) and the largest scaled
     change of a moved report float."""
-    notes, numbers_only, gaps = [], True, []
+    notes, verdict, message, gaps = [], False, False, []
     if old[0] != new[0]:
         notes.append(f"exit {old[0]} -> {new[0]}")
-        numbers_only = False
+        verdict = True
     if old[1] != new[1]:
         notes.append("stdout differs")
-        numbers_only &= _FLOAT.sub("#", old[1]) == _FLOAT.sub("#", new[1])
+        verdict |= _FLOAT.sub("#", old[1]) != _FLOAT.sub("#", new[1])
     if old[2] != new[2]:
         notes.append(f"stderr {old[2]!r} -> {new[2]!r}")
-        numbers_only = False
+        message = _FLOAT.sub("#", old[2]) != _FLOAT.sub("#", new[2])
     if old[3] != new[3]:
         if old[3] is None or new[3] is None:
             notes.append("out present only on one side")
-            numbers_only = False
+            verdict = True
         else:
             phrase, gaps = _report_diff(old[3], new[3])
             notes.append(phrase)
-            numbers_only &= gaps is not None
+            verdict |= gaps is None
     if not notes:
         return notes, None, 0.0
-    return (notes, NUMBERS_ONLY if numbers_only else VERDICT_MOVED,
-            max(gaps or [0.0]))
+    kind = (VERDICT_MOVED if verdict else MESSAGE_MOVED if message
+            else NUMBERS_ONLY)
+    return notes, kind, max(gaps or [0.0])
 
 
 def main(argv=None) -> int:
@@ -312,7 +321,8 @@ def main(argv=None) -> int:
             results = [[pool.submit(_run, tree, workdir, run) for run in runs]
                        for tree, workdir in sides]
             old, new = ([f.result() for f in side] for side in results)
-    kinds, worst = {NUMBERS_ONLY: 0, VERDICT_MOVED: 0}, 0.0
+    kinds, worst = dict.fromkeys((NUMBERS_ONLY, MESSAGE_MOVED,
+                                  VERDICT_MOVED), 0), 0.0
     for run, a, b in zip(runs, old, new):
         notes, kind, gap = compare(a, b)
         if kind:
@@ -328,6 +338,8 @@ def main(argv=None) -> int:
                                        for code, n in sorted(counts.items())))
     print(f"{kinds[NUMBERS_ONLY]} runs differ in numbers only, max scaled "
           f"change {worst:.3g}")
+    print(f"{kinds[MESSAGE_MOVED]} runs differ in stderr text only, at the "
+          f"same exit status")
     print(f"{kinds[VERDICT_MOVED]} runs differ with a verdict moved")
     print(f"{differ} of {len(runs)} runs differ")
     return 1 if differ else 0
