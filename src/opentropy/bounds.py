@@ -165,6 +165,7 @@ def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
     A^{beta/2}`` for the registry generator ``g``; domain errors from
     non-positive inputs propagate from the perspective.
     """
+    a._same_shape(b)  # a mismatch names A first, as the means do
     g = scalar_generator(kind, alpha=alpha, delta=delta, lam=lam)
     return perspective(g, b, a, beta)
 

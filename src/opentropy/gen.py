@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from .bounds import _relation_margin
-from .matcore import OperatorError, SymMatrix, _admit, _eigh
+from .matcore import OperatorError, SymMatrix, _admit, _compose, _eigh
 from .perspective import Frame
 
 CONDITION_CAP = 1e4
@@ -108,11 +108,6 @@ def _orthonormal(g: np.ndarray) -> np.ndarray:
     mag = np.abs(d)
     phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
     return q * np.conj(phase)[..., None, :]
-
-
-def _compose(frame: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``frame diag(vals) frame*`` for each matrix of a stack, raw."""
-    return (frame * vals[:, None, :]) @ frame.conj().swapaxes(-1, -2)
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float,

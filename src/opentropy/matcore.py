@@ -80,31 +80,23 @@ class SymMatrix:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype, order="C")
-        scale = max(1.0, self._store(arr))  # a failed check below discards
+        self._store(arr)  # a failed check below discards
         asym = float(np.max(np.abs(arr - arr.conj().T)))
-        if asym > HERMITICITY_TOL * scale:
-            raise SelfAdjointError(
-                f"matrix is not self-adjoint: max asymmetry {asym:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}"
-            )
+        # the bound is at least the tolerance, so only an asymmetry above it
+        # needs the norm
+        if asym > HERMITICITY_TOL:
+            scale = max(1.0, float(_fro(arr)))
+            if asym > HERMITICITY_TOL * scale:
+                raise SelfAdjointError(
+                    f"matrix is not self-adjoint: max asymmetry {asym:.3e} "
+                    f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}"
+                )
 
-    def _store(self, arr: np.ndarray) -> float:
-        """Finiteness check, then freeze (arr + arr*)/2; returns ||arr||_F."""
-        fro = float(np.linalg.norm(arr))
-        if not np.isfinite(fro):
-            # an infinite norm would make an infinite Loewner scale, which
-            # every link passes, so finite entries are rejected here too
-            if np.isfinite(arr).all():
-                raise OperatorError(
-                    f"matrix Frobenius norm overflows: every entry is "
-                    f"finite, the largest magnitude is "
-                    f"{float(np.abs(arr).max())!r}")
-            raise OperatorError(
-                f"matrix entries must be finite: Frobenius norm is {fro!r}")
-        sym = _resym(arr)
+    def _store(self, arr: np.ndarray) -> None:
+        """``_admit``, then freeze the symmetrized ``arr``."""
+        sym = _admit(arr)
         sym.flags.writeable = False
         object.__setattr__(self, "data", sym)
-        return fro
 
     @classmethod
     def _computed(cls, arr: np.ndarray) -> "SymMatrix":
@@ -165,21 +157,37 @@ def _fro(arr: np.ndarray) -> np.ndarray:
     as strided views (contiguous copies change the bits)."""
     n = arr.shape[-1]
     flat = arr.reshape(-1, 1, n * n)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(arr) else (flat,)
-    sq = sum(p @ p.swapaxes(-1, -2) for p in parts)
+    sq = flat.real @ flat.real.swapaxes(-1, -2)
+    if np.iscomplexobj(arr):
+        sq += flat.imag @ flat.imag.swapaxes(-1, -2)
     return np.sqrt(sq).reshape(arr.shape[:-2])
 
 
 def _admit(arr: np.ndarray) -> np.ndarray:
-    """The finiteness check of ``SymMatrix._computed`` on a stack of
-    matrices, matrix by matrix over the leading axes in C order, so the
-    error raised is the one a loop of ``_computed`` calls meets first.
-    Returns ``arr`` symmetrized as ``_computed`` stores it."""
-    finite = np.isfinite(_fro(arr))
+    """The finiteness rule of every matrix the package stores or compares,
+    for one matrix or a stack: the first matrix over the leading axes, in
+    C order, whose Frobenius norm is not finite raises ``OperatorError``.
+    An infinite norm would make an infinite Loewner scale, which every
+    link passes, so finite entries whose norm overflows are rejected too,
+    and named.  Returns ``arr`` symmetrized as ``SymMatrix`` stores it."""
+    fro = _fro(arr)
+    finite = np.isfinite(fro)
     if not finite.all():
-        SymMatrix._computed(
-            arr[np.unravel_index(np.argmin(finite), finite.shape)])
+        first = np.unravel_index(np.argmin(finite), finite.shape)
+        bad = arr[first]
+        if np.isfinite(bad).all():
+            raise OperatorError(
+                f"matrix Frobenius norm overflows: every entry is finite, "
+                f"the largest magnitude is {float(np.abs(bad).max())!r}")
+        raise OperatorError(f"matrix entries must be finite: Frobenius norm "
+                            f"is {float(fro[first])!r}")
     return _resym(arr)
+
+
+def _compose(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``U diag(values) U*`` for each matrix in the last two axes, raw;
+    leading axes of ``u`` and ``values`` broadcast."""
+    return (u * values[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -195,9 +203,8 @@ class EigenPair:
         Leading axes of ``values`` and of the eigenvectors broadcast, so a
         stack of decompositions rebuilds as one ``(..., n, n)`` array.
         """
-        u = self.eigenvectors
-        vals = np.asarray(values, dtype=np.float64)[..., None, :]
-        return _resym((u * vals) @ u.conj().swapaxes(-1, -2))
+        return _resym(_compose(self.eigenvectors,
+                               np.asarray(values, dtype=np.float64)))
 
 
 def _lapack(solver, arr: np.ndarray):
@@ -213,15 +220,6 @@ def _lapack(solver, arr: np.ndarray):
 def _eigh(arr: np.ndarray) -> EigenPair:
     """``sym_eig`` of each matrix in the last two axes of a raw array."""
     w, v = _lapack(np.linalg.eigh, arr)
-    # the pivot of a column is its first largest-magnitude entry; an
-    # orthonormal column has an entry of magnitude >= 1/sqrt(n), so the
-    # pivot is never zero
-    n = v.shape[-1]
-    rows = np.argmax(np.abs(v), axis=-2)
-    if v.ndim > 2:  # row numbers in the (-1, n) view of the whole stack
-        rows += np.arange(0, v.size // n, n).reshape(v.shape[:-2] + (1,))
-    pivot = v.reshape(-1, n)[rows, np.arange(n)]
-    v *= (np.conj(pivot) / np.abs(pivot))[..., None, :]
     w.flags.writeable = False
     v.flags.writeable = False
     return EigenPair(eigenvalues=w, eigenvectors=v)
@@ -230,10 +228,10 @@ def _eigh(arr: np.ndarray) -> EigenPair:
 def sym_eig(m: SymMatrix) -> EigenPair:
     """Eigendecompose a self-adjoint matrix with LAPACK ``?syevd``/``?heevd``.
 
-    Eigenvalues come back ascending; each eigenvector is normalized so its
-    largest-magnitude component (the first one, on ties) is real and
-    positive.  The output is a pure function of the input bits on a given
-    numpy/LAPACK build.
+    Eigenvalues come back ascending, with LAPACK's orthonormal
+    eigenvectors as they are: the phase of each is LAPACK's, which cancels
+    in every ``U f(lambda) U*`` this package forms.  The output is a pure
+    function of the input bits on a given numpy/LAPACK build.
 
     Raises
     ------
@@ -369,8 +367,8 @@ class OrderVerdict:
 def _loewner(diff: np.ndarray, lhs_fro, rhs_fro):
     """``(margin, scale)`` of ``lhs <= rhs`` for each matrix in the last two
     axes of ``diff = rhs - lhs``, given the operands' ``_fro`` norms: the
-    smallest eigenvalue of ``diff``, admitted as ``SymMatrix._computed``
-    admits it, and ``max(1, ||lhs||_F, ||rhs||_F)``.  The comparison holds
+    smallest eigenvalue of ``diff``, admitted by ``_admit``, and
+    ``max(1, ||lhs||_F, ||rhs||_F)``.  The comparison holds
     at ``tol`` when ``margin >= -tol * scale``.
 
     The margin comes from LAPACK's eigenvalues-only routine (``eigvalsh``),

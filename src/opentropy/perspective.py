@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import (EigenPair, OperatorError, SymMatrix, _admit,
-                      _check_domain, _eigh, _fro)
+from .matcore import (OperatorError, SymMatrix, _admit, _check_domain,
+                      _compose, _eigh, _fro)
 
 # f(C) = U diag(f(lambda)) U* has Frobenius norm |f(lambda)|_2 <=
 # sqrt(n) max |f(lambda)| up to rounding, finite when max |f(lambda)| is
@@ -92,33 +92,30 @@ class Frame:
         terms are admitted and returned symmetrized.  ``f_k(C)`` itself is
         not formed, but it is admitted as if it were, in ``chain_check``
         order ``f_0(C)``, term 0, ``f_1(C)``, term 1, ...: a spectrum that
-        could make its norm non-finite has that one matrix rebuilt, and a
-        non-finite one raises the error its ``SymMatrix._computed`` raises.
+        could make its norm non-finite has that one matrix formed, and a
+        non-finite one raises the error its ``_admit`` raises.
         """
         inner = _eigh(_admit(self.whiten(x)))
         _check_domain(inner.eigenvalues, name)
         vals = _rows(lambda w, fs: [f(w) for f in fs], inner.eigenvalues,
                      fns)
-        m = self.half @ inner.eigenvectors
-        adjoint = m.conj().swapaxes(-1, -2)
-        terms = (m[:, None] * vals[..., None, :]) @ adjoint[:, None]
+        terms = _compose((self.half @ inner.eigenvectors)[:, None], vals)
         if not np.abs(vals).max() * vals.shape[-1] < _SPECTRUM_SAFE:
-            _admit_in_chain_order(inner, vals, terms)
+            _admit_in_chain_order(inner.eigenvectors, vals, terms)
         return _admit(terms)
 
 
-def _admit_in_chain_order(inner: EigenPair, vals: np.ndarray,
+def _admit_in_chain_order(u: np.ndarray, vals: np.ndarray,
                           terms: np.ndarray) -> None:
     """Admit each ``f_k(C) = U diag(vals[t, k]) U*`` whose spectrum could
-    make it non-finite, rebuilt from ``inner``, and each of the raw
-    ``terms``, in ``chain_check`` order: trial by trial, ``f_k(C)`` before
-    its term.  The first non-finite matrix raises the error its
-    ``SymMatrix._computed`` raises."""
+    make it non-finite, formed from the eigenvectors ``u``, and each of
+    the raw ``terms``, in ``chain_check`` order: trial by trial, ``f_k(C)``
+    before its term.  The first non-finite matrix raises the error its
+    ``_admit`` raises."""
     suspect = ~(np.abs(vals).max(axis=-1) * vals.shape[-1] < _SPECTRUM_SAFE)
     bad = np.stack([suspect, ~np.isfinite(_fro(terms))], axis=-1)
     for t, k, term in zip(*np.nonzero(bad)):
-        SymMatrix._computed(terms[t, k] if term else EigenPair(
-            inner.eigenvalues[t], inner.eigenvectors[t]).rebuild(vals[t, k]))
+        _admit(terms[t, k] if term else _compose(u[t], vals[t, k]))
 
 
 def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,

@@ -584,7 +584,9 @@ def test_compute_rejects_disagreeing_operands(tmp_path, spd_json, capsys,
     code = main(["compute", "--expr", expr, "--A", str(a_path),
                  "--B", str(b_path)])
     assert code == EXIT_USAGE
-    assert "operands disagree" in capsys.readouterr().err
+    # A is named first, whichever operator meets the mismatch
+    assert capsys.readouterr().err == (
+        f"error: operands disagree: 2x2 real vs {b.dim}x{b.dim} {b.field}\n")
 
 
 @pytest.mark.parametrize("flags", [

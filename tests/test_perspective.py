@@ -1,11 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import opentropy as op
 from opentropy import bounds
-from opentropy.bounds import BOUND_KINDS, scalar_generator
+from opentropy.bounds import BOUND_KINDS, _relation_margin, scalar_generator
 from opentropy.gen import (GenConfig, random_diag_pair, random_spd,
                            random_spd_stack)
+from opentropy.matcore import EigenPair, _eigh
 from opentropy.perspective import Frame, PowerFrame, perspective
 
 
@@ -247,6 +250,81 @@ def test_one_product_term_is_the_three_product_term_within_rounding(
             gap = np.abs(new[t, k] - old.data).max()
             assert gap <= ONE_PRODUCT_BOUND * scale, (kinds[k], betas[t],
                                                       gap / scale)
+
+
+# An eigenvector's phase cancels in U f(lambda) U* and in (HU) f(lambda)
+# (HU)*, so no result may depend on the phases LAPACK returns.  In the real
+# field a phase is +-1 and a sign flip is exact, so results are bitwise the
+# same.  In the complex field the phase product rounds: with the other
+# operands fixed, over 68400 Frame, Frame.assemble and _relation_margin
+# values (seeds 20-199, dims 1/3/8/32, every registry kind, the betas,
+# alphas and deltas below; numpy 2.4.6 with OpenBLAS 0.3.31) the largest
+# entry of |rephased - plain| measured 1.28e-15 of its scale (median
+# 1.4e-17 to 1.3e-16 by quantity).  The scale is |H|_2 for H, |H^{-1}|_2
+# for H^{-1}, |H|_2^2 max |f(lambda)| for a term and the Loewner scale for
+# a margin and for that scale itself.  The bound is 4e-15, about 18 ulps; it is not to be raised to
+# let a case pass
+PHASE_BOUND = 4e-15
+
+
+def _rephased(rng, field):
+    """``_eigh`` with each eigenvector times a random unit phase."""
+    def eigh(arr):
+        pair = _eigh(arr)
+        u = pair.eigenvectors
+        shape = u.shape[:-2] + (1, u.shape[-1])
+        phase = (rng.choice([-1.0, 1.0], size=shape) if field == "real"
+                 else np.exp(2j * np.pi * rng.uniform(size=shape)))
+        return EigenPair(pair.eigenvalues, u * phase)
+    return eigh
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 32])
+def test_results_do_not_depend_on_eigenvector_phases(monkeypatch, dim,
+                                                     field):
+    kinds = sorted(bounds._GENERATORS)
+    betas = [0.5, 1.0, 1.5, 2.0, 3.0]
+    alphas = [0.0, 0.5, 2.0, 1.0, 0.5]
+    deltas = [0.5, 1.0, 1.5, 1.0, 2.0]
+    fns = [[scalar_generator(kind, alpha, 1.5, 0.3) for kind in kinds]
+           for alpha in alphas]
+    cfg = GenConfig(dim=dim, field=field, master_seed=61)
+    a = random_spd_stack(cfg, range(len(betas)))
+    b = random_spd_stack(cfg, range(len(betas)), salt=1)
+    plain = Frame(a, betas)
+    terms = plain.assemble(b, fns, "C")
+    margin, scale = _relation_margin(plain.pair, b, betas, deltas,
+                                     "dominating")
+    monkeypatch.setattr(importlib.import_module("opentropy.perspective"),
+                        "_eigh", _rephased(np.random.default_rng(dim), field))
+    turned = Frame(a, betas)
+    # the frame's phases, then the whitened spectrum's with the frame fixed
+    turned_margin, turned_scale = _relation_margin(turned.pair, b, betas,
+                                                   deltas, "dominating")
+    turned_terms = plain.assemble(b, fns, "C")
+    if field == "real":
+        for new, old in ((turned.half, plain.half),
+                         (turned.ihalf, plain.ihalf),
+                         (turned_terms, terms),
+                         (turned.assemble(b, fns, "C"), terms),
+                         (turned_margin, margin),
+                         (turned_scale, scale)):
+            assert new.tobytes() == old.tobytes()
+        return
+    v = plain.pair.eigenvalues ** (np.array(betas)[:, None] / 2.0)
+    inner = _eigh(plain.whiten(b))
+    for t, fs in enumerate(fns):
+        for new, old, unit in ((turned.half, plain.half, v[t].max()),
+                               (turned.ihalf, plain.ihalf,
+                                (1.0 / v[t]).max())):
+            assert np.abs(new[t] - old[t]).max() <= PHASE_BOUND * unit
+        for k, f in enumerate(fs):
+            unit = v[t].max() ** 2 * np.abs(f(inner.eigenvalues[t])).max()
+            gap = np.abs(turned_terms[t, k] - terms[t, k]).max()
+            assert gap <= PHASE_BOUND * unit, (kinds[k], betas[t])
+        for new, old in ((turned_margin, margin), (turned_scale, scale)):
+            assert abs(new[t] - old[t]) <= PHASE_BOUND * scale[t]
 
 
 def _first_serial_error(a, exponents, x, fns):

@@ -91,3 +91,29 @@ def test_same_answers_tells_moved_numbers_from_moved_verdicts(same_answers):
     assert same_answers.compare(old, (0, stdout) + old[2:])[1] == verdict_moved
     assert same_answers.compare(old, old[:3] + (None,))[1] == verdict_moved
     assert same_answers.compare(old, old[:3] + (b"{",))[1] == verdict_moved
+
+
+def test_same_answers_tallies_differing_runs_per_field(same_answers):
+    runs = same_answers.argvs()
+    fields = [same_answers.field_of(run) for run in runs]
+    for run, field in zip(runs, fields):
+        if run[0] == "hh":
+            assert field == "none"
+        elif run[0] == "compute":
+            operands = [run[run.index(flag) + 1] for flag in ("--A", "--B")]
+            assert (field == "complex") == any(
+                name.endswith("c.json") for name in operands)
+        else:
+            assert field == (run[run.index("--field") + 1]
+                             if "--field" in run else "real")
+    # every field occurs, and the rejected verify runs default to real
+    assert set(fields) == {"real", "complex", "none"}
+    assert same_answers.field_of(["verify", "--suite", "thm-primed-le",
+                                  "--delta", "-1"]) == "real"
+    assert same_answers.field_of(["compute", "--expr", "S", "--A",
+                                  "a2r.json", "--B", "b2c.json"]) == "complex"
+    assert same_answers.field_tally(runs) == (
+        f"differing runs per field: real {fields.count('real')}, "
+        f"complex {fields.count('complex')}, none {fields.count('none')}")
+    assert same_answers.field_tally([]) == (
+        "differing runs per field: real 0, complex 0, none 0")

@@ -20,9 +20,9 @@ run is of one kind:
   same exit status;
 - ``numbers only``: only floats moved, in the report, stdout or stderr.
 
-It then prints the count of runs per exit status on each side and of
-differing runs of each kind.  It exits 0 when every run agrees and 1
-otherwise.
+It then prints the count of runs per exit status on each side, of
+differing runs of each kind and of differing runs per scalar field
+(``field_of``).  It exits 0 when every run agrees and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -299,6 +299,27 @@ def compare(old: tuple, new: tuple) -> tuple[list[str], str | None, float]:
     return notes, kind, max(gaps or [0.0])
 
 
+def field_of(argv: list[str]) -> str:
+    """The scalar field of a run: ``--field`` of ``verify`` and ``oracle``
+    (default real), complex for a ``compute`` with a ``...c.json``
+    operand, and ``none`` for ``hh``, which has no field."""
+    if argv[0] == "hh":
+        return "none"
+    if argv[0] == "compute":
+        return ("complex" if any(arg.endswith("c.json") for arg in argv)
+                else "real")
+    return argv[argv.index("--field") + 1] if "--field" in argv else "real"
+
+
+def field_tally(runs: list[list[str]]) -> str:
+    """The line counting ``runs`` per ``field_of``."""
+    counts = dict.fromkeys(("real", "complex", "none"), 0)
+    for run in runs:
+        counts[field_of(run)] += 1
+    return "differing runs per field: " + ", ".join(
+        f"{field} {n}" for field, n in counts.items())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev", help="the git revision to compare against")
@@ -323,13 +344,14 @@ def main(argv=None) -> int:
             old, new = ([f.result() for f in side] for side in results)
     kinds, worst = dict.fromkeys((NUMBERS_ONLY, MESSAGE_MOVED,
                                   VERDICT_MOVED), 0), 0.0
+    differing = []
     for run, a, b in zip(runs, old, new):
         notes, kind, gap = compare(a, b)
         if kind:
             kinds[kind] += 1
+            differing.append(run)
             worst = max(worst, gap)
             print(f"DIFF [{kind}] {' '.join(run[:-2])}: {'; '.join(notes)}")
-    differ = sum(kinds.values())
     for label, side in ((args.rev, old), ("tree", new)):
         counts = {}
         for result in side:
@@ -341,8 +363,9 @@ def main(argv=None) -> int:
     print(f"{kinds[MESSAGE_MOVED]} runs differ in stderr text only, at the "
           f"same exit status")
     print(f"{kinds[VERDICT_MOVED]} runs differ with a verdict moved")
-    print(f"{differ} of {len(runs)} runs differ")
-    return 1 if differ else 0
+    print(f"{len(differing)} of {len(runs)} runs differ")
+    print(field_tally(differing))
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
