@@ -391,7 +391,9 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     Returns one report per trial, or raises the first failure of the
     first stage that fails.  Each stage checks every trial at once and
     raises the first failure it finds in ``chain_check`` order: lowest
-    trial, then position, then array.  On a stack of one that is exactly
+    trial, then position, then array.  The terms stage admits the whitened
+    B, then the terms in (trial, term) order; ``g_k(C)`` is never formed,
+    so it is never what fails.  On a stack of one that is exactly
     the error ``chain_check`` raises; a longer stack may fail at an
     earlier stage on a later trial, so callers that must blame the lowest
     failing trial check the trials again one at a time.

@@ -100,16 +100,6 @@ def _gaussian(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
     return g
 
 
-def _orthonormal(g: np.ndarray) -> np.ndarray:
-    """Orthonormal frames from a stack of QR'd Gaussians, phases
-    canonicalized."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    mag = np.abs(d)
-    phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return q * np.conj(phase)[..., None, :]
-
-
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
                  size: int) -> np.ndarray:
     return lo * (hi / lo) ** rng.uniform(0.0, 1.0, size=size)
@@ -118,12 +108,15 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
 def _spd(rngs, ranges, dim: int, field: str) -> np.ndarray:
     """``U diag(lambda) U*``, raw, for each stream of ``rngs`` and its
     ``(lo, hi)`` of ``ranges``: each stream draws its log-uniform spectrum
-    ``lambda`` in ``[lo, hi]``, then the Gaussian that is QR'd into ``U``."""
+    ``lambda`` in ``[lo, hi]``, then the Gaussian that is QR'd into ``U``.
+    ``U`` keeps LAPACK's column phases: the phase fix that would make it
+    Haar is a diagonal unitary on the right, which commutes with
+    ``diag(lambda)`` and so cancels in the product."""
     vals, gauss = [], []
     for rng, (lo, hi) in zip(rngs, ranges):
         vals.append(_log_uniform(rng, lo, hi, dim))
         gauss.append(_gaussian(rng, dim, field))
-    return _compose(_orthonormal(np.array(gauss)), np.array(vals))
+    return _compose(np.linalg.qr(np.array(gauss))[0], np.array(vals))
 
 
 def random_spd_stack(cfg: GenConfig, trials, salt: int = 0) -> np.ndarray:

@@ -382,7 +382,7 @@ def _loewner(diff: np.ndarray, lhs_fro, rhs_fro):
 def loewner_leq(a: SymMatrix, b: SymMatrix,
                 tol: float = DEFAULT_LOEWNER_TOL) -> OrderVerdict:
     """Decide ``A <= B`` in the Loewner order, with a signed margin."""
-    b._same_shape(a)
+    a._same_shape(b)
     margin, scale = (float(x) for x in _loewner(
         b.data - a.data, _fro(a.data), _fro(b.data)))
     return OrderVerdict(holds=margin >= -tol * scale, margin=margin,

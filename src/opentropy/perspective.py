@@ -6,7 +6,8 @@ single primitive behind every entropy and bound operator in this package.
 ``Frame`` builds its congruence ``H = Y^{b/2}`` for a ``(T, n, n)`` stack,
 and ``Frame.assemble`` builds every stacked ``H f_k(C) H`` the chain
 checker and the scalar oracle compare, each as the one product
-``(H U) diag f_k(lambda) (H U)*`` of ``C = U diag(lambda) U*``.
+``(H U) diag f_k(lambda) (H U)*`` of ``C = U diag(lambda) U*``: only
+``C`` and the terms are formed and admitted, never ``f_k(C)``.
 ``perspective`` is ``Frame.assemble`` on a stack of one, and
 ``PowerFrame`` is a stack-of-one ``Frame`` on ``SymMatrix`` values.
 """
@@ -19,12 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .matcore import (OperatorError, SymMatrix, _admit, _check_domain,
-                      _compose, _eigh, _fro)
-
-# f(C) = U diag(f(lambda)) U* has Frobenius norm |f(lambda)|_2 <=
-# sqrt(n) max |f(lambda)| up to rounding, finite when max |f(lambda)| is
-# below this bound over n; Frame.assemble rebuilds f(C) only above it
-_SPECTRUM_SAFE = 2.0 ** 500
+                      _compose, _eigh)
 
 
 def _rows(fn, *columns) -> np.ndarray:
@@ -90,32 +86,16 @@ class Frame:
         With ``C = U diag(lambda) U*`` and ``M = H U``, each term is the one
         product ``(M diag f_k(lambda)) M*``, as ``H`` is self-adjoint; the
         terms are admitted and returned symmetrized.  ``f_k(C)`` itself is
-        not formed, but it is admitted as if it were, in ``chain_check``
-        order ``f_0(C)``, term 0, ``f_1(C)``, term 1, ...: a spectrum that
-        could make its norm non-finite has that one matrix formed, and a
-        non-finite one raises the error its ``_admit`` raises.
+        never formed, so only the whitened ``C`` and the terms are
+        admitted: the first non-finite term, in (trial, term) order, raises
+        the error its ``_admit`` raises.
         """
         inner = _eigh(_admit(self.whiten(x)))
         _check_domain(inner.eigenvalues, name)
         vals = _rows(lambda w, fs: [f(w) for f in fs], inner.eigenvalues,
                      fns)
-        terms = _compose((self.half @ inner.eigenvectors)[:, None], vals)
-        if not np.abs(vals).max() * vals.shape[-1] < _SPECTRUM_SAFE:
-            _admit_in_chain_order(inner.eigenvectors, vals, terms)
-        return _admit(terms)
-
-
-def _admit_in_chain_order(u: np.ndarray, vals: np.ndarray,
-                          terms: np.ndarray) -> None:
-    """Admit each ``f_k(C) = U diag(vals[t, k]) U*`` whose spectrum could
-    make it non-finite, formed from the eigenvectors ``u``, and each of
-    the raw ``terms``, in ``chain_check`` order: trial by trial, ``f_k(C)``
-    before its term.  The first non-finite matrix raises the error its
-    ``_admit`` raises."""
-    suspect = ~(np.abs(vals).max(axis=-1) * vals.shape[-1] < _SPECTRUM_SAFE)
-    bad = np.stack([suspect, ~np.isfinite(_fro(terms))], axis=-1)
-    for t, k, term in zip(*np.nonzero(bad)):
-        _admit(terms[t, k] if term else _compose(u[t], vals[t, k]))
+        return _admit(_compose((self.half @ inner.eigenvectors)[:, None],
+                               vals))
 
 
 def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,

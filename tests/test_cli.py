@@ -166,6 +166,22 @@ def test_verify_zero_trials_vacuous_pass(tmp_path, capsys):
     assert report["trials"] == []
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_verify_admits_finite_terms_whose_unformed_f_C_overflows(tmp_path,
+                                                                 field):
+    # at alpha 60 on a tiny spectrum, f(C) would have an overflowing norm,
+    # but it is never formed and every term it would reach is finite
+    out = tmp_path / "edge.json"
+    code = main(["verify", "--suite", "prop-bounds", "--field", field,
+                 "--trials", "30", "--dim", "3", "--alpha", "60",
+                 "--spec-lo", "1e-110", "--spec-hi", "1e-106",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["summary"]["all_pass"] is True
+    assert len(report["trials"]) == 30
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "--suite", "thm-main99"]) == EXIT_USAGE
     capsys.readouterr()

@@ -9,7 +9,9 @@ from opentropy.gen import (
     random_diag_pair,
     random_diag_pair_stack,
     random_partner,
+    random_partner_stack,
     random_spd,
+    random_spd_stack,
 )
 
 
@@ -73,6 +75,59 @@ def test_boundary_trials_hit_exact_equality():
             equal += 1
     assert equal >= 2  # trials 0 and 20
     assert equal / (2 * BOUNDARY_EVERY) >= 0.05
+
+
+# A QR column phase is a diagonal unitary on the right of Q, which commutes
+# with diag(lambda) and cancels in Q diag(lambda) Q*, so no draw may depend
+# on the phases LAPACK gives Q.  In the real field a phase is +-1 and a
+# sign flip is exact, so draws are bitwise the same.  In the complex field
+# the phase product rounds: over 96000 matrices (seeds 0-1999, dims
+# 1/3/8/32, six trials each at the betas and deltas below; numpy 2.4.6
+# with OpenBLAS 0.3.31) the largest entry of |rephased - plain| measured
+# 1.09e-15 of the matrix's largest eigenvalue (median 5.5e-17 to
+# 1.3e-16 by dim and stack).  The bound is 4e-15, about 18 ulps; it is not
+# to be raised to let a case pass
+QR_PHASE_BOUND = 4e-15
+
+
+def _rephased_qr(rng, field):
+    """``np.linalg.qr`` with each column of Q times a random unit phase,
+    and R's rows by the conjugate phases, so that QR is still G."""
+    qr = np.linalg.qr
+
+    def rephased(g):
+        q, r = qr(g)
+        shape = q.shape[:-2] + (1, q.shape[-1])
+        phase = (rng.choice([-1.0, 1.0], size=shape) if field == "real"
+                 else np.exp(2j * np.pi * rng.uniform(size=shape)))
+        return q * phase, np.conj(phase).swapaxes(-1, -2) * r
+    return rephased
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 32])
+def test_draws_do_not_depend_on_qr_column_phases(monkeypatch, dim, field):
+    # trial 0 is the exact boundary of the partner, which draws no frame
+    betas = [0.5, 1.0, 1.5, 2.0, 3.0, 1.0]
+    deltas = [0.5, 1.0, 1.5, 1.0, 2.0, 0.7]
+    trials = list(range(len(betas)))
+    cfg = GenConfig(dim=dim, field=field, master_seed=67)
+    a = random_spd_stack(cfg, trials)
+    b = random_partner_stack(a, betas, deltas, "dominated", cfg, trials)[0]
+    monkeypatch.setattr(np.linalg, "qr",
+                        _rephased_qr(np.random.default_rng(dim), field))
+    turned_a = random_spd_stack(cfg, trials)
+    # the partner's own frames, with A fixed
+    turned_b = random_partner_stack(a, betas, deltas, "dominated", cfg,
+                                    trials)[0]
+    monkeypatch.undo()
+    for new, old in ((turned_a, a), (turned_b, b)):
+        if field == "real":
+            assert new.tobytes() == old.tobytes()
+            continue
+        unit = np.linalg.eigvalsh(old)[:, -1]
+        gap = np.abs(new - old).max(axis=(-1, -2))
+        assert (gap <= QR_PHASE_BOUND * unit).all(), gap / unit
 
 
 def test_partner_rejects_bad_arguments():

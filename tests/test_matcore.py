@@ -508,6 +508,18 @@ def test_loewner_dimension_mismatch():
                        op.SymMatrix.identity(2, "complex"))
 
 
+@pytest.mark.parametrize("b, message", [
+    (op.SymMatrix.identity(3), "operands disagree: 2x2 real vs 3x3 real"),
+    (op.SymMatrix.identity(2, "complex"),
+     "operands disagree: 2x2 real vs 2x2 complex"),
+], ids=["dim", "field"])
+def test_loewner_mismatch_names_a_first(b, message):
+    # the error names the operands in the order A <= B states them
+    with pytest.raises(op.DimensionError) as err:
+        op.loewner_leq(op.SymMatrix.identity(2), b)
+    assert str(err.value) == message
+
+
 def _random_pairs(field):
     """Random self-adjoint pairs at dims 1-8, 17 and 32: most differences
     indefinite, and one per dim a singular PSD difference, margin ~0."""

@@ -327,58 +327,65 @@ def test_results_do_not_depend_on_eigenvector_phases(monkeypatch, dim,
             assert abs(new[t] - old[t]) <= PHASE_BOUND * scale[t]
 
 
-def _first_serial_error(a, exponents, x, fns):
-    """The first error of admitting each trial's f_k(C), then its term
-    H f_k(C) H, one matrix at a time, in chain_check order."""
+def _first_term_error(a, exponents, x, fns):
+    """The first error of assembling each term H f_k(C) H alone, on a
+    stack of one, in (trial, term) order."""
     for t, fs in enumerate(fns):
-        frame = PowerFrame(op.SymMatrix._computed(a[t]), exponents[t])
-        inner = op.sym_eig(frame.whiten(op.SymMatrix._computed(x[t])))
+        frame = Frame(a[t:t + 1], exponents[t:t + 1])
         for f in fs:
-            frame.conjugate(op.SymMatrix._computed(
-                inner.rebuild(f(inner.eigenvalues))))
-    raise AssertionError("no matrix is non-finite")
+            frame.assemble(x[t:t + 1], [[f]], "C")
+    raise AssertionError("no term is non-finite")
+
+
+def _diagonal_stacks(*diags):
+    return (np.stack([np.diag(d) for d in stack]) for stack in diags)
 
 
 @pytest.mark.parametrize("a, x, fns, message", [
     # term 0 of trial 0 overflows (H = diag(1e100, 1)) before trial 0's
-    # f_1(C) and trial 1's f_0(C), both infinite
+    # term 1 and trial 1's term 0, both infinite
     ([[1e100, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
      [[np.ones_like, lambda w: np.full_like(w, np.inf)],
       [lambda w: np.full_like(w, np.inf), np.ones_like]],
      "matrix Frobenius norm overflows: every entry is finite, the largest "
      "magnitude is 1e+200"),
-    # trial 0's f_0(C) spectrum 2^500 could overflow but does not; trial
-    # 1's f_1(C) = diag(1e200, 1) has finite entries and an overflowing
-    # norm, while its term H f_1(C) H, H = diag(1e-100, 1), is the identity
-    ([[1.0, 1.0], [1e-100, 1.0]], [[1.0, 1.0], [2e-200, 1.0]],
-     [[lambda w: np.full_like(w, 2.0 ** 500), np.ones_like],
-      [np.ones_like, lambda w: np.where(w > 1.5, 1e200, 1.0)]],
-     "matrix Frobenius norm overflows: every entry is finite, the largest "
-     "magnitude is 1e+200"),
-    # trial 0's f_0(C) = diag(1e200, 1) overflows, with a finite term,
-    # before trial 1's term diag(1e250, 1)
+    # trial 0's f_0(C) = diag(1e200, 1) would overflow, but it is never
+    # formed and its term H f_0(C) H, H = diag(1e-100, 1), is the
+    # identity; trial 1's term diag(1e250, 1) is the first to overflow
     ([[1e-100, 1.0], [1e125, 1.0]], [[2e-200, 1.0], [1.0, 1.0]],
      [[lambda w: np.where(w > 1.5, 1e200, 1.0), np.ones_like],
       [np.ones_like, np.ones_like]],
      "matrix Frobenius norm overflows: every entry is finite, the largest "
-     "magnitude is 1e+200"),
+     "magnitude is 1e+250"),
     ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
      [[np.ones_like, np.ones_like],
       [np.ones_like, lambda w: np.full_like(w, np.nan)]],
      "matrix entries must be finite: Frobenius norm is nan"),
-], ids=["term-first", "spectrum-near-the-bound", "spectrum-first", "nan"])
-def test_assembly_raises_the_first_non_finite_matrix_in_chain_order(
-        a, x, fns, message):
-    # f_k(C) is not formed, yet a non-finite one is met where the serial
-    # chain meets it, and raises the error its admission raises
-    a, x = (np.stack([np.diag(d) for d in diags]) for diags in (a, x))
+], ids=["term-first", "spectrum-first", "nan"])
+def test_assembly_raises_the_first_non_finite_term(a, x, fns, message):
+    # only the terms are formed, so only a term can fail, and the first
+    # non-finite one in (trial, term) order raises its admission error
+    a, x = _diagonal_stacks(a, x)
     exponents = [2.0, 2.0]
     with np.errstate(all="ignore"):
-        with pytest.raises(op.OperatorError) as serial:
-            _first_serial_error(a, exponents, x, fns)
+        with pytest.raises(op.OperatorError) as alone:
+            _first_term_error(a, exponents, x, fns)
         with pytest.raises(op.OperatorError) as stacked:
             Frame(a, exponents).assemble(x, fns, "C")
-    assert str(stacked.value) == str(serial.value) == message
+    assert str(stacked.value) == str(alone.value) == message
+
+
+def test_assembly_admits_finite_terms_of_a_huge_spectrum():
+    # trial 0's spectrum 2^500 and trial 1's f_1(C) = diag(1e200, 1), whose
+    # norm overflows, both reach finite terms: 2^500 I, and the identity
+    # for H = diag(1e-100, 1)
+    a, x = _diagonal_stacks([[1.0, 1.0], [1e-100, 1.0]],
+                            [[1.0, 1.0], [2e-200, 1.0]])
+    fns = [[lambda w: np.full_like(w, 2.0 ** 500), np.ones_like],
+           [np.ones_like, lambda w: np.where(w > 1.5, 1e200, 1.0)]]
+    terms = Frame(a, [2.0, 2.0]).assemble(x, fns, "C")
+    assert terms[0, 0].tobytes() == (2.0 ** 500 * np.eye(2)).tobytes()
+    assert terms[1, 1].tobytes() == np.eye(2).tobytes()
 
 
 def test_frame_at_other_exponents_gives_the_bits_of_a_new_frame():

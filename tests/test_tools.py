@@ -9,16 +9,15 @@ import pytest
 
 from opentropy.cli import build_parser
 
-SAME_ANSWERS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            os.pardir, "tools", "same_answers.py")
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     os.pardir, "tools")
 
 
-@pytest.fixture
-def same_answers():
-    if not os.path.exists(SAME_ANSWERS):
+def _tool(name):
+    path = os.path.join(TOOLS, f"{name}.py")
+    if not os.path.exists(path):
         pytest.skip("tools not in this checkout")
-    spec = importlib.util.spec_from_file_location("_same_answers",
-                                                  SAME_ANSWERS)
+    spec = importlib.util.spec_from_file_location(f"_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -26,6 +25,16 @@ def same_answers():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture
+def same_answers():
+    return _tool("same_answers")
+
+
+@pytest.fixture
+def code_lines():
+    return _tool("code_lines")
 
 
 def test_every_same_answers_command_line_parses(same_answers):
@@ -117,3 +126,44 @@ def test_same_answers_tallies_differing_runs_per_field(same_answers):
         f"complex {fields.count('complex')}, none {fields.count('none')}")
     assert same_answers.field_tally([]) == (
         "differing runs per field: real 0, complex 0, none 0")
+
+
+# nine code lines: blank lines, comments and the module, class and
+# function docstrings do not count; a string that is not a docstring
+# counts on every line it spans
+SYNTHETIC = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = 1
+
+
+def f():
+    """Function
+    docstring."""
+    text = """a string
+    that is code"""
+    "a later string statement"
+    return text
+
+
+def g(): """a one-line body"""
+'''
+
+
+def test_code_lines_counts_only_code(code_lines, tmp_path, capsys):
+    assert code_lines.code_lines(SYNTHETIC) == 9
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(SYNTHETIC)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ("     1 b.py\n"
+                                       "     9 pkg/a.py\n"
+                                       "    10 total\n")

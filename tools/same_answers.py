@@ -78,6 +78,10 @@ VERIFY = (
     # hypothesis of the exact-boundary trial 0 when its margin is negative
     # (exit 2), else on a link (exit 1)
     ["--trials", "21", "--dim", "3", "--tol", "0"],
+    # f(C) would have an overflowing norm at alpha 60, but it is never
+    # formed; the terms it would reach are finite for prop-bounds
+    ["--trials", "30", "--dim", "3", "--alpha", "60", "--spec-lo",
+     "1e-110", "--spec-hi", "1e-106"],
 ) + EDGES
 # a delta the suite forbids, rejected before anything is drawn
 REJECTED = (
