@@ -33,13 +33,6 @@ from .bounds import (
     chain_check_stack,
     scalar_generator,
 )
-from .entropy import (
-    geo_mean,
-    rel_entropy,
-    rel_entropy_alpha,
-    rel_entropy_alpha_beta,
-    weighted_means,
-)
 from .gen import (
     DIM_CAP,
     GenConfig,
@@ -57,10 +50,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 ORACLE_CONTRACT = 1e-10
-# trials per stacked check; bounds the (T, K, n, n) term stacks at dim 32
+# trials per stacked check, and matrix entries T * n**2 per stack at the
+# run's largest dim n: 64 trials up to dim 8, 4 at dim 32; bounds the
+# (T, K, n, n) term stacks
 CHUNK_TRIALS = 64
-# matrix entries T * n**2 per oracle stack: 4 trials at dim 32, 64 at dim 8
-ORACLE_CHUNK_ENTRIES = 4096
+CHUNK_ENTRIES = 4096
 
 
 def _number(cast, token: str):
@@ -214,13 +208,15 @@ def _run_trial(cfg: RunConfig, trial: int):
     return _check(cfg, [trial])[0]
 
 
-def _chunked(cfg: RunConfig, size: int, check, alone) -> list:
-    """``check(cfg, chunk)`` on each run of at most ``size`` consecutive
-    trials, results concatenated in trial order.  ``check`` must give the
-    bits of ``alone(cfg, trial)`` on each trial.  When a chunk raises
-    ``OperatorError``, its trials are run again one at a time through
-    ``alone`` and the first error is raised: that of the lowest failing
-    trial."""
+def _chunked(cfg: RunConfig, check, alone) -> list:
+    """``check(cfg, chunk)`` on each run of consecutive trials, results
+    concatenated in trial order.  A chunk holds at most ``CHUNK_TRIALS``
+    trials, and at most ``CHUNK_ENTRIES / n**2`` at the run's largest dim
+    ``n``.  ``check`` must give the bits of ``alone(cfg, trial)`` on each
+    trial.  When a chunk raises ``OperatorError``, its trials are run again
+    one at a time through ``alone`` and the first error is raised: that of
+    the lowest failing trial."""
+    size = min(CHUNK_TRIALS, CHUNK_ENTRIES // max(cfg.dims) ** 2)
     results = []
     for start in range(0, cfg.trials, size):
         chunk = range(start, min(start + size, cfg.trials))
@@ -236,13 +232,12 @@ def _chunked(cfg: RunConfig, size: int, check, alone) -> list:
 def run_suite(cfg: RunConfig) -> dict:
     """Run ``cfg.trials`` instances through one suite; aggregate a report.
 
-    Each trial is a pure function of ``(seed, trial index)``.  Every
-    ``CHUNK_TRIALS`` consecutive trials are drawn and checked as stacked
-    per-dim batches by ``_chunked``, which reruns a failing chunk one
-    trial at a time.  The report is byte-identical for fixed flags on one
-    build.
+    Each trial is a pure function of ``(seed, trial index)``.  Each
+    ``_chunked`` chunk of consecutive trials is drawn and checked as
+    stacked per-dim batches, and a failing chunk is rerun one trial at a
+    time.  The report is byte-identical for fixed flags on one build.
     """
-    reports = _chunked(cfg, CHUNK_TRIALS, _check, _run_trial)
+    reports = _chunked(cfg, _check, _run_trial)
     passed = sum(1 for r in reports if r.passed)
     worst: dict[str, float] = {}
     for r in reports:
@@ -328,13 +323,14 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
     one ``Frame`` of its A's per h exponent, ``t^beta`` then ``t^1`` (one
     frame when beta is 1), both from one decomposition of A, and one
     ``Frame.assemble`` call on each, with each trial's own functions; the
-    records are bitwise those of checking each trial alone.
+    records are bitwise those of checking each trial alone.  The mean
+    rows are ``prop-means``'s terms, so that suite's ``resolve`` admits
+    each trial's lambda.
     """
     stacks: dict[tuple, list] = {}
     for trial in trials:
         gcfg, p = cfg.decode(trial)
-        if not 0.0 <= p.lam <= 1.0:
-            raise OperatorError(f"lambda must lie in [0, 1], got {p.lam!r}")
+        SUITES["prop-means"].resolve(p)
         stacks.setdefault((gcfg, p.beta == 1.0), []).append((trial, p))
     records = {}
     for (gcfg, _), drawn in stacks.items():
@@ -387,13 +383,11 @@ def _reference_table() -> dict:
 def oracle_compare(cfg: RunConfig) -> dict:
     """Diagonal-pair oracle: matrix path vs scalar closed forms.
 
-    Consecutive trials are checked in chunks of at most ``CHUNK_TRIALS``,
-    and of at most ``ORACLE_CHUNK_ENTRIES / n**2`` at the run's largest dim
-    ``n``, as ``_oracle_check`` stacks by ``_chunked``, which reruns a
-    failing chunk one trial at a time.
+    Each ``_chunked`` chunk of consecutive trials is checked as
+    ``_oracle_check`` stacks, and a failing chunk is rerun one trial at a
+    time, as ``verify`` does.
     """
-    size = min(CHUNK_TRIALS, ORACLE_CHUNK_ENTRIES // max(cfg.dims) ** 2)
-    trials = _chunked(cfg, size, _oracle_check, _oracle_trial)
+    trials = _chunked(cfg, _oracle_check, _oracle_trial)
     max_dev = max((t["max_rel_dev"] for t in trials), default=0.0)
     return {
         "tool_version": __version__,
@@ -417,33 +411,35 @@ COMPUTE_EXPRS = ("S", "S_a", "S_ab", "geomean", "means",
 
 
 def _compute(args) -> dict:
-    for flag in ("alpha", "beta", "delta", "lam"):
-        value = getattr(args, f"{flag}_f")
+    alpha, beta = args.alpha_f, args.beta_f
+    flags = {"alpha": alpha, "beta": beta, "delta": args.delta_f,
+             "lam": args.lam_f}
+    for flag, value in flags.items():
         if not np.isfinite(value):
             raise OperatorError(f"--{flag} must be finite, got {value!r}")
     a = load_matrix(args.A)
     b = load_matrix(args.B)
-    alpha, beta = args.alpha_f, args.beta_f
-    delta, lam = args.delta_f, args.lam_f
-    expr = args.expr
-    if expr == "S":
-        return matrix_to_obj(rel_entropy(a, b))
-    if expr == "S_a":
-        return matrix_to_obj(rel_entropy_alpha(a, b, alpha))
-    if expr == "S_ab":
-        return matrix_to_obj(rel_entropy_alpha_beta(a, b, alpha, beta))
-    if expr == "geomean":
-        return matrix_to_obj(geo_mean(a, b, alpha, beta))
-    if expr == "means":
-        har, geo, ari = weighted_means(a, b, lam)
-        return {"harmonic": matrix_to_obj(har), "geometric": matrix_to_obj(geo),
-                "arithmetic": matrix_to_obj(ari)}
-    if expr == "perspective" and args.f is None:
+    if args.expr == "means":
+        # prop-means's terms at the parameters it resolves, so a failing
+        # prop-means trial replays through compute on the checker's bits
+        spec = SUITES["prop-means"]
+        p = dataclasses.asdict(spec.resolve(ChainParams(**flags)))
+        return {kind: matrix_to_obj(bound(kind, a, b, **p))
+                for kind in spec.terms}
+    if args.expr == "perspective" and args.f is None:
         raise OperatorError("--expr perspective needs --f KIND "
                             "(a registry generator; h is t**beta)")
-    kind = args.f if expr == "perspective" else expr
-    return matrix_to_obj(bound(kind, a, b, alpha=alpha, beta=beta,
-                               delta=delta, lam=lam))
+    # each expression's registry generator and the flags it reads; a flag
+    # it does not read keeps bound()'s default, so that --delta 0, which
+    # scalar_generator rejects, is no error where delta is not read
+    kind, read = {
+        "S": ("S", {}),
+        "S_a": ("S", {"alpha": alpha}),
+        "S_ab": ("S", {"alpha": alpha, "beta": beta}),
+        "geomean": ("geometric", {"beta": beta, "lam": alpha}),
+        "perspective": (args.f, flags),
+    }.get(args.expr, (args.expr, flags))
+    return matrix_to_obj(bound(kind, a, b, **read))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import opentropy as op
 from opentropy import bounds
 from opentropy.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, ORACLE_CONTRACT,
                            RunConfig, _emit, _oracle_trial, build_parser, main)
-from opentropy.gen import random_diag_pair
+from opentropy.gen import GenConfig, random_diag_pair, random_spd_stack
 from opentropy.matio import load_matrix, save_matrix
 from opentropy.perspective import Frame
 
@@ -430,6 +430,32 @@ def test_passing_run_never_reruns(monkeypatch):
     assert decomposed == {"eigh": 73 * 3 - 4, "eigvalsh": 73 * 9}
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_large_dim_run_chunks_by_matrix_entries(field, monkeypatch):
+    # verify cuts its chunks by the oracle's rule: at dim 32 a chunk holds
+    # CHUNK_ENTRIES / 32**2 = 4 trials, whatever smaller dims it mixes in,
+    # and each report keeps the bits of checking its trial alone
+    from opentropy import cli
+
+    draws, draw = [], cli._draw
+
+    def counting_draw(cfg, trials):
+        draws.append(list(trials))
+        return draw(cfg, trials)
+
+    monkeypatch.setattr(cli, "_draw", counting_draw)
+    cfg = RunConfig(suite="cor-delta-le", trials=9, dims=(2, 32),
+                    field=field, seed=5, deltas=(1.0, 2.0))
+    report = cli.run_suite(cfg)
+    assert report["summary"]["all_pass"]
+    assert draws == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
+    monkeypatch.undo()
+    for trial, record in enumerate(report["trials"]):
+        alone = cli._run_trial(cfg, trial).to_json_dict()
+        assert json.dumps(record, sort_keys=True) == json.dumps(
+            alone, sort_keys=True), trial
+
+
 def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
         monkeypatch):
     # trial 5's B is negated after its draw, so its whitened B is negative
@@ -548,6 +574,64 @@ def test_compute_means_payload(tmp_path, spd_json):
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert set(payload) == {"harmonic", "geometric", "arithmetic"}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_compute_means_gives_the_bits_of_the_prop_means_terms(tmp_path, dim,
+                                                             field):
+    # compute returns prop-means's terms at the parameters that suite
+    # resolves, so a failing prop-means trial replays through compute on
+    # the checker's own bits
+    cfg = GenConfig(dim=dim, field=field, master_seed=61)
+    a = random_spd_stack(cfg, [0])
+    b = random_spd_stack(cfg, [0], salt=1)
+    paths = []
+    for name, m in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        save_matrix(op.SymMatrix._computed(m[0]), path)
+        assert load_matrix(path).data.tobytes() == m[0].tobytes()
+        paths.append(str(path))
+    out = tmp_path / "means.json"
+    assert main(["compute", "--expr", "means", "--lam", "0.3", "--A",
+                 paths[0], "--B", paths[1], "--out", str(out)]) == EXIT_OK
+    spec = bounds.SUITES["prop-means"]
+    terms = bounds._terms(spec, [spec.resolve(bounds.ChainParams(lam=0.3))],
+                          Frame(a, [1.0]), b)
+    payload = json.loads(out.read_text())
+    assert set(payload) == set(spec.terms)
+    for kind, term in zip(spec.terms, terms[0]):
+        got = op.matrix_from_obj(payload[kind]).data
+        assert got.tobytes() == term.tobytes(), kind
+
+
+def test_compute_reads_only_the_flags_of_its_expression(tmp_path, spd_json,
+                                                        capsys):
+    # a flag an expression does not read keeps its default: --delta 0,
+    # which every delta-reading generator rejects, changes no byte of the
+    # entropies, the geometric mean or the means; the means check lambda
+    # by prop-means's rule
+    a_path, _ = spd_json
+    b_path = tmp_path / "b.json"
+    save_matrix(op.SymMatrix(np.array([[3.0, -0.5], [-0.5, 0.5]])), b_path)
+    operands = ["--A", str(a_path), "--B", str(b_path), "--alpha", "0.5",
+                "--beta", "2"]
+    for expr in ("S", "S_a", "S_ab", "geomean", "means"):
+        outputs = []
+        for extra in ([], ["--delta", "0"]):
+            assert main(["compute", "--expr", expr, *operands,
+                         *extra]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], expr
+    assert main(["compute", "--expr", "I'", *operands, "--delta",
+                 "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: delta must be positive, got 0.0\n"
+    for lam in ("2", "-0.5"):
+        assert main(["compute", "--expr", "means", *operands,
+                     f"--lam={lam}"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: suite prop-means: lambda must lie in [0, 1], "
+            f"got {float(lam)!r}\n")
 
 
 def test_compute_perspective_requires_f(tmp_path, spd_json, capsys):

@@ -70,6 +70,8 @@ VERIFY = (
     # crosses the 64-trial chunk boundary
     ["--trials", "70", "--dim", "2", "--seed", "3"],
     ["--trials", "3", "--dim", "32", "--seed", "5"],
+    # at dim 32 a chunk holds 4 trials, so 9 trials make 3 chunks
+    ["--trials", "9", "--dim", "32", "--seed", "5"],
     # a negative tolerance fails links, or the hypothesis
     ["--trials", "5", "--dim", "3", "--tol=-1e-3"],
     ["--trials", "5", "--dim", "3", "--spec-lo", "1e-300",
@@ -150,9 +152,14 @@ def _compute() -> list[list[str]]:
         ["--expr", "perspective", "--f", "S", "--A", "indefinite.json",
          "--B", "indefinite.json"],
         ["--expr", "means", "--A", "indefinite.json", "--B", "a2r.json"],
+        ["--expr", "means", "--lam", "2"] + _pair(2, "real"),
         # JSON true and false are not matrix entries
         ["--expr", "S", "--A", "boolean.json", "--B", "a2r.json"],
     ]
+    # a flag an expression does not read keeps its default, so a delta
+    # the generators reject is no error here
+    runs += [["--expr", expr, "--delta", "0"] + _pair(2, "real")
+             for expr in ("S", "S_a", "S_ab", "geomean", "means")]
     # an indefinite B fails the check of the whitened spectrum, which
     # names the generator
     runs += [["--expr", expr, "--A", "a2r.json", "--B", "indefinite.json"]
