@@ -4,13 +4,12 @@ Per-trial randomness comes from an independent counter-based Philox stream
 keyed by ``(master_seed, trial * STREAMS + salt)``, so trials can be drawn
 in any order or thread count, alone or in stacks, and still reproduce bit
 for bit.  ``random_spd_stack`` and ``random_partner_stack`` draw a stack of
-trials that share one dim: each trial's scalars (its Gaussians, its
-log-uniform spectrum, its target uniform) come from its own streams, and
-the matrix work (QR, frame products, the top eigenvalue of ``W``, the
-congruence by ``A^{beta/2}`` and the hypothesis confirmation) runs as
-stacked calls, each bitwise the per-matrix call.  ``random_spd``,
-``random_partner`` and ``random_diag_pair`` are the one-trial cases of
-``random_spd_stack``, ``random_partner_stack`` and
+trials that share one dim: each trial's scalars (its log-uniform spectrum
+and its Gaussians) come from its own streams, and the matrix work (QR,
+frame products, the congruence by ``A^{beta/2}`` and the hypothesis
+confirmation) runs as stacked calls, each bitwise the per-matrix call.
+``random_spd``, ``random_partner`` and ``random_diag_pair`` are the
+one-trial cases of ``random_spd_stack``, ``random_partner_stack`` and
 ``random_diag_pair_stack``.
 """
 
@@ -21,15 +20,16 @@ import dataclasses
 import numpy as np
 
 from .bounds import _relation_margin
-from .matcore import OperatorError, SymMatrix, _admit, _compose, _eigh
+from .matcore import OperatorError, SymMatrix, _admit, _compose
 from .perspective import Frame
 
 CONDITION_CAP = 1e4
 DIM_CAP = 32
 # every 20th trial takes the exact-equality branch (B = delta * A^beta)
 BOUNDARY_EVERY = 20
-# dominated partners draw whitened eigenvalues from [delta/100, delta]
-DOMINATED_SPREAD = 100.0
+# partners draw whitened eigenvalues from [delta, 100 delta] (dominating)
+# or [delta/100, delta] (dominated)
+PARTNER_SPREAD = 100.0
 # post-hoc hypothesis confirmation tolerance
 CONFIRM_TOL = 1e-9
 
@@ -93,13 +93,6 @@ def _streams(cfg: GenConfig, trials, salt: int):
         yield rng
 
 
-def _gaussian(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
-    g = rng.standard_normal((dim, dim))
-    if field == "complex":
-        g = g + 1j * rng.standard_normal((dim, dim))
-    return g
-
-
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
                  size: int) -> np.ndarray:
     return lo * (hi / lo) ** rng.uniform(0.0, 1.0, size=size)
@@ -115,7 +108,9 @@ def _spd(rngs, ranges, dim: int, field: str) -> np.ndarray:
     vals, gauss = [], []
     for rng, (lo, hi) in zip(rngs, ranges):
         vals.append(_log_uniform(rng, lo, hi, dim))
-        gauss.append(_gaussian(rng, dim, field))
+        g = rng.standard_normal((dim, dim))
+        gauss.append(g + 1j * rng.standard_normal((dim, dim))
+                     if field == "complex" else g)
     return _compose(np.linalg.qr(np.array(gauss))[0], np.array(vals))
 
 
@@ -158,21 +153,12 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
              * np.eye(dim, dtype=a.dtype))
     # every BOUNDARY_EVERY-th trial keeps the exact boundary delta * I
     drawn = [i for i, trial in enumerate(trials) if trial % BOUNDARY_EVERY]
-    rngs = _streams(cfg, [trials[i] for i in drawn], _SALT_PARTNER)
-    if drawn and direction == "dominating":
-        gauss, targets = [], []
-        for rng in rngs:
-            gauss.append(_gaussian(rng, dim, field))
-            targets.append(cfg.spectrum_hi * rng.uniform(0.0, 1.0))
-        g = np.array(gauss)
-        w = _admit(g @ g.conj().swapaxes(-1, -2))
-        tops = _eigh(w).eigenvalues[:, -1]
-        gains = [target / float(top) if top > 0.0 else 0.0
-                 for target, top in zip(targets, tops)]
-        inner[drawn] += w * np.array(gains)[:, None, None]
-    elif drawn:
-        inner[drawn] = _spd(rngs, [(deltas[i] / DOMINATED_SPREAD, deltas[i])
-                                   for i in drawn], dim, field)
+    if drawn:
+        rngs = _streams(cfg, [trials[i] for i in drawn], _SALT_PARTNER)
+        spans = [(deltas[i], deltas[i] * PARTNER_SPREAD)
+                 if direction == "dominating"
+                 else (deltas[i] / PARTNER_SPREAD, deltas[i]) for i in drawn]
+        inner[drawn] = _spd(rngs, spans, dim, field)
 
     frame = Frame(a, betas)
     b = _admit(frame.conjugate(_admit(inner)))
@@ -192,14 +178,15 @@ def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
                    cfg: GenConfig, trial: int) -> SymMatrix:
     """Partner matrix with a guaranteed dominance relation.
 
-    ``dominating``: ``B = A^{beta/2} (delta I + W) A^{beta/2}`` with ``W``
-    positive semidefinite (``G G*`` rescaled below ``spectrum_hi``), so
-    ``delta A^beta <= B`` by construction; ``dominated``: the middle factor
-    has eigenvalues in ``(delta/100, delta]`` so ``B <= delta A^beta``.
-    Every 20th trial is the exact boundary ``B = delta A^beta``.  Before
-    returning, the relation is confirmed as ``loewner_leq`` would measure
-    it, at ``CONFIRM_TOL``; a miss raises ``GenerationError``.  The
-    one-trial case of ``random_partner_stack``.
+    ``B = A^{beta/2} C A^{beta/2}`` with ``C = U diag(c) U*`` drawn as
+    ``random_spd`` draws, its spectrum ``c`` log-uniform in
+    ``[delta, 100 delta]`` for ``dominating`` (so ``delta A^beta <= B``)
+    and in ``[delta/100, delta]`` for ``dominated`` (so
+    ``B <= delta A^beta``).  ``C`` does not depend on ``spectrum_lo`` or
+    ``spectrum_hi``.  Every 20th trial is the exact boundary
+    ``B = delta A^beta``.  Before returning, the relation is confirmed as
+    ``loewner_leq`` would measure it, at ``CONFIRM_TOL``; a miss raises
+    ``GenerationError``.  The one-trial case of ``random_partner_stack``.
     """
     b, _, _ = random_partner_stack(a.data[None], [beta], [delta], direction,
                                    cfg, [trial])

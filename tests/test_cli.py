@@ -314,23 +314,26 @@ def test_chunk_raises_the_lowest_failing_trial(plant_draws, draw_alone, bad,
 
 def test_broken_partner_is_a_generation_error(monkeypatch, capsys):
     # a spread below 1 puts every drawn middle eigenvalue of a dominated
-    # partner above delta, so B misses B <= delta*A^beta by far more than
-    # CONFIRM_TOL from trial 1 on: a broken generator, which must fail as
-    # one and not as a user's hypothesis
+    # partner above delta, and of a dominating one below delta, so B
+    # misses its relation by far more than CONFIRM_TOL from trial 1 on: a
+    # broken generator, which must fail as one and not as a user's
+    # hypothesis
     from opentropy import cli, gen
 
-    monkeypatch.setattr(gen, "DOMINATED_SPREAD", 0.5)
-    argv = ["verify", "--suite", "thm-main2", "--trials", "5", "--dim", "3"]
-    with pytest.raises(gen.GenerationError) as run:
-        cli.run_suite(cli._config_from_args(
-            cli.build_parser().parse_args(argv), suite="thm-main2"))
-    assert not isinstance(run.value, op.HypothesisError)
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == f"error: {run.value}\n"
-    assert err.startswith("error: partner construction violated its own "
-                          "hypothesis (dominated, delta=1.0, beta=1.0): "
-                          "margin -")
+    monkeypatch.setattr(gen, "PARTNER_SPREAD", 0.5)
+    for suite, direction in (("thm-main2", "dominated"),
+                             ("thm-main1", "dominating")):
+        argv = ["verify", "--suite", suite, "--trials", "5", "--dim", "3"]
+        with pytest.raises(gen.GenerationError) as run:
+            cli.run_suite(cli._config_from_args(
+                cli.build_parser().parse_args(argv), suite=suite))
+        assert not isinstance(run.value, op.HypothesisError)
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {run.value}\n"
+        assert err.startswith("error: partner construction violated its "
+                              f"own hypothesis ({direction}, delta=1.0, "
+                              "beta=1.0): margin -")
 
 
 def test_negative_tolerance_is_a_hypothesis_error(capsys, draw_alone):
@@ -424,10 +427,10 @@ def test_passing_run_never_reruns(monkeypatch):
     assert draws == [list(range(cli.CHUNK_TRIALS)),
                      list(range(cli.CHUNK_TRIALS, cfg.trials))]
     assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 4)]
-    # per trial, full decompositions: W's top eigenvalue (skipped on the
-    # 4 exact-boundary trials 0, 20, 40, 60), A's frame and the whitened
-    # B; eigenvalues only: the hypothesis margin and the 8 links
-    assert decomposed == {"eigh": 73 * 3 - 4, "eigvalsh": 73 * 9}
+    # per trial, exact-boundary or not, full decompositions: A's frame and
+    # the whitened B; eigenvalues only: the hypothesis margin and the 8
+    # links
+    assert decomposed == {"eigh": 73 * 2, "eigvalsh": 73 * 9}
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -464,7 +467,7 @@ def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
     # error. The rerun must check trials 0-5 one at a time, each through
     # the stacked draw and check with the draw's frame and hypothesis, and
     # raise trial 5's error
-    from opentropy import cli, gen
+    from opentropy import cli
 
     draws, seen, decomposed = [], [], []
     draw, stack_check = cli._draw, cli.chain_check_stack
@@ -511,12 +514,9 @@ def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
     assert draws == [list(range(9))] + [[t] for t in range(6)]
     assert seen == [(list(range(9)), True, True)] + [
         ([t], True, True) for t in range(6)]
-    # a passing trial checked again, in full: W's top eigenvalue (skipped
-    # on the exact-boundary trial 0), A's frame and the whitened B;
-    # eigenvalues only: the hypothesis margin and the 8 links
-    assert decomposed[1:6] == [
-        {"eigh": 3 - (t % gen.BOUNDARY_EVERY == 0), "eigvalsh": 9}
-        for t in range(5)]
+    # a passing trial checked again, in full: A's frame and the whitened
+    # B; eigenvalues only: the hypothesis margin and the 8 links
+    assert decomposed[1:6] == [{"eigh": 2, "eigvalsh": 9}] * 5
     assert type(run.value) is type(alone.value)
     assert str(run.value) == str(alone.value)
 
@@ -540,6 +540,66 @@ def test_verify_all_suites_smoke(tmp_path):
                      "--dim", "1-4", "--delta", deltas, "--seed", "3",
                      "--lam", "0,0.5,1"])
         assert code == EXIT_OK, suite
+
+
+@pytest.mark.parametrize("name", sorted(op.SUITES))
+def test_verify_is_covariant_under_dyadic_spectrum_scaling(name):
+    # (A, B) -> (sA, s^beta B) leaves C = A^{-beta/2} B A^{-beta/2} as it
+    # is and scales every term by s^beta.  For s a power of 4, s^{1/2} is
+    # a power of 2 and every rounding scales with s, so a run at
+    # [s lo, s hi] must give margins bitwise s^beta times those at
+    # [lo, hi], and the same verdicts.  A partner is drawn as C, whatever
+    # the spectrum, so this holds at beta 1 and 2; a suite without a
+    # hypothesis draws B on A's range, which scales it by s, so there it
+    # holds at beta 1 only.  Trials 0 and 20 are exact-boundary trials
+    from opentropy import cli
+
+    spec = op.SUITES[name]
+    betas = ((1.0, 2.0) if spec.fixed_beta is None
+             and spec.relation != "none" else (1.0,))
+    deltas = (1.0, 1.0 / 3.0) if spec.delta_mode == "le1" else (1.0, 3.0)
+    for field in ("real", "complex"):
+        def run(s):
+            return cli.run_suite(RunConfig(
+                suite=name, trials=24, dims=(2, 4), field=field, seed=29,
+                spectrum_lo=0.1 * s, spectrum_hi=10.0 * s,
+                alphas=(0.0, 0.5), betas=betas, deltas=deltas))["trials"]
+
+        base = run(1.0)
+        for s in (4.0 ** -10, 4.0 ** -30, 4.0 ** -60):
+            for old, new in zip(base, run(s), strict=True):
+                gain = s ** old["params"]["beta"]
+                assert new["verdict"] == old["verdict"]
+                assert [float(link["margin"]).hex()
+                        for link in new["links"]] == [
+                    float(gain * link["margin"]).hex()
+                    for link in old["links"]], (field, s, old["trial_seed"])
+
+
+@pytest.mark.parametrize("name", sorted(op.SUITES))
+def test_reversed_chain_fails_on_a_small_spectrum(name, monkeypatch):
+    # a partner's C is drawn on a window set by delta alone, so a spectrum
+    # far below 1 does not pull C to delta I and make the run vacuous:
+    # with its links reversed, a suite passes at most on the
+    # exact-boundary trials, where C = delta I.  delta is kept off 1,
+    # where the primed and unprimed terms coincide
+    import dataclasses
+
+    from opentropy import cli, gen
+
+    spec = op.SUITES[name]
+    monkeypatch.setitem(op.SUITES, name, dataclasses.replace(
+        spec, links=tuple((j, i) for i, j in spec.links)))
+    delta = 1.0 / 3.0 if spec.delta_mode == "le1" else 3.0
+    for field in ("real", "complex"):
+        report = cli.run_suite(RunConfig(
+            suite=name, trials=64, dims=(4,), field=field, seed=31,
+            spectrum_lo=1e-4, spectrum_hi=1e-2, alphas=(0.0, 0.5),
+            betas=(1.0, 2.0), deltas=(delta,)))
+        assert not report["summary"]["all_pass"]
+        passing = {record["trial_seed"] for record in report["trials"]
+                   if record["verdict"] == "pass"}
+        assert passing <= set(range(0, 64, gen.BOUNDARY_EVERY)), field
 
 
 # ---------------------------------------------------------------------------

@@ -107,21 +107,25 @@ def _rephased_qr(rng, field):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("dim", [1, 3, 8, 32])
 def test_draws_do_not_depend_on_qr_column_phases(monkeypatch, dim, field):
-    # trial 0 is the exact boundary of the partner, which draws no frame
+    # trial 0 is the exact boundary of the partner, which draws no frame;
+    # both relations draw their partner's frame through QR
     betas = [0.5, 1.0, 1.5, 2.0, 3.0, 1.0]
     deltas = [0.5, 1.0, 1.5, 1.0, 2.0, 0.7]
     trials = list(range(len(betas)))
+    directions = ("dominating", "dominated")
     cfg = GenConfig(dim=dim, field=field, master_seed=67)
     a = random_spd_stack(cfg, trials)
-    b = random_partner_stack(a, betas, deltas, "dominated", cfg, trials)[0]
+    bs = [random_partner_stack(a, betas, deltas, direction, cfg, trials)[0]
+          for direction in directions]
     monkeypatch.setattr(np.linalg, "qr",
                         _rephased_qr(np.random.default_rng(dim), field))
     turned_a = random_spd_stack(cfg, trials)
     # the partner's own frames, with A fixed
-    turned_b = random_partner_stack(a, betas, deltas, "dominated", cfg,
-                                    trials)[0]
+    turned_bs = [random_partner_stack(a, betas, deltas, direction, cfg,
+                                      trials)[0]
+                 for direction in directions]
     monkeypatch.undo()
-    for new, old in ((turned_a, a), (turned_b, b)):
+    for new, old in ((turned_a, a), *zip(turned_bs, bs)):
         if field == "real":
             assert new.tobytes() == old.tobytes()
             continue

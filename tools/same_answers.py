@@ -76,6 +76,10 @@ VERIFY = (
     ["--trials", "5", "--dim", "3", "--tol=-1e-3"],
     ["--trials", "5", "--dim", "3", "--spec-lo", "1e-300",
      "--spec-hi", "1e-297"],
+    # a spectrum far below 1: the window a partner's C is drawn on is set
+    # by delta alone, and a move of that window shows here
+    ["--trials", "21", "--dim", "4", "--spec-lo", "1e-4", "--spec-hi",
+     "1e-2", "--seed", "31"],
     # at tolerance 0 a dominance suite fails by rounding: on the
     # hypothesis of the exact-boundary trial 0 when its margin is negative
     # (exit 2), else on a link (exit 1)
