@@ -21,7 +21,6 @@ from .bounds import (
     scalar_generator,
 )
 from .entropy import (
-    bound_explicit,
     geo_mean,
     rel_entropy,
     rel_entropy_alpha,
@@ -75,7 +74,6 @@ __all__ = [
     "SymMatrix",
     "apply_fn",
     "bound",
-    "bound_explicit",
     "chain_check",
     "extremizer",
     "geo_mean",

@@ -358,9 +358,7 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
         for (trial, p), d in zip(drawn, devs):
             records[trial] = {
                 "trial_seed": trial,
-                "params": {"alpha": p.alpha, "beta": p.beta,
-                           "delta": p.delta, "lambda": p.lam,
-                           "dim": gcfg.dim},
+                "params": {**p.to_json_dict(), "dim": gcfg.dim},
                 "max_rel_dev": max(d.values()),
                 "deviations": d,
             }

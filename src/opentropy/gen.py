@@ -72,6 +72,10 @@ class GenConfig:
             raise OperatorError(
                 f"condition cap exceeded: hi/lo = "
                 f"{self.spectrum_hi / self.spectrum_lo:.3e} > {CONDITION_CAP:.0e}")
+        if not np.isfinite(self.spectrum_hi):
+            # a NaN passes every comparison above, as does lo = hi = inf
+            raise OperatorError(
+                f"spectrum_hi must be finite, got {self.spectrum_hi!r}")
 
 
 def _streams(cfg: GenConfig, trials, salt: int):

@@ -18,12 +18,10 @@ from .matcore import OperatorError, SymMatrix
 
 
 def matrix_to_obj(m: SymMatrix) -> dict:
+    data = m.data
     if m.field == "complex":
-        data = [[[float(z.real), float(z.imag)] for z in row]
-                for row in m.data]
-    else:
-        data = [[float(z) for z in row] for row in m.data]
-    return {"field": m.field, "dim": m.dim, "data": data}
+        data = np.stack([data.real, data.imag], -1)
+    return {"field": m.field, "dim": m.dim, "data": data.tolist()}
 
 
 # the types json gives a number; bool, a subclass of int, is not one

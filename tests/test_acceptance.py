@@ -20,6 +20,7 @@ from opentropy.hermite import (
     hh_record,
     l_of_lambda,
 )
+from reference import bound_explicit
 
 GRID_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 GRID_BETAS = (0.5, 1.0, 2.0)
@@ -281,8 +282,8 @@ def test_criterion_8_dual_route_equality():
                 beta = 1.0
             via_perspective = op.bound(kind, a, b, alpha=alpha, beta=beta,
                                        delta=delta, lam=lam)
-            via_formula = op.bound_explicit(kind, a, b, alpha=alpha,
-                                            beta=beta, delta=delta, lam=lam)
+            via_formula = bound_explicit(kind, a, b, alpha=alpha, beta=beta,
+                                         delta=delta, lam=lam)
             scale = max(1.0, via_perspective.fro)
             dev = float(np.max(np.abs(via_perspective.data
                                       - via_formula.data)) / scale)

@@ -18,6 +18,7 @@ from opentropy.gen import (GenConfig, random_partner, random_spd,
                            random_spd_stack)
 from opentropy.matcore import ConvergenceError
 from opentropy.perspective import Frame, PowerFrame
+from reference import bound_explicit
 
 
 def _slack(values):
@@ -161,8 +162,8 @@ def test_dual_route_sample():
         for kind in kinds:
             via_perspective = op.bound(kind, a, b, alpha=alpha, beta=beta,
                                        delta=delta)
-            via_formula = op.bound_explicit(kind, a, b, alpha=alpha,
-                                            beta=beta, delta=delta)
+            via_formula = bound_explicit(kind, a, b, alpha=alpha, beta=beta,
+                                         delta=delta)
             scale = max(1.0, via_perspective.fro)
             assert np.max(np.abs(via_perspective.data - via_formula.data)) \
                 <= 1e-9 * scale

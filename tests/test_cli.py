@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -1042,10 +1043,15 @@ def test_oracle_terms_are_the_checker_terms(beta, field, monkeypatch):
 # module entry point
 
 def test_module_invocation_subprocess(tmp_path):
+    # the child imports the package this test imported, also when only
+    # pytest's pythonpath setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(op.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "opentropy", "verify", "--suite",
          "prop-means", "--trials", "5", "--dim", "2", "--seed", "1"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "5/5 trials pass" in result.stdout
 

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import opentropy as op
+from opentropy.cli import EXIT_OK, main
 from opentropy.gen import GenConfig, random_diag_pair, random_spd
+from reference import closed_form_means
 
 
 def _pair(trial, dim=5, field="real", seed=37):
@@ -124,24 +128,47 @@ def test_means_chain_sample():
 
 
 def test_means_reject_bad_lambda():
+    # prop-means's rule, the one the CLI applies
     a, b = _pair(5)
-    with pytest.raises(op.OperatorError):
-        op.weighted_means(a, b, 1.5)
-    with pytest.raises(op.OperatorError):
-        op.weighted_means(a, b, -0.1)
+    for lam in (1.5, -0.1, float("nan")):
+        with pytest.raises(op.HypothesisError,
+                           match=f"^suite prop-means: lambda must lie in "
+                                 f"\\[0, 1\\], got {lam!r}$"):
+            op.weighted_means(a, b, lam)
 
 
 def test_means_dual_route_matches_perspective_generators():
-    # explicit closed forms vs the registry generators through h(x) = x
+    # the closed forms of the reference vs the registry generators through
+    # h(x) = x
     for trial in range(10):
         a, b = _pair(trial, field="complex" if trial % 2 else "real")
         lam = (trial % 11) / 10.0
-        triple = op.weighted_means(a, b, lam)
+        triple = closed_form_means(a, b, lam)
         for kind, explicit in zip(("harmonic", "geometric", "arithmetic"),
                                   triple):
             routed = op.bound(kind, a, b, beta=1.0, lam=lam)
             scale = max(1.0, explicit.fro)
             assert np.max(np.abs(routed.data - explicit.data)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_weighted_means_are_compute_means_bitwise(tmp_path, field, dim, lam):
+    # one route for the means: the library gives the bits of
+    # `compute --expr means` on the same matrix files
+    paths = []
+    for name, m in zip("ab", _pair(6, dim=dim, field=field)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        op.save_matrix(m, paths[-1])
+    out = tmp_path / "means.json"
+    assert main(["compute", "--expr", "means", "--lam", repr(lam), "--A",
+                 paths[0], "--B", paths[1], "--out", str(out)]) == EXIT_OK
+    triple = op.weighted_means(*map(op.load_matrix, paths), lam)
+    expected = {kind: json.loads(json.dumps(op.matrix_to_obj(m)))
+                for kind, m in zip(("harmonic", "geometric", "arithmetic"),
+                                   triple)}
+    assert json.loads(out.read_text()) == expected
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -158,6 +158,16 @@ def test_config_validation():
         GenConfig(spectrum_lo=1e-4, spectrum_hi=1e2)  # cond 1e6 > cap
 
 
+@pytest.mark.parametrize("lo, hi", [(0.1, float("nan")),
+                                    (float("inf"), float("inf"))])
+def test_non_finite_spectrum_is_rejected(lo, hi):
+    # both pass every comparison of the range; random_spd then failed at
+    # admission with a NaN Frobenius norm
+    with pytest.raises(op.OperatorError,
+                       match=f"^spectrum_hi must be finite, got {hi!r}$"):
+        GenConfig(dim=2, spectrum_lo=lo, spectrum_hi=hi)
+
+
 def test_diag_pair_is_diagonal_and_positive():
     cfg = GenConfig(dim=5, field="complex", master_seed=6)
     a, b = random_diag_pair(cfg, 3)
