@@ -9,8 +9,9 @@ oracle   compare the matrix pipeline against scalar closed forms on
          simultaneously diagonal inputs
 
 Exit status: 0 when every check passes, 1 on a chain/oracle failure, 2 on
-usage or domain errors.  Reports are byte-reproducible for fixed flags;
-seeds are explicit flags only.
+usage or domain errors.  Every report is one line of sorted, compact JSON
+and a newline, byte-reproducible for fixed flags on one build; seeds are
+explicit flags only.
 """
 
 from __future__ import annotations
@@ -444,8 +445,10 @@ def _compute(args) -> dict:
 # wiring
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    # one json.dumps call without indent runs the C encoder; any indent,
+    # or json.dump streaming to the file, runs the pure-Python one
+    text = json.dumps(payload, sort_keys=True, allow_nan=False,
+                      separators=(",", ":")) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .matcore import (OperatorError, SymMatrix, _admit, _check_domain,
-                      _compose, _eigh)
+                      _compose, _eigh, _fro)
 
 
 def _rows(fn, *columns) -> np.ndarray:
@@ -88,14 +88,30 @@ class Frame:
         terms are admitted and returned symmetrized.  ``f_k(C)`` itself is
         never formed, so only the whitened ``C`` and the terms are
         admitted: the first non-finite term, in (trial, term) order, raises
-        the error its ``_admit`` raises.
+        the error its ``_admit`` raises, unless its own ``f_k(lambda)`` is
+        not finite; then the error names ``f_k`` (by its ``name``
+        attribute, else ``f``), the eigenvalue and the value.
         """
         inner = _eigh(_admit(self.whiten(x)))
         _check_domain(inner.eigenvalues, name)
         vals = _rows(lambda w, fs: [f(w) for f in fs], inner.eigenvalues,
                      fns)
-        return _admit(_compose((self.half @ inner.eigenvectors)[:, None],
-                               vals))
+        terms = _compose((self.half @ inner.eigenvectors)[:, None], vals)
+        try:
+            return _admit(terms)
+        except OperatorError:
+            # the term _admit rejected; an infinite f_k(lambda) reaches it
+            # as inf - inf, which would name neither f_k nor the overflow
+            finite = np.isfinite(_fro(terms))
+            t, k = np.unravel_index(np.argmin(finite), finite.shape)
+            bad = ~np.isfinite(vals[t, k])
+            if not bad.any():
+                raise
+            j = np.argmax(bad)
+            raise OperatorError(
+                f"generator {getattr(fns[t][k], 'name', 'f')} gives the "
+                f"non-finite value {float(vals[t, k, j])!r} at eigenvalue "
+                f"{float(inner.eigenvalues[t, j])!r} of {name}") from None
 
 
 def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,

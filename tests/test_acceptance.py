@@ -4,14 +4,13 @@ Run ``pytest tests/test_acceptance.py -v -s`` for the per-criterion
 pass/fail lines.
 """
 
-import json
 import time
 
 import numpy as np
 
 import opentropy as op
 from opentropy.bounds import ChainParams, chain_check, scalar_generator
-from opentropy.cli import RunConfig, run_suite
+from opentropy.cli import RunConfig, _emit, run_suite
 from opentropy.gen import GenConfig, random_diag_pair, random_spd
 from opentropy.hermite import (
     L_of_lambda,
@@ -294,10 +293,13 @@ def test_criterion_8_dual_route_equality():
              f"{worst:.2e} <= 1e-9")
 
 
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(tmp_path):
+    # the bytes the CLI writes, from two runs
     cfg = _suite_config("thm-main1", 60, "complex", seed=31337)
-    baseline = json.dumps(run_suite(cfg), indent=2, sort_keys=True)
-    repeat = json.dumps(run_suite(cfg), indent=2, sort_keys=True)
+    paths = [tmp_path / f"r{i}.json" for i in range(2)]
+    for path in paths:
+        _emit(run_suite(cfg), str(path))
+    baseline, repeat = (path.read_bytes() for path in paths)
     assert baseline == repeat
     _verdict(9, "byte-identical reports", True,
              f"{len(baseline)} bytes identical across reruns")

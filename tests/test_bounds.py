@@ -487,16 +487,25 @@ def test_stacked_linalg_failure_blames_the_lowest_trial(monkeypatch,
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_term_fails_as_the_serial_chain_does():
     # x**400 overflows: on both routes the first non-finite matrix is the
-    # first term (M diag g_0(lambda)) M*, as g_0(C) is never formed
+    # first term (M diag g_0(lambda)) M*, as g_0(C) is never formed; the
+    # stacked route names g_0 and its first infinite value
     cfg = GenConfig(dim=3, master_seed=1)
     a = random_spd(cfg, 2)
     b = random_partner(a, 1.0, 1.0, "dominating", cfg, 2)
     params = ChainParams(alpha=400.0)
-    with pytest.raises(op.OperatorError) as serial:
-        _serial_margins(SUITES["thm-main1"], a, b, params, 1e-8)
+    spec = SUITES["thm-main1"]
+    with pytest.raises(op.OperatorError, match="entries must be finite"):
+        _serial_margins(spec, a, b, params, 1e-8)
     with pytest.raises(op.OperatorError) as stacked:
         chain_check("thm-main1", a, b, params)
-    assert str(stacked.value) == str(serial.value)
+    g = scalar_generator(spec.terms[0], alpha=params.alpha)
+    lam = op.sym_eig(PowerFrame(a, params.beta).whiten(b)).eigenvalues
+    vals = g(lam)
+    j = np.argmax(~np.isfinite(vals))
+    assert str(stacked.value) == (
+        f"generator {g.name} gives the non-finite value {float(vals[j])!r} "
+        f"at eigenvalue {float(lam[j])!r} of the whitened B of suite "
+        f"thm-main1, which must be strictly positive")
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

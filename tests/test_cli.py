@@ -249,6 +249,27 @@ def test_malformed_flags_are_usage_errors(argv, capsys):
     assert "trials pass" not in captured.out
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--suite", "thm-main1", "--field", "real", "--dim", "4"],
+     "the whitened B of suite thm-main1, which must be strictly positive"),
+    (["verify", "--suite", "thm-main1", "--field", "complex", "--dim", "4"],
+     "the whitened B of suite thm-main1, which must be strictly positive"),
+    (["oracle", "--dim", "2"], "the whitened B"),
+], ids=["verify-real", "verify-complex", "oracle"])
+def test_overflowing_generator_is_named(argv, name, capsys):
+    # x**400 overflows on the whitened spectrum; the product that builds
+    # the term would turn inf into inf - inf = nan entries, so the error
+    # names the generator, its eigenvalue and its value instead
+    assert main(argv + ["--trials", "3", "--alpha", "400"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: generator I gives the non-finite value "
+                         r"inf at eigenvalue (\S+) of (.*)\n", err)
+    assert found and found[2] == name
+    with np.errstate(over="ignore"):
+        value = bounds.scalar_generator("I", alpha=400.0)(float(found[1]))
+    assert value == np.inf
+
+
 @pytest.mark.parametrize("dims, first", [
     ("1-10000000000", 33), ("40-10000000000", 40), ("0-3", 0), ("30-33", 33),
     ("3,50", 50)])
@@ -283,6 +304,31 @@ def test_decode_follows_product_order(lengths, k):
 def test_reports_never_carry_nan_tokens(tmp_path):
     with pytest.raises(ValueError):
         _emit({"margin": float("nan")}, str(tmp_path / "r.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "thm-main1", "--trials", "3", "--dim", "2-3",
+     "--field", "complex"],
+    ["oracle", "--trials", "3", "--dim", "2", "--beta", "0.5,1"],
+    ["compute", "--expr", "means"],
+    ["hh", "--alpha", "0.5", "--x", "2", "--grid", "11"],
+], ids=["verify", "oracle", "compute", "hh"])
+def test_reports_are_one_line_of_sorted_compact_json(tmp_path, spd_json,
+                                                     capsys, argv):
+    # the byte contract of every report: sorted keys, no whitespace, one
+    # trailing newline; what compute and hh print is the same bytes
+    if argv[0] == "compute":
+        argv = argv + ["--A", str(spd_json[0]), "--B", str(spd_json[0])]
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    text = out.read_bytes()
+    assert text == (json.dumps(json.loads(text), sort_keys=True,
+                               separators=(",", ":")) + "\n").encode()
+    assert text.count(b"\n") == 1
+    if argv[0] in ("compute", "hh"):
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == text
 
 
 @pytest.mark.parametrize("bad,draw_fails_at,message", [
@@ -625,6 +671,26 @@ def test_compute_bound_kind_stdout(tmp_path, capsys):
     assert code == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
     assert obj["data"][0][0] == pytest.approx(1.875, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_compute_output_reads_back_as_a_matrix_file(tmp_path, field):
+    # a computed matrix is a matrix file: it loads, and compute reads it
+    a, b = (random_spd_stack(GenConfig(dim=3, field=field, master_seed=5),
+                             [0], salt=salt)[0] for salt in (0, 1))
+    paths = [tmp_path / name for name in ("a.json", "b.json", "m.json")]
+    for path, m in zip(paths, (a, b)):
+        save_matrix(op.SymMatrix(m), path)
+    pair = ["--A", str(paths[0]), "--B", str(paths[1])]
+    assert main(["compute", "--expr", "geomean", "--alpha", "0.5"] + pair
+                + ["--out", str(paths[2])]) == EXIT_OK
+    mean = load_matrix(paths[2])
+    assert mean.field == field
+    assert mean.data.tobytes() == op.bound(
+        "geometric", op.SymMatrix(a), op.SymMatrix(b),
+        lam=0.5).data.tobytes()
+    assert main(["compute", "--expr", "S", "--A", str(paths[2]),
+                 "--B", str(paths[1])]) == EXIT_OK
 
 
 def test_compute_means_payload(tmp_path, spd_json):

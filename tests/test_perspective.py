@@ -360,8 +360,14 @@ def _diagonal_stacks(*diags):
     ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
      [[np.ones_like, np.ones_like],
       [np.ones_like, lambda w: np.full_like(w, np.nan)]],
-     "matrix entries must be finite: Frobenius norm is nan"),
-], ids=["term-first", "spectrum-first", "nan"])
+     "generator f gives the non-finite value nan at eigenvalue 1.0 of C"),
+    # trial 0's term 1 is the first non-finite term: its generator gives
+    # inf at eigenvalue 10, and is named; trial 1's term 0 overflows later
+    ([[1.0, 1.0], [1e125, 1.0]], [[10.0, 1.0], [1.0, 1.0]],
+     [[np.ones_like, scalar_generator("I", alpha=400.0)],
+      [np.ones_like, np.ones_like]],
+     "generator I gives the non-finite value inf at eigenvalue 10.0 of C"),
+], ids=["term-first", "spectrum-first", "nan", "generator-first"])
 def test_assembly_raises_the_first_non_finite_term(a, x, fns, message):
     # only the terms are formed, so only a term can fail, and the first
     # non-finite one in (trial, term) order raises its admission error

@@ -102,6 +102,40 @@ def test_same_answers_tells_moved_numbers_from_moved_verdicts(same_answers):
     assert same_answers.compare(old, old[:3] + (b"{",))[1] == verdict_moved
 
 
+def _reformat(run, **kwargs):
+    return run[:3] + (json.dumps(json.loads(run[3]), **kwargs).encode(),)
+
+
+def test_same_answers_tells_reformatted_reports_from_moved_values(
+        same_answers):
+    # the same report indented and compact is a format change; a value
+    # that moves with it, or a zero whose sign flips, is not
+    compact = {"sort_keys": True, "separators": (",", ":")}
+    old = _reformat(_run(-1.25e-15), indent=2, sort_keys=True)
+    new = _reformat(_run(-1.25e-15), **compact)
+    assert old[3] != new[3]
+    assert same_answers.compare(old, new) == (
+        ["out: bytes differ, parsed JSON equal"], same_answers.FORMAT_ONLY,
+        0.0)
+    notes, kind, gap = same_answers.compare(
+        old, _reformat(_run(-1.5e-15), **compact))
+    assert kind == same_answers.NUMBERS_ONLY
+    assert notes == ["stdout differs",
+                     "out: 1 values differ, max scaled change 2.5e-16, "
+                     "keys margin"]
+    assert gap == pytest.approx(2.5e-16, rel=1e-12)
+    assert same_answers.compare(
+        _reformat(_run(0.0), **compact),
+        _reformat(_run(-0.0), **compact))[1] == same_answers.NUMBERS_ONLY
+    # a reformatted report keeps the kind of what moved beside it
+    assert same_answers.compare(old, _reformat(
+        _run(-1.25e-15, exit_status=1), **compact))[1] == (
+        same_answers.VERDICT_MOVED)
+    assert same_answers.compare(old, _reformat(
+        _run(-1.25e-15, stderr="error: x\n"), **compact))[1] == (
+        same_answers.MESSAGE_MOVED)
+
+
 def test_same_answers_tallies_differing_runs_per_field(same_answers):
     runs = same_answers.argvs()
     fields = [same_answers.field_of(run) for run in runs]

@@ -18,7 +18,9 @@ run is of one kind:
   the presence of the report, or stdout (its floats aside) moved;
 - ``message moved``: only stderr moved, in more than its floats, at the
   same exit status;
-- ``numbers only``: only floats moved, in the report, stdout or stderr.
+- ``numbers only``: only floats moved, in the report, stdout or stderr;
+- ``format only``: only the report bytes moved, and both parse to the
+  same JSON (equal when re-encoded as sorted compact JSON).
 
 It then prints the count of runs per exit status on each side, of
 differing runs of each kind and of differing runs per scalar field
@@ -258,24 +260,33 @@ def _leaves(obj, path=""):
         yield path, obj
 
 
-NUMBERS_ONLY, MESSAGE_MOVED, VERDICT_MOVED = ("numbers only",
-                                              "message moved",
-                                              "verdict moved")
+NUMBERS_ONLY, MESSAGE_MOVED, VERDICT_MOVED, FORMAT_ONLY = (
+    "numbers only", "message moved", "verdict moved", "format only")
+FORMAT_NOTE = "out: bytes differ, parsed JSON equal"
 # a float as the CLI prints it; integers (trial counts) stay literal
 _FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
                     r"|\b(?:inf|nan)\b)")
+
+
+def _canonical(obj) -> str:
+    """``obj`` as sorted compact JSON: two reports that parse to the same
+    ``_canonical`` differ in whitespace or key order only."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _report_diff(old: bytes, new: bytes) -> tuple[str, list[float] | None]:
     """A phrase naming the report values that moved, and the scaled
     change ``|new - old| / max(1, |old|, |new|)`` of each when every moved
     value is a float on both sides (``None`` when another value moved, or
-    a report does not parse)."""
+    a report does not parse); ``FORMAT_NOTE`` and no change when both
+    parse to the same JSON."""
     try:
-        a = dict(_leaves(json.loads(old)))
-        b = dict(_leaves(json.loads(new)))
+        old_obj, new_obj = json.loads(old), json.loads(new)
     except ValueError:
         return "out bytes differ", None
+    if _canonical(old_obj) == _canonical(new_obj):
+        return FORMAT_NOTE, []
+    a, b = dict(_leaves(old_obj)), dict(_leaves(new_obj))
     moved = [k for k in a.keys() | b.keys() if a.get(k) != b.get(k)]
     gaps = [abs(a[k] - b[k]) / max(1.0, abs(a[k]), abs(b[k])) for k in moved
             if isinstance(a.get(k), float) and isinstance(b.get(k), float)]
@@ -310,7 +321,7 @@ def compare(old: tuple, new: tuple) -> tuple[list[str], str | None, float]:
     if not notes:
         return notes, None, 0.0
     kind = (VERDICT_MOVED if verdict else MESSAGE_MOVED if message
-            else NUMBERS_ONLY)
+            else FORMAT_ONLY if notes == [FORMAT_NOTE] else NUMBERS_ONLY)
     return notes, kind, max(gaps or [0.0])
 
 
@@ -357,7 +368,7 @@ def main(argv=None) -> int:
             results = [[pool.submit(_run, tree, workdir, run) for run in runs]
                        for tree, workdir in sides]
             old, new = ([f.result() for f in side] for side in results)
-    kinds, worst = dict.fromkeys((NUMBERS_ONLY, MESSAGE_MOVED,
+    kinds, worst = dict.fromkeys((FORMAT_ONLY, NUMBERS_ONLY, MESSAGE_MOVED,
                                   VERDICT_MOVED), 0), 0.0
     differing = []
     for run, a, b in zip(runs, old, new):
@@ -373,6 +384,8 @@ def main(argv=None) -> int:
             counts[result[0]] = counts.get(result[0], 0) + 1
         print(f"{label}: " + ", ".join(f"exit {code}: {n}"
                                        for code, n in sorted(counts.items())))
+    print(f"{kinds[FORMAT_ONLY]} runs differ in report format only, with "
+          f"the same parsed JSON")
     print(f"{kinds[NUMBERS_ONLY]} runs differ in numbers only, max scaled "
           f"change {worst:.3g}")
     print(f"{kinds[MESSAGE_MOVED]} runs differ in stderr text only, at the "
