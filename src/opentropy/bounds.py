@@ -189,35 +189,36 @@ class ChainParams:
 
 @dataclasses.dataclass(frozen=True)
 class SuiteSpec:
-    """An inequality suite: labeled terms, links to compare, hypothesis."""
+    """An inequality suite: labeled terms, links to compare, hypothesis,
+    and ``axes``, the ``ChainParams`` fields its statement leaves free."""
 
     name: str
     terms: tuple[str, ...]
     links: tuple[tuple[int, int], ...]
     relation: str          # "dominating" (delta*A^beta <= B), "dominated", "none"
-    delta_mode: str        # "fixed1", "ge1", "le1"
-    fixed_alpha: float | None = None
-    fixed_beta: float | None = None
-    uses_lambda: bool = False
+    axes: tuple[str, ...]  # of "alpha", "beta", "delta", "lam"
 
     def resolve(self, params: ChainParams) -> ChainParams:
-        """The parameters the suite runs at: ``params`` with the suite's
-        fixed alpha, beta and delta substituted.  A value the suite
-        forbids raises ``HypothesisError``; resolving twice changes
-        nothing."""
-        alpha = self.fixed_alpha if self.fixed_alpha is not None else params.alpha
-        beta = self.fixed_beta if self.fixed_beta is not None else params.beta
-        delta = 1.0 if self.delta_mode == "fixed1" else params.delta
-        p = ChainParams(alpha=alpha, beta=beta, delta=delta, lam=params.lam)
-        if self.uses_lambda and not 0.0 <= p.lam <= 1.0:
+        """The parameters the suite runs at: ``params`` with alpha 0, beta
+        1 and delta 1 wherever the suite does not read them; lambda passes
+        through.  A value the suite forbids raises ``HypothesisError``:
+        alpha < 0, beta <= 0, lambda outside [0, 1] where it is read, and
+        delta outside the range the relation sets (delta >= 1 dominating,
+        0 < delta <= 1 dominated).  Resolving twice changes nothing."""
+        axes = self.axes
+        p = ChainParams(params.alpha if "alpha" in axes else 0.0,
+                        params.beta if "beta" in axes else 1.0,
+                        params.delta if "delta" in axes else 1.0,
+                        params.lam)
+        if "lam" in axes and not 0.0 <= p.lam <= 1.0:
             forbidden = f"lambda must lie in [0, 1], got {p.lam!r}"
         elif p.alpha < 0.0:
             forbidden = f"requires alpha >= 0, got {p.alpha!r}"
         elif p.beta <= 0.0:
             forbidden = f"requires beta > 0, got {p.beta!r}"
-        elif self.delta_mode == "ge1" and p.delta < 1.0:
+        elif self.relation == "dominating" and p.delta < 1.0:
             forbidden = f"requires delta >= 1, got {p.delta!r}"
-        elif self.delta_mode == "le1" and not 0.0 < p.delta <= 1.0:
+        elif self.relation == "dominated" and not 0.0 < p.delta <= 1.0:
             forbidden = f"requires 0 < delta <= 1, got {p.delta!r}"
         else:
             return p
@@ -228,44 +229,40 @@ def _adjacent(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(n - 1))
 
 
+_AB = ("alpha", "beta")
+_ABD = ("alpha", "beta", "delta")
 SUITES: dict[str, SuiteSpec] = {s.name: s for s in (
     SuiteSpec("thm-main1", ("I", "II", "S", "III", "V"), _adjacent(5),
-              "dominating", "fixed1"),
+              "dominating", _AB),
     SuiteSpec("thm-main2", ("V", "III", "S", "II", "I"), _adjacent(5),
-              "dominated", "fixed1"),
+              "dominated", _AB),
     SuiteSpec("prop-bounds",
               ("base_lower", "lower_shift", "I", "V", "upper_shift"),
-              ((1, 2), (2, 4), (1, 3), (3, 4), (0, 1)),
-              "none", "fixed1"),
+              ((1, 2), (2, 4), (1, 3), (3, 4), (0, 1)), "none", _AB),
     SuiteSpec("prop-means", ("harmonic", "geometric", "arithmetic"),
-              _adjacent(3), "none", "fixed1",
-              fixed_alpha=0.0, fixed_beta=1.0, uses_lambda=True),
+              _adjacent(3), "none", ("lam",)),
     SuiteSpec("cor-entropy-le",
               ("lower_shift", "I", "II", "S", "III", "V", "upper_shift"),
-              _adjacent(7), "dominating", "fixed1",
-              fixed_alpha=0.0, fixed_beta=1.0),
+              _adjacent(7), "dominating", ()),
     SuiteSpec("cor-entropy-ge",
               ("lower_shift", "V", "III", "S", "II", "I", "upper_shift"),
-              _adjacent(7), "dominated", "fixed1",
-              fixed_alpha=0.0, fixed_beta=1.0),
+              _adjacent(7), "dominated", ()),
     SuiteSpec("thm-primed-le", ("I'", "II'", "S", "III'", "V'"), _adjacent(5),
-              "dominating", "ge1"),
+              "dominating", _ABD),
     SuiteSpec("thm-primed-ge", ("V'", "III'", "S", "II'", "I'"), _adjacent(5),
-              "dominated", "le1"),
+              "dominated", _ABD),
     SuiteSpec("prop-tighten", ("II", "II'", "III'", "III"),
-              ((0, 1), (2, 3)), "dominating", "ge1"),
+              ((0, 1), (2, 3)), "dominating", _ABD),
     SuiteSpec("prop-tighten-ge", ("II'", "II", "III", "III'"),
-              ((0, 1), (2, 3)), "dominated", "le1"),
+              ((0, 1), (2, 3)), "dominated", _ABD),
     SuiteSpec("cor-delta-le",
               ("lower_shift", "I", "I'", "II'", "S", "III'", "V'", "V",
                "upper_shift"),
-              _adjacent(9), "dominating", "ge1",
-              fixed_alpha=0.0, fixed_beta=1.0),
+              _adjacent(9), "dominating", ("delta",)),
     SuiteSpec("cor-delta-ge",
               ("lower_shift", "V", "V'", "III'", "S", "II'", "I'", "I",
                "upper_shift"),
-              _adjacent(9), "dominated", "le1",
-              fixed_alpha=0.0, fixed_beta=1.0),
+              _adjacent(9), "dominated", ("delta",)),
 )}
 
 SUITE_NAMES = tuple(SUITES)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
@@ -43,7 +42,7 @@ from .gen import (
 )
 from .hermite import grid_verify, hh_record
 from .matcore import DEFAULT_LOEWNER_TOL, OperatorError
-from .matio import load_matrix, matrix_to_obj
+from .matio import json_text, load_matrix, matrix_to_obj
 from .perspective import Frame
 
 EXIT_OK = 0
@@ -116,23 +115,23 @@ class RunConfig:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise OperatorError(f"{name} must be finite, got {value!r}")
-        for dim in self.dims:
-            self._gen_config(dim)
-
-    def _gen_config(self, dim: int) -> GenConfig:
-        return GenConfig(dim, self.field, spectrum_lo=self.spectrum_lo,
-                         spectrum_hi=self.spectrum_hi, master_seed=self.seed)
+        # one validated GenConfig per dims entry, which decode hands out;
+        # an attribute, not a field, so equality and to_json_dict ignore it
+        object.__setattr__(self, "_gen_configs", tuple(
+            GenConfig(dim, self.field, spectrum_lo=self.spectrum_lo,
+                      spectrum_hi=self.spectrum_hi, master_seed=self.seed)
+            for dim in self.dims))
 
     def decode(self, k: int) -> tuple[GenConfig, ChainParams]:
         """Trial ``k``'s inputs: item ``k % n`` of ``itertools.product(dims,
         alphas, betas, deltas, lams)``, read in mixed radix, last fastest."""
         picks = []
         for axis in (self.lams, self.deltas, self.betas, self.alphas,
-                     self.dims):
+                     self._gen_configs):
             k, digit = divmod(k, len(axis))
             picks.append(axis[digit])
-        lam, delta, beta, alpha, dim = picks
-        return self._gen_config(dim), ChainParams(alpha, beta, delta, lam)
+        lam, delta, beta, alpha, gen_config = picks
+        return gen_config, ChainParams(alpha, beta, delta, lam)
 
     def to_json_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -445,10 +444,7 @@ def _compute(args) -> dict:
 # wiring
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    # one json.dumps call without indent runs the C encoder; any indent,
-    # or json.dump streaming to the file, runs the pure-Python one
-    text = json.dumps(payload, sort_keys=True, allow_nan=False,
-                      separators=(",", ":")) + "\n"
+    text = json_text(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -21,9 +21,6 @@ MAX_SWEEPS = 64
 # Default Loewner comparison tolerance (relative, scale-aware).
 DEFAULT_LOEWNER_TOL = 1e-8
 
-# The open interval every function of the package is taken on.
-POSITIVE = (0.0, np.inf)
-
 
 class OperatorError(ValueError):
     """Base class for domain and shape violations raised by this package."""
@@ -313,14 +310,13 @@ def jacobi_herm(a, thresh: float, max_sweeps: int = MAX_SWEEPS):
 
 
 def _check_domain(eigenvalues: np.ndarray, name: str) -> None:
-    """Name the first eigenvalue outside ``POSITIVE``, in C order on
-    stacks: every function of this package is taken on (0, inf)."""
-    lo, hi = POSITIVE
-    inside = (lo < eigenvalues) & (eigenvalues < hi)
+    """Name the first eigenvalue outside (0, inf), in C order on stacks:
+    every function of this package is taken on that open interval."""
+    inside = (0.0 < eigenvalues) & (eigenvalues < np.inf)
     if not inside.all():
         val = np.ravel(eigenvalues)[np.argmin(inside)]
         raise SpectrumError(
-            f"eigenvalue {float(val)!r} outside the open domain ({lo}, {hi}) "
+            f"eigenvalue {float(val)!r} outside the open domain (0.0, inf) "
             f"of {name or 'the scalar function'}"
         )
 
@@ -332,7 +328,7 @@ def apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray],
     Parameters
     ----------
     m : SymMatrix
-        Strictly positive input: an eigenvalue outside ``POSITIVE`` raises
+        Strictly positive input: an eigenvalue outside (0, inf) raises
         ``SpectrumError`` naming it, as ``name`` (default: ``fn.name``).
     fn : callable
         Vectorized real function evaluated on the eigenvalue vector.

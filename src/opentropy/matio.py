@@ -1,9 +1,10 @@
 """Matrix file formats consumed and produced by the CLI.
 
 JSON: ``{"field": "real"|"complex", "dim": n, "data": [[...], ...]}`` with
-complex entries written as ``[re, im]`` pairs.  Plain text (real only):
-``n`` on the first line, then ``n`` whitespace-separated rows of ASCII
-numbers without digit separators.
+complex entries written as ``[re, im]`` pairs, in the one byte form of
+``json_text``, which every CLI report also takes.  Plain text (real
+only): ``n`` on the first line, then ``n`` whitespace-separated rows of
+ASCII numbers without digit separators.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import os
 import numpy as np
 
 from .matcore import OperatorError, SymMatrix
+
+
+def json_text(obj) -> str:
+    """The one byte form of every JSON file the package writes: sorted,
+    compact JSON and a newline.  One ``json.dumps`` call without indent
+    runs the C encoder; any indent, or ``json.dump`` streaming to a file,
+    runs the pure-Python one."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False,
+                      separators=(",", ":")) + "\n"
 
 
 def matrix_to_obj(m: SymMatrix) -> dict:
@@ -122,8 +132,7 @@ def save_matrix(m: SymMatrix, path: str | os.PathLike) -> None:
     path = os.fspath(path)
     if path.endswith(".json"):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(matrix_to_obj(m), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(matrix_to_obj(m)))
         return
     if m.field == "complex":
         raise OperatorError("the text format only carries real matrices; "

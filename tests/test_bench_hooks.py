@@ -58,3 +58,21 @@ def test_every_benchmark_command_line_parses(tmp_path):
         for call in calls:
             args = parser.parse_args(list(call.argv))
             assert args.command == call.kind, (name, call.argv)
+
+
+@pytest.mark.skipif(not os.path.exists(WORKLOADS),
+                    reason="benchmark harness not in this checkout")
+def test_benchmark_varies_exactly_the_parameters_each_suite_reads():
+    # a verify workload cycles every parameter its suite reads, and pins
+    # each one the suite does not read, where resolve would replace it
+    from opentropy.bounds import SUITES
+
+    workloads = _load(WORKLOADS, "_perfbench_workloads")
+    for suite, lists in workloads.SUITE_PARAMS.items():
+        axes = SUITES[suite].axes
+        for slot, values in zip(("alpha", "beta", "delta", "lam"), lists):
+            count = len(values.split(","))
+            if slot in axes:
+                assert count >= 2, (suite, slot, values)
+            else:
+                assert count == 1, (suite, slot, values)

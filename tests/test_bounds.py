@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -266,7 +267,7 @@ def test_corollary_suites_pin_alpha_beta():
 def test_failing_link_reported_with_embedded_inputs():
     # a deliberately reversed chain must fail and embed the inputs
     reversed_spec = SuiteSpec("test-reversed", ("upper_shift", "lower_shift"),
-                              ((0, 1),), "dominating", "fixed1")
+                              ((0, 1),), "dominating", ("alpha", "beta"))
     cfg = GenConfig(dim=3, master_seed=5)
     a = random_spd(cfg, 1)
     b = random_partner(a, 1.0, 1.0, "dominating", cfg, 1)
@@ -536,12 +537,81 @@ def test_relation_margin_is_the_per_matrix_comparison_bit_for_bit(
         assert scale[t].tobytes() == np.float64(one.scale).tobytes(), t
 
 
+# the parameters each suite's statement leaves free, and the side of 1 its
+# hypothesis puts a free delta on: ">=" with delta A^beta <= B, "<=" with
+# B <= delta A^beta; typed from the theorem statements, not from
+# SuiteSpec.axes
+STATEMENTS = {
+    "thm-main1": ("alpha beta", None),
+    "thm-main2": ("alpha beta", None),
+    "prop-bounds": ("alpha beta", None),
+    "prop-means": ("lam", None),
+    "cor-entropy-le": ("", None),
+    "cor-entropy-ge": ("", None),
+    "thm-primed-le": ("alpha beta delta", ">="),
+    "thm-primed-ge": ("alpha beta delta", "<="),
+    "prop-tighten": ("alpha beta delta", ">="),
+    "prop-tighten-ge": ("alpha beta delta", "<="),
+    "cor-delta-le": ("delta", ">="),
+    "cor-delta-ge": ("delta", "<="),
+}
+# where an unread parameter rests; lambda passes through unread
+RESTING = {"alpha": 0.0, "beta": 1.0, "delta": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(STATEMENTS))
+def test_each_suite_reads_exactly_its_parameters(name):
+    assert sorted(STATEMENTS) == sorted(SUITES)
+    reads, side = STATEMENTS[name]
+    reads = reads.split()
+    spec = SUITES[name]
+
+    def resolved(given):
+        # repr, so that a nan compares equal to itself
+        return repr(dataclasses.asdict(spec.resolve(ChainParams(**given))))
+
+    def expected(given):
+        return repr({key: value if key in reads or key == "lam"
+                     else RESTING[key] for key, value in given.items()})
+
+    given = {"alpha": 0.7, "beta": 1.3, "delta": 0.5 if side == "<=" else 1.5,
+             "lam": 0.3}
+    assert resolved(given) == expected(given)
+    nan = float("nan")
+    wrong_side = {">=": (0.5, "requires delta >= 1, got 0.5"),
+                  "<=": (1.5, "requires 0 < delta <= 1, got 1.5")}
+    # (slot, a value the paper forbids, the message where the slot is
+    # read); a nan fails no comparison but the lambda and 0 < delta <= 1
+    # ones, so resolve passes a nan alpha, beta or delta >= 1 on,
+    # unreplaced, and the message is None there (the CLI rejects a
+    # non-finite flag before resolve)
+    cases = [
+        ("alpha", -1.0, "requires alpha >= 0, got -1.0"),
+        ("beta", 0.0, "requires beta > 0, got 0.0"),
+        ("delta", *wrong_side.get(side, (0.5, None))),
+        ("lam", 1.5, "lambda must lie in [0, 1], got 1.5"),
+        ("alpha", nan, None),
+        ("beta", nan, None),
+        ("delta", nan,
+         "requires 0 < delta <= 1, got nan" if side == "<=" else None),
+        ("lam", nan, "lambda must lie in [0, 1], got nan"),
+    ]
+    for slot, value, message in cases:
+        bad = {**given, slot: value}
+        if slot in reads and message is not None:
+            with pytest.raises(HypothesisError) as err:
+                spec.resolve(ChainParams(**bad))
+            assert str(err.value) == f"suite {name}: {message}"
+        else:
+            assert resolved(bad) == expected(bad), (slot, value)
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_resolve_is_idempotent(name):
     # chain_check_stack resolves parameters that the CLI draw has already
     # resolved; the second pass must change nothing
     spec = SUITES[name]
-    deltas = (1.0, 0.5) if spec.delta_mode == "le1" else (1.0, 3.0)
+    deltas = (1.0, 0.5) if spec.relation == "dominated" else (1.0, 3.0)
     for alpha, beta, delta in itertools.product((0.0, 2.0), (0.5, 1.0),
                                                 deltas):
         once = spec.resolve(ChainParams(alpha, beta, delta, 0.3))

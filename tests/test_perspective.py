@@ -487,7 +487,7 @@ def test_perspective_gives_the_bits_of_the_checker_terms(dim, field):
     # compute on the checker's own bits
     every_kind = bounds.SuiteSpec("every-kind",
                                   tuple(sorted(bounds._GENERATORS)), (),
-                                  "none", "ge1")
+                                  "none", ("alpha", "beta", "delta", "lam"))
     betas = [0.5, 1.0, 1.5, 2.0, 3.0]
     alphas = [0.0, 0.5, 2.0, 1.0, 0.5]
     params = [bounds.ChainParams(alpha, beta, 1.5, 0.3)

@@ -90,6 +90,12 @@ VERIFY = (
     # formed; the terms it would reach are finite for prop-bounds
     ["--trials", "30", "--dim", "3", "--alpha", "60", "--spec-lo",
      "1e-110", "--spec-hi", "1e-106"],
+    # a value the paper forbids: exit 2 where the suite reads the
+    # parameter; where it does not, the run goes on at alpha 0 or beta 1,
+    # and an unread lambda is not checked
+    ["--trials", "2", "--dim", "2", "--alpha=-1"],
+    ["--trials", "2", "--dim", "2", "--beta", "0"],
+    ["--trials", "2", "--dim", "2", "--lam", "1.5"],
 ) + EDGES
 # a delta the suite forbids, rejected before anything is drawn
 REJECTED = (
