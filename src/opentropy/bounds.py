@@ -13,6 +13,7 @@ order.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 
@@ -119,6 +120,14 @@ _GENERATORS = {
     "arithmetic": _g_arithmetic,
 }
 
+# the parameters each generator reads; beta enters only through the
+# congruence, so a generator is one function per value of these
+_READS = {**dict.fromkeys(("I", "II", "S", "III", "V", "lower_shift",
+                           "upper_shift"), ("alpha",)),
+          **dict.fromkeys(("I'", "II'", "III'", "V'"), ("alpha", "delta")),
+          "base_lower": (),
+          **dict.fromkeys(("harmonic", "geometric", "arithmetic"), ("lam",))}
+
 # the label "IV" is intentionally absent; the roman names follow the
 # literature these bounds come from, which skips it
 BOUND_KINDS = ("I", "II", "III", "V", "I'", "II'", "III'", "V'",
@@ -144,16 +153,31 @@ class ScalarFn:
         return _GENERATORS[self.kind](x, self.alpha, self.delta, self.lam)
 
 
+# the generators some caller still holds, so that the cache lives no
+# longer than they do
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def scalar_generator(kind: str, alpha: float = 0.0, delta: float = 1.0,
                      lam: float = 0.5) -> ScalarFn:
-    """Look up a generator by kind name; total over the registry."""
+    """Look up a generator by kind name; total over the registry.
+
+    The parameters ``kind`` does not read rest at ``ScalarFn``'s defaults,
+    and while a caller holds the result, every call for the same kind and
+    values read returns that one object, so that ``Frame.assemble``
+    evaluates it once on every matrix that uses it.  Every delta is
+    checked, read or not."""
     if kind not in _GENERATORS:
         raise OperatorError(
             f"unknown bound kind {kind!r}; expected one of "
             f"{sorted(_GENERATORS)}")
     if not delta > 0.0:
         raise OperatorError(f"delta must be positive, got {delta!r}")
-    return ScalarFn(kind=kind, alpha=alpha, delta=delta, lam=lam)
+    reads = _READS[kind]
+    key = (kind, alpha if "alpha" in reads else 0.0,
+           delta if "delta" in reads else 1.0, lam if "lam" in reads else 0.5)
+    return _SHARED.get(key) or _SHARED.setdefault(key, ScalarFn(*key))
+
 
 
 def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
@@ -204,7 +228,8 @@ class SuiteSpec:
         through.  A value the suite forbids raises ``HypothesisError``:
         alpha < 0, beta <= 0, lambda outside [0, 1] where it is read, and
         delta outside the range the relation sets (delta >= 1 dominating,
-        0 < delta <= 1 dominated).  Resolving twice changes nothing."""
+        0 < delta <= 1 dominated); a nan the suite reads is outside every
+        range.  Resolving twice changes nothing."""
         axes = self.axes
         p = ChainParams(params.alpha if "alpha" in axes else 0.0,
                         params.beta if "beta" in axes else 1.0,
@@ -212,11 +237,11 @@ class SuiteSpec:
                         params.lam)
         if "lam" in axes and not 0.0 <= p.lam <= 1.0:
             forbidden = f"lambda must lie in [0, 1], got {p.lam!r}"
-        elif p.alpha < 0.0:
+        elif not p.alpha >= 0.0:
             forbidden = f"requires alpha >= 0, got {p.alpha!r}"
-        elif p.beta <= 0.0:
+        elif not p.beta > 0.0:
             forbidden = f"requires beta > 0, got {p.beta!r}"
-        elif self.relation == "dominating" and p.delta < 1.0:
+        elif self.relation == "dominating" and not p.delta >= 1.0:
             forbidden = f"requires delta >= 1, got {p.delta!r}"
         elif self.relation == "dominated" and not 0.0 < p.delta <= 1.0:
             forbidden = f"requires 0 < delta <= 1, got {p.delta!r}"
@@ -313,8 +338,9 @@ def _relation_margin(pair: EigenPair, b: np.ndarray, betas, deltas,
     the ``matcore._loewner`` margin and scale of ``delta A^beta <= B``
     (``dominating``) or of ``B <= delta A^beta`` (``dominated``).
     ``pair`` is ``A``'s, from its ``Frame``.  The powers go through
-    ``_rows`` for ``np.power``'s scalar exponents; the delta scaling is
-    one broadcast product, bitwise the per-matrix one."""
+    ``_rows``, one ``np.power`` call per distinct beta on the rows that
+    share it, each with its scalar exponent; the delta scaling is one
+    broadcast product, bitwise the per-matrix one."""
     power = _admit(pair.rebuild(_rows(np.power, pair.eigenvalues, betas)))
     a_beta = _admit(power * np.asarray(deltas)[:, None, None])
     lhs, rhs = (a_beta, b) if relation == "dominating" else (b, a_beta)
@@ -342,13 +368,13 @@ def _check_relation(spec: SuiteSpec, params: list[ChainParams], tol: float,
 def _terms(spec: SuiteSpec, params: list[ChainParams], frame: Frame,
            b: np.ndarray) -> np.ndarray:
     """Every term ``A^{beta/2} g_k(C) A^{beta/2}`` as a ``(T, K, n, n)``
-    stack: ``Frame.assemble`` of each trial's suite generators."""
-    gens: dict[ChainParams, list[ScalarFn]] = {}
-    for p in params:
-        if p not in gens:
-            gens[p] = [scalar_generator(label, alpha=p.alpha, delta=p.delta,
-                                        lam=p.lam) for label in spec.terms]
-    return frame.assemble(b, [gens[p] for p in params],
+    stack: ``Frame.assemble`` of each trial's suite generators, one list
+    per distinct (alpha, delta, lambda), as beta enters only through the
+    frame."""
+    keys = [(p.alpha, p.delta, p.lam) for p in params]
+    gens = {key: [scalar_generator(label, *key) for label in spec.terms]
+            for key in dict.fromkeys(keys)}
+    return frame.assemble(b, [gens[key] for key in keys],
                           f"the whitened B of suite {spec.name}, which must "
                           f"be strictly positive")
 

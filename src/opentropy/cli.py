@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import operator
 import sys
 
 import numpy as np
@@ -43,7 +44,7 @@ from .gen import (
 from .hermite import grid_verify, hh_record
 from .matcore import DEFAULT_LOEWNER_TOL, OperatorError
 from .matio import json_text, load_matrix, matrix_to_obj
-from .perspective import Frame
+from .perspective import Frame, _each, _rows
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -134,7 +135,10 @@ class RunConfig:
         return gen_config, ChainParams(alpha, beta, delta, lam)
 
     def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        """The fields by name, each tuple as a list; built directly, as
+        ``dataclasses.asdict`` deep-copies every value."""
+        out = {field.name: getattr(self, field.name)
+               for field in dataclasses.fields(self)}
         for key in ("dims", "alphas", "betas", "deltas", "lams"):
             out[key] = list(out[key])
         return out
@@ -266,41 +270,69 @@ def run_suite(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # oracle: diagonal pairs, matrix pipeline vs scalar closed forms
 
-def _scalar_means(a: float, b: float, lam: float):
-    return (1.0 / ((1.0 - lam) / a + lam / b),
-            a ** (1.0 - lam) * b ** lam,
-            (1.0 - lam) * a + lam * b)
+# the oracle's rows at h = t^beta and at h = t^1
+_AT_BETA_ROWS = BOUND_KINDS + ("S_ab", "geomean")
+_AT_ONE_ROWS = ("S_a", "S", "harmonic_mean", "geometric_mean",
+                 "arithmetic_mean")
 
 
-def _oracle_table(p: ChainParams, avals: np.ndarray,
-                  bvals: np.ndarray) -> list:
-    """One trial's oracle rows for the diagonal pair ``diag(avals)``,
-    ``diag(bvals)``, grouped by h exponent: ``[(e, [(name, f, closed
-    form)])]``, the ``t^beta`` rows, then the ``t^1`` rows, as one group
-    when beta is 1.  Each row's matrix ``A^{e/2} f(C) A^{e/2}``,
-    ``C = A^{-e/2} B A^{-e/2}``, is assembled as ``chain_check_stack``
-    assembles terms and compared with the closed form on its diagonal."""
-    alpha, beta, delta, lam = p.alpha, p.beta, p.delta, p.lam
-    x = bvals / avals ** beta
+def _oracle_generators(alpha: float, delta: float, lam: float):
+    """The registry generators of the ``_AT_BETA_ROWS`` and the
+    ``_AT_ONE_ROWS`` rows at one trial's alpha, delta and lambda."""
     s_alpha = scalar_generator("S", alpha=alpha)
-    gens = {kind: scalar_generator(kind, alpha, delta, lam)
-            for kind in BOUND_KINDS}
-    at_beta = [(kind, g, avals ** beta * g(x)) for kind, g in gens.items()]
-    # the registry generators compute's S_ab, geomean, S_a and S evaluate,
-    # against closed forms written without the registry
-    r = bvals / avals
-    at_beta += [("S_ab", s_alpha, avals ** beta * x ** alpha * np.log(x)),
-                ("geomean", scalar_generator("geometric", lam=alpha),
-                 avals ** beta * x ** alpha)]
-    at_one = [("S_a", s_alpha, avals * r ** alpha * np.log(r)),
-              ("S", scalar_generator("S"), avals * np.log(r))]
-    means = zip(("harmonic", "geometric", "arithmetic"),
-                _scalar_means(avals, bvals, lam))
-    at_one += [(f"{kind}_mean", scalar_generator(kind, lam=lam), expected)
-               for kind, expected in means]
-    if beta == 1.0:
-        return [(1.0, at_beta + at_one)]
-    return [(beta, at_beta), (1.0, at_one)]
+    return ([scalar_generator(kind, alpha, delta, lam)
+             for kind in BOUND_KINDS]
+            + [s_alpha, scalar_generator("geometric", lam=alpha)],
+            [s_alpha, scalar_generator("S")]
+            + [scalar_generator(kind, lam=lam)
+               for kind in ("harmonic", "geometric", "arithmetic")])
+
+
+def _oracle_table(params: list[ChainParams], a: np.ndarray,
+                  b: np.ndarray) -> list:
+    """The oracle rows of a stack of diagonal pairs ``a[t]``, ``b[t]`` at
+    ``params[t]``, whose betas are all 1 or all not, grouped by h
+    exponent: ``[(exponents, names, fns, closed)]``, the ``t^beta`` rows,
+    then the ``t^1`` rows, as one group when beta is 1.  Row ``k``'s
+    matrix ``A^{e/2} f(C) A^{e/2}``, ``C = A^{-e/2} B A^{-e/2}``, is
+    assembled with trial ``t``'s ``f = fns[t][k]`` as
+    ``chain_check_stack`` assembles terms, and compared with its closed
+    form ``closed[t, k]`` on the diagonal.
+
+    The closed forms are elementwise on the ``(T, n)`` diagonals, each
+    power one ``**`` per distinct exponent and each generator one call per
+    distinct object (``_rows``), bitwise each trial's own.  The means,
+    ``S_ab``, ``geomean``, ``S_a`` and ``S`` are written without the
+    registry generators that ``compute`` evaluates for them."""
+    avals = np.diagonal(a, axis1=-2, axis2=-1).real
+    bvals = np.diagonal(b, axis1=-2, axis2=-1).real
+    alphas, betas, lams = ([getattr(p, name) for p in params]
+                           for name in ("alpha", "beta", "lam"))
+    keys = [(p.alpha, p.delta, p.lam) for p in params]
+    gens = {key: _oracle_generators(*key) for key in dict.fromkeys(keys)}
+    at_beta_fns, at_one_fns = zip(*(gens[key] for key in keys))
+    a_beta = _rows(operator.pow, avals, betas)
+    x, r = bvals / a_beta, bvals / avals
+    x_alpha = _rows(operator.pow, x, alphas)
+    lam = np.array(lams)[:, None]
+    at_beta = [a_beta * _each([fns[k] for fns in at_beta_fns], x)
+               for k in range(len(BOUND_KINDS))]
+    at_beta += [a_beta * x_alpha * np.log(x), a_beta * x_alpha]
+    at_one = [avals * _rows(operator.pow, r, alphas) * np.log(r),
+              avals * np.log(r),
+              1.0 / ((1.0 - lam) / avals + lam / bvals),
+              _rows(lambda v, l: v ** (1.0 - l), avals, lams)
+              * _rows(operator.pow, bvals, lams),
+              (1.0 - lam) * avals + lam * bvals]
+    rows = [(betas, _AT_BETA_ROWS, at_beta_fns, at_beta),
+            ([1.0] * len(params), _AT_ONE_ROWS, at_one_fns, at_one)]
+    if betas[0] == 1.0:
+        rows = [(betas, _AT_BETA_ROWS + _AT_ONE_ROWS,
+                 [f + g for f, g in zip(at_beta_fns, at_one_fns)],
+                 at_beta + at_one)]
+    # (K, T, n) read as (T, K, n): the deviation is exact in any layout
+    return [(exponents, names, fns, np.array(closed).swapaxes(0, 1))
+            for exponents, names, fns, closed in rows]
 
 
 def _oracle_deviation(terms: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -322,10 +354,10 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
     Each stack is drawn by one ``random_diag_pair_stack`` call and gets
     one ``Frame`` of its A's per h exponent, ``t^beta`` then ``t^1`` (one
     frame when beta is 1), both from one decomposition of A, and one
-    ``Frame.assemble`` call on each, with each trial's own functions; the
-    records are bitwise those of checking each trial alone.  The mean
-    rows are ``prop-means``'s terms, so that suite's ``resolve`` admits
-    each trial's lambda.
+    ``Frame.assemble`` call on each, on the stacked ``_oracle_table``
+    rows as they are; the records are bitwise those of checking each trial
+    alone.  The mean rows are ``prop-means``'s terms, so that suite's
+    ``resolve`` admits each trial's lambda.
     """
     stacks: dict[tuple, list] = {}
     for trial in trials:
@@ -335,26 +367,18 @@ def _oracle_check(cfg: RunConfig, trials) -> list:
     records = {}
     for (gcfg, _), drawn in stacks.items():
         a, b = random_diag_pair_stack(gcfg, [trial for trial, _ in drawn])
-        tables = [_oracle_table(p, np.diagonal(a[i]).real,
-                                np.diagonal(b[i]).real)
-                  for i, (_, p) in enumerate(drawn)]
         devs: list[dict[str, float]] = [{} for _ in drawn]
         # one frame stack and one assembly per h = t^e: t^beta, then t^1,
         # both from one decomposition of the A stack
         frame = None
-        for slot in zip(*tables):
-            exponents = [e for e, _ in slot]
+        for exponents, names, fns, closed in _oracle_table(
+                [p for _, p in drawn], a, b):
             frame = Frame(a, exponents) if frame is None else frame.at(
                 exponents)
             dev = _oracle_deviation(
-                frame.assemble(
-                    b, [[f for _, f, _ in rows] for _, rows in slot],
-                    "the whitened B"),
-                np.array([[closed for *_, closed in rows]
-                          for _, rows in slot]))
-            for i, (_, rows) in enumerate(slot):
-                for (name, *_), d in zip(rows, dev[i]):
-                    devs[i][name] = float(d)
+                frame.assemble(b, fns, "the whitened B"), closed)
+            for d, row in zip(devs, dev.tolist()):
+                d.update(zip(names, row))
         for (trial, p), d in zip(drawn, devs):
             records[trial] = {
                 "trial_seed": trial,

@@ -23,12 +23,38 @@ from .matcore import (OperatorError, SymMatrix, _admit, _check_domain,
                       _compose, _eigh, _fro)
 
 
-def _rows(fn, *columns) -> np.ndarray:
-    """``fn`` on each row of ``columns``, stacked.  Each row sees its own
-    parameters as scalars: ``np.power`` special-cases scalar exponents
-    such as 0.5, 2 and -1, so a broadcast ``(T, 1)`` exponent would change
-    bits."""
-    return np.array([fn(*row) for row in zip(*columns)])
+def _rows(fn, x: np.ndarray, keys) -> np.ndarray:
+    """``fn(x[t], keys[t])`` for every row ``t``, stacked, from one call
+    ``fn(x[rows], key)`` per distinct key, on the rows that share it,
+    scattered back in row order.  Each call sees its key as a scalar:
+    ``np.power`` special-cases scalar exponents such as 0.5, 2 and -1, so
+    a broadcast ``(T, 1)`` exponent would change bits.  ``fn`` must act on
+    each row alone, as numpy's elementwise functions do; that a group then
+    gives the bits of its rows one at a time is a property of the numpy
+    build, which the tests check."""
+    groups: dict = {}
+    for t, key in enumerate(keys):
+        groups.setdefault(key, []).append(t)
+    if len(groups) == 1:
+        return fn(x, next(iter(groups)))
+    # one gather puts each group's rows together, one scatter undoes it
+    order = [t for rows in groups.values() for t in rows]
+    grouped, vals, start = x[order], [], 0
+    for key, rows in groups.items():
+        vals.append(fn(grouped[start:start + len(rows)], key))
+        start += len(rows)
+    stacked = np.concatenate(vals)
+    out = np.empty_like(stacked)
+    out[order] = stacked
+    return out
+
+
+def _each(fns, x: np.ndarray) -> np.ndarray:
+    """``fns[t](x[t])`` for every row ``t``, stacked: ``_rows`` with one
+    call per distinct function object, grouped by identity, so no
+    function is hashed or compared."""
+    by_id = {id(f): f for f in fns}
+    return _rows(lambda rows, key: by_id[key](rows), x, map(id, fns))
 
 
 class Frame:
@@ -82,6 +108,10 @@ class Frame:
         """Every ``H f_k(C) H``, ``C = H^{-1} X H^{-1}``, as one
         ``(T, K, n, n)`` stack; ``fns[t]`` lists matrix ``t``'s K functions.
         ``C`` must be strictly positive (``name`` names it in errors).
+        Each ``f_k`` is called once per distinct object in column ``k``, on
+        the spectra of the matrices that hold it (``_rows``), so equal
+        functions are best passed as one object, as
+        ``bounds.scalar_generator`` returns them.
 
         With ``C = U diag(lambda) U*`` and ``M = H U``, each term is the one
         product ``(M diag f_k(lambda)) M*``, as ``H`` is self-adjoint; the
@@ -94,8 +124,10 @@ class Frame:
         """
         inner = _eigh(_admit(self.whiten(x)))
         _check_domain(inner.eigenvalues, name)
-        vals = _rows(lambda w, fs: [f(w) for f in fs], inner.eigenvalues,
-                     fns)
+        # one column of values per k, laid out as one (T, K, n) array
+        vals = np.ascontiguousarray(np.array(
+            [_each(column, inner.eigenvalues) for column in zip(*fns)]
+        ).swapaxes(0, 1))
         terms = _compose((self.half @ inner.eigenvectors)[:, None], vals)
         try:
             return _admit(terms)
@@ -118,13 +150,13 @@ def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
                 y: SymMatrix, beta: float) -> SymMatrix:
     """Evaluate ``Y^{b/2} f(Y^{-b/2} X Y^{-b/2}) Y^{b/2}``, ``b = beta``.
 
-    ``f`` is a vectorized real function on (0, inf), called by its
-    ``name`` attribute (else ``f``) in errors; ``beta`` is the finite
-    exponent of ``h(t) = t^beta``.  ``x`` and ``y`` are strictly positive,
-    of one dim and field.  This is ``Frame.assemble`` of ``f`` on
-    ``Frame(y, [b])``, the frame the chain checker builds, on a stack of
-    one, so the result is bitwise the term the checker assembles for
-    ``f``.
+    ``f`` is an elementwise real function on (0, inf), called on a
+    ``(1, n)`` array and named in errors by its ``name`` attribute (else
+    ``f``); ``beta`` is the finite exponent of ``h(t) = t^beta``.  ``x``
+    and ``y`` are strictly positive, of one dim and field.  This is
+    ``Frame.assemble`` of ``f`` on ``Frame(y, [b])``, the frame the chain
+    checker builds, on a stack of one, so the result is bitwise the term
+    the checker assembles for ``f``.
     """
     if not np.isfinite(beta):
         raise OperatorError(f"beta must be finite, got {beta!r}")

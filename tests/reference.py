@@ -1,7 +1,8 @@
 """Reference routes the tests check the package against.
 
 Nothing in ``src/opentropy`` imports this module.  It holds two routes to
-the operators that ``opentropy.bound`` evaluates as perspectives:
+the operators that ``opentropy.bound`` evaluates as perspectives, and the
+one-row-at-a-time scalar evaluation the package groups by parameter:
 
 * the explicit route: the weighted means in closed form
   (``closed_form_means``) and every bound from geometric means,
@@ -11,7 +12,11 @@ the operators that ``opentropy.bound`` evaluates as perspectives:
   perspective ``A^{b/2} g(A^{-b/2} B A^{-b/2}) A^{b/2}`` with every
   registry generator typed again in mpmath (``MP_GENERATORS``), so it
   shares no code with the package and also pins each generator's
-  formula.
+  formula;
+* ``rows_one_at_a_time`` and ``oracle_closed_forms``: every scalar
+  function called on one matrix's values with that matrix's own
+  parameters, as the checker did before it called each function once per
+  parameter group (``opentropy.perspective._rows``).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 from mpmath import mp
 
-from opentropy import (OperatorError, PowerFrame, SymMatrix, apply_fn,
-                       geo_mean, mat_pow)
+from opentropy import (BOUND_KINDS, OperatorError, PowerFrame, ScalarFn,
+                       SymMatrix, apply_fn, geo_mean, mat_pow)
 
 # ---------------------------------------------------------------------------
 # the explicit route
@@ -178,3 +183,33 @@ class MpPerspective:
         cast = complex if self.complex else float
         return np.array([[cast(out[i, j]) for j in range(out.cols)]
                          for i in range(out.rows)])
+
+
+# ---------------------------------------------------------------------------
+# one row at a time
+
+
+def rows_one_at_a_time(fn, x: np.ndarray, keys) -> np.ndarray:
+    """``fn(x[t], keys[t])`` for every row ``t``, one call per row,
+    stacked: the evaluation ``opentropy.perspective._rows`` groups, and a
+    drop-in replacement for it."""
+    return np.array([fn(row, key) for row, key in zip(x, keys)])
+
+
+def oracle_closed_forms(p, avals: np.ndarray, bvals: np.ndarray) -> dict:
+    """One trial's oracle closed forms for ``diag(avals)``, ``diag(bvals)``
+    at the parameters ``p``, by row name, from scalar parameters and this
+    trial's values alone; each bound kind's generator is a fresh
+    ``ScalarFn`` of all four parameters."""
+    alpha, beta, delta, lam = p.alpha, p.beta, p.delta, p.lam
+    x, r = bvals / avals ** beta, bvals / avals
+    out = {kind: avals ** beta * ScalarFn(kind, alpha, delta, lam)(x)
+           for kind in BOUND_KINDS}
+    out["S_ab"] = avals ** beta * x ** alpha * np.log(x)
+    out["geomean"] = avals ** beta * x ** alpha
+    out["S_a"] = avals * r ** alpha * np.log(r)
+    out["S"] = avals * np.log(r)
+    out["harmonic_mean"] = 1.0 / ((1.0 - lam) / avals + lam / bvals)
+    out["geometric_mean"] = avals ** (1.0 - lam) * bvals ** lam
+    out["arithmetic_mean"] = (1.0 - lam) * avals + lam * bvals
+    return out

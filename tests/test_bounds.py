@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import opentropy as op
+from opentropy import bounds
 from opentropy.bounds import (
     SUITES,
     ChainParams,
@@ -203,8 +204,57 @@ def test_generators_finite_across_positive_axis():
             assert np.all(np.isfinite(vals)), (kind, alpha)
 
 
+@pytest.mark.parametrize("kind", sorted(bounds._GENERATORS))
+def test_each_generator_reads_exactly_its_listed_parameters(kind):
+    # scalar_generator shares one object per kind and values read, and
+    # Frame.assemble calls it once for every matrix that holds it; a
+    # parameter read but not listed would merge two different functions
+    assert sorted(bounds._READS) == sorted(bounds._GENERATORS)
+    x = np.logspace(-2, 2, 41)
+    base = {"alpha": 0.5, "delta": 1.5, "lam": 0.3}
+    moved = {"alpha": 2.0, "delta": 3.0, "lam": 0.8}
+    g = scalar_generator(kind, **base)
+    assert scalar_generator(kind, **base) is g
+    for name in base:
+        given = {**base, name: moved[name]}
+        other = scalar_generator(kind, **given)
+        direct = bounds._GENERATORS[kind](x, *given.values())
+        if name in bounds._READS[kind]:
+            assert other is not g
+            assert direct.tobytes() != g(x).tobytes(), name
+        else:
+            assert other is g
+            assert direct.tobytes() == g(x).tobytes(), name
+    # a delta is checked where it is not read too
+    with pytest.raises(op.OperatorError, match="delta must be positive"):
+        scalar_generator(kind, delta=0.0)
+
+
 # ---------------------------------------------------------------------------
 # chain_check
+
+def test_chain_check_rejects_a_nan_the_suite_reads():
+    # a nan lies in no parameter range, so a suite rejects it where it
+    # reads it, and rests it where it does not
+    a, b = op.SymMatrix.identity(2), op.SymMatrix.diagonal([2.0, 3.0])
+    nan = float("nan")
+    for name, params, message in (
+            ("thm-main1", ChainParams(beta=nan), "requires beta > 0, got nan"),
+            ("thm-main1", ChainParams(alpha=nan),
+             "requires alpha >= 0, got nan"),
+            ("cor-delta-le", ChainParams(delta=nan),
+             "requires delta >= 1, got nan"),
+            ("cor-delta-ge", ChainParams(delta=nan),
+             "requires 0 < delta <= 1, got nan"),
+            ("prop-means", ChainParams(lam=nan),
+             "lambda must lie in [0, 1], got nan")):
+        with pytest.raises(HypothesisError) as err:
+            chain_check(name, a, b, params)
+        assert str(err.value) == f"suite {name}: {message}"
+    report = chain_check("cor-entropy-le", a, b,
+                         ChainParams(alpha=nan, beta=nan, delta=nan))
+    assert report.passed and report.params == ChainParams()
+
 
 def test_identity_pair_passes_every_suite_with_zero_margins():
     eye = op.SymMatrix.identity(3)
@@ -333,20 +383,33 @@ def test_free_suites_random_sample(name):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_suite_500_instances_per_field(name):
-    # the module-level sweep: dims 1-8, alpha {0,1/2,1,2}, beta {1/2,1,2},
-    # delta {1,1.5,3} (reciprocals for the reversed suites), both fields
+    # 63 trials at each of dims 1-8, 504 per field, cycling only the
+    # parameters the suite reads over alpha {0,1/2,1,2}, beta {1/2,1,2},
+    # delta {1,1.5,3} (reciprocals for the reversed suites) and lambda
+    # {0,0.1,...,1}, so every value named here runs at every dim
     from opentropy.cli import RunConfig, run_suite
 
-    deltas = ((1.0, 1.0 / 1.5, 1.0 / 3.0) if name.endswith("-ge")
-              else (1.0, 1.5, 3.0))
+    values = {"alpha": (0.0, 0.5, 1.0, 2.0), "beta": (0.5, 1.0, 2.0),
+              "delta": ((1.0, 1.0 / 1.5, 1.0 / 3.0) if name.endswith("-ge")
+                        else (1.0, 1.5, 3.0)),
+              "lam": tuple(i / 10 for i in range(11))}
+    lists = {key: vals if key in SUITES[name].axes
+             else (RESTING.get(key, 0.5),) for key, vals in values.items()}
+    dims = range(1, 9)
     for field in ("real", "complex"):
-        cfg = RunConfig(suite=name, trials=500, dims=tuple(range(1, 9)),
-                        field=field, seed=4096,
-                        alphas=(0.0, 0.5, 1.0, 2.0), betas=(0.5, 1.0, 2.0),
-                        deltas=deltas, lams=tuple(i / 10 for i in range(11)))
-        report = run_suite(cfg)
-        assert report["summary"]["all_pass"], (name, field,
-                                               report["summary"])
+        realized = set()
+        for dim in dims:
+            cfg = RunConfig(suite=name, trials=63, dims=(dim,), field=field,
+                            seed=4096, alphas=lists["alpha"],
+                            betas=lists["beta"], deltas=lists["delta"],
+                            lams=lists["lam"])
+            report = run_suite(cfg)
+            assert report["summary"]["all_pass"], (name, field, dim,
+                                                   report["summary"])
+            realized |= {(dim, *trial["params"].values())
+                         for trial in report["trials"]}
+        assert realized == set(itertools.product(dims, *lists.values())), (
+            field)
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +644,17 @@ def test_each_suite_reads_exactly_its_parameters(name):
     wrong_side = {">=": (0.5, "requires delta >= 1, got 0.5"),
                   "<=": (1.5, "requires 0 < delta <= 1, got 1.5")}
     # (slot, a value the paper forbids, the message where the slot is
-    # read); a nan fails no comparison but the lambda and 0 < delta <= 1
-    # ones, so resolve passes a nan alpha, beta or delta >= 1 on,
-    # unreplaced, and the message is None there (the CLI rejects a
-    # non-finite flag before resolve)
+    # read); a nan lies in no range, so each read nan is rejected with its
+    # slot's message, and an unread one rests or, as lambda, passes on
     cases = [
         ("alpha", -1.0, "requires alpha >= 0, got -1.0"),
         ("beta", 0.0, "requires beta > 0, got 0.0"),
         ("delta", *wrong_side.get(side, (0.5, None))),
         ("lam", 1.5, "lambda must lie in [0, 1], got 1.5"),
-        ("alpha", nan, None),
-        ("beta", nan, None),
-        ("delta", nan,
-         "requires 0 < delta <= 1, got nan" if side == "<=" else None),
+        ("alpha", nan, "requires alpha >= 0, got nan"),
+        ("beta", nan, "requires beta > 0, got nan"),
+        ("delta", nan, {">=": "requires delta >= 1, got nan",
+                        "<=": "requires 0 < delta <= 1, got nan"}.get(side)),
         ("lam", nan, "lambda must lie in [0, 1], got nan"),
     ]
     for slot, value, message in cases:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -315,6 +316,19 @@ def test_decode_follows_product_order(lengths, k):
     gcfg, p = cfg.decode(k)
     assert ((gcfg.dim, p.alpha, p.beta, p.delta, p.lam)
             == combos[k % len(combos)])
+
+
+def test_config_json_is_every_field_with_lists():
+    # the report's config block: each field by name, each tuple as a list
+    cfg = RunConfig(suite="thm-main1", trials=7, dims=(2, 5), seed=3,
+                    alphas=(0.0, 0.5), betas=(1.0, 2.0), deltas=(1.5,),
+                    lams=(0.3, 0.7))
+    out = cfg.to_json_dict()
+    assert out == {key: list(value) if isinstance(value, tuple) else value
+                   for key, value in dataclasses.asdict(cfg).items()}
+    assert [type(out[key]) for key in ("dims", "alphas", "lams")] == [list] * 3
+    assert sorted(out) == sorted(field.name
+                                 for field in dataclasses.fields(RunConfig))
 
 
 def test_reports_never_carry_nan_tokens(tmp_path):

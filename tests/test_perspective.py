@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import opentropy as op
-from opentropy import bounds
-from opentropy.bounds import BOUND_KINDS, _relation_margin, scalar_generator
-from opentropy.gen import (GenConfig, random_diag_pair, random_spd,
-                           random_spd_stack)
+from opentropy import bounds, cli
+from opentropy.bounds import (BOUND_KINDS, ChainParams, _relation_margin,
+                              scalar_generator)
+from opentropy.gen import (GenConfig, random_diag_pair, random_diag_pair_stack,
+                           random_spd, random_spd_stack)
 from opentropy.matcore import EigenPair, _eigh
 from opentropy.perspective import Frame, PowerFrame, perspective
+from reference import oracle_closed_forms, rows_one_at_a_time
 
 
 def test_identity_function_cancels_congruence():
@@ -471,6 +473,113 @@ def test_stacked_frame_names_the_first_non_positive_base():
             PowerFrame(op.SymMatrix(a[2]), 8.0)
     assert str(stacked.value) == str(alone.value)
     assert str(stacked.value).startswith("the power 8.0/2 of eigenvalue 1e-200")
+
+
+# ---------------------------------------------------------------------------
+# one scalar call per parameter group, bitwise one call per row
+
+def _scalar_sites(a, b, params):
+    """The bits of every site that groups rows by parameter: the frame's
+    powers, the relation margin's A^beta and the generator values of
+    ``Frame.assemble``, on the stack ``a``, ``b`` at ``params``."""
+    betas = [p.beta for p in params]
+    frame = Frame(a, betas)
+    margin, scale = _relation_margin(frame.pair, b, betas,
+                                     [p.delta for p in params], "dominating")
+    fns = [[scalar_generator(kind, p.alpha, p.delta, p.lam)
+            for kind in sorted(bounds._GENERATORS)] for p in params]
+    return {"half": frame.half, "ihalf": frame.ihalf, "margin": margin,
+            "scale": scale, "terms": frame.assemble(b, fns, "C")}
+
+
+def _assert_grouped_is_row_by_row(monkeypatch, dim, field, params):
+    cfg = GenConfig(dim=dim, field=field, master_seed=67)
+    trials = range(len(params))
+    a = random_spd_stack(cfg, trials)
+    b = random_spd_stack(cfg, trials, salt=1)
+    grouped = _scalar_sites(a, b, params)
+    with monkeypatch.context() as m:
+        for module in (importlib.import_module("opentropy.perspective"),
+                       bounds):
+            m.setattr(module, "_rows", rows_one_at_a_time)
+        alone = _scalar_sites(a, b, params)
+    for key, value in grouped.items():
+        assert value.tobytes() == alone[key].tobytes(), key
+    # and the frame's lambda^{e/2}, from each row's own scalar exponent
+    frame = Frame(a, [p.beta for p in params])
+    v = rows_one_at_a_time(lambda w, beta: np.power(w, beta / 2.0),
+                           frame.pair.eigenvalues, [p.beta for p in params])
+    assert grouped["half"].tobytes() == frame.pair.rebuild(v).tobytes()
+    assert grouped["ihalf"].tobytes() == frame.pair.rebuild(1.0 / v).tobytes()
+    # the oracle's stacked closed forms, one stack per row layout as
+    # cli._oracle_check draws them, against each trial's own formulas
+    da, db = random_diag_pair_stack(cfg, trials)
+    for layout in (True, False):
+        rows = [t for t, p in enumerate(params) if (p.beta == 1.0) == layout]
+        if not rows:
+            continue
+        table = cli._oracle_table([params[t] for t in rows], da[rows],
+                                  db[rows])
+        assert table[0][0] == [params[t].beta for t in rows]
+        for i, t in enumerate(rows):
+            want = oracle_closed_forms(params[t], np.diagonal(da[t]).real,
+                                       np.diagonal(db[t]).real)
+            got = {name: closed[i, k] for _, names, _, closed in table
+                   for k, name in enumerate(names)}
+            assert sorted(got) == sorted(want)
+            for name, closed in got.items():
+                assert closed.tobytes() == want[name].tobytes(), (name, t)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 32])
+def test_grouped_evaluation_gives_the_bits_of_row_by_row(dim, field,
+                                                         monkeypatch):
+    # 12 trials share 3 alphas, 4 betas and 2 (delta, lambda) pairs, so
+    # every site calls its scalar function on groups of several rows; the
+    # exponents 0.5, 1 and 2, which np.power special-cases when they are
+    # scalars, catch a site that broadcasts its parameter instead
+    params = [ChainParams(alpha=(0.0, 0.5, 2.0)[t % 3],
+                          beta=(0.5, 1.0, 2.0, 1.5)[t % 4],
+                          delta=(1.5, 2.0)[t % 2], lam=(0.5, 0.7)[t % 2])
+              for t in range(12)]
+    _assert_grouped_is_row_by_row(monkeypatch, dim, field, params)
+    # and each generator runs once per distinct value of what it reads
+    calls = []
+    real_call = bounds.ScalarFn.__call__
+
+    def counting(self, x):
+        calls.append(self.kind)
+        return real_call(self, x)
+
+    monkeypatch.setattr(bounds.ScalarFn, "__call__", counting)
+    cfg = GenConfig(dim=dim, field=field, master_seed=67)
+    _scalar_sites(random_spd_stack(cfg, range(12)),
+                  random_spd_stack(cfg, range(12), salt=1), params)
+    for kind, reads in bounds._READS.items():
+        groups = {tuple(getattr(p, name) for name in reads) for p in params}
+        assert calls.count(kind) == len(groups), kind
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 4, 32])
+def test_grouped_evaluation_on_a_stack_of_one_changes_nothing(
+        dim, field, beta, monkeypatch):
+    # perspective, bound and compute run on stacks of one
+    _assert_grouped_is_row_by_row(monkeypatch, dim, field,
+                                  [ChainParams(0.5, beta, 2.0, 0.3)])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [2, 8])
+def test_one_trial_per_group_gives_the_bits_of_row_by_row(dim, field,
+                                                          monkeypatch):
+    # no two trials share an alpha, beta, delta or lambda, so every group
+    # is one row; trial 2's beta is 1, the oracle's one-frame layout
+    params = [ChainParams(alpha=t / 4, beta=0.5 + t / 4, delta=1.0 + t / 8,
+                          lam=t / 8) for t in range(6)]
+    _assert_grouped_is_row_by_row(monkeypatch, dim, field, params)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,10 @@ VERIFY = (
     ["--trials", "2", "--dim", "2", "--alpha=-1"],
     ["--trials", "2", "--dim", "2", "--beta", "0"],
     ["--trials", "2", "--dim", "2", "--lam", "1.5"],
+    # one 64-trial dim-8 chunk over 27 parameter sets, so every scalar
+    # function runs on several groups of several trials
+    ["--trials", "64", "--dim", "8", "--alpha", "0,0.5,2", "--beta",
+     "0.5,1,1.5", "--lam", "0,0.3,1", "--seed", "17"],
 ) + EDGES
 # a delta the suite forbids, rejected before anything is drawn
 REJECTED = (
@@ -123,6 +127,9 @@ ORACLE = (
     ["--trials", "70", "--dim", "2,32", "--beta", "0.5,1,2"],
     # trial 1 fails inside a chunk whose trial 0 passes
     ["--trials", "6", "--dim", "2", "--beta", "0.5,400"],
+    # one 64-trial dim-8 chunk over 36 parameter sets, as in verify
+    ["--trials", "64", "--dim", "8", "--alpha", "0,0.5,2", "--beta",
+     "0.5,1,2", "--delta", "1,1.5", "--lam", "0.3,1", "--seed", "19"],
 ) + EDGES
 HH = (
     ["--alpha", "0", "--x", "4"],
