@@ -13,7 +13,7 @@ order.
 from __future__ import annotations
 
 import dataclasses
-import weakref
+import functools
 
 import numpy as np
 
@@ -153,9 +153,9 @@ class ScalarFn:
         return _GENERATORS[self.kind](x, self.alpha, self.delta, self.lam)
 
 
-# the generators some caller still holds, so that the cache lives no
-# longer than they do
-_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+@functools.lru_cache(maxsize=1024)
+def _shared(kind: str, alpha: float, delta: float, lam: float) -> ScalarFn:
+    return ScalarFn(kind, alpha, delta, lam)
 
 
 def scalar_generator(kind: str, alpha: float = 0.0, delta: float = 1.0,
@@ -163,10 +163,12 @@ def scalar_generator(kind: str, alpha: float = 0.0, delta: float = 1.0,
     """Look up a generator by kind name; total over the registry.
 
     The parameters ``kind`` does not read rest at ``ScalarFn``'s defaults,
-    and while a caller holds the result, every call for the same kind and
-    values read returns that one object, so that ``Frame.assemble``
-    evaluates it once on every matrix that uses it.  Every delta is
-    checked, read or not."""
+    and calls for the same kind and values read return one shared object,
+    kept in a bounded cache across calls, so that ``Frame.assemble``
+    evaluates it once on every matrix that uses it.  An object the cache
+    has dropped is built anew, equal and with the same values, so sharing
+    saves work and never changes bits.  Every delta is checked, read or
+    not."""
     if kind not in _GENERATORS:
         raise OperatorError(
             f"unknown bound kind {kind!r}; expected one of "
@@ -174,10 +176,9 @@ def scalar_generator(kind: str, alpha: float = 0.0, delta: float = 1.0,
     if not delta > 0.0:
         raise OperatorError(f"delta must be positive, got {delta!r}")
     reads = _READS[kind]
-    key = (kind, alpha if "alpha" in reads else 0.0,
-           delta if "delta" in reads else 1.0, lam if "lam" in reads else 0.5)
-    return _SHARED.get(key) or _SHARED.setdefault(key, ScalarFn(*key))
-
+    return _shared(kind, alpha if "alpha" in reads else 0.0,
+                   delta if "delta" in reads else 1.0,
+                   lam if "lam" in reads else 0.5)
 
 
 def bound(kind: str, a: SymMatrix, b: SymMatrix, alpha: float = 0.0,
@@ -432,12 +433,13 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     margins, holds = _links(spec, _terms(spec, effective, frame, b), tol)
 
     reports = []
-    for trial, p in enumerate(effective):
-        links = [LinkMargin(lhs=spec.terms[i], rhs=spec.terms[j],
-                            margin=float(margins[trial, k]),
-                            holds=bool(holds[trial, k]))
-                 for k, (i, j) in enumerate(spec.links)]
-        ok = all(link.holds for link in links)
+    names = [(spec.terms[i], spec.terms[j]) for i, j in spec.links]
+    for trial, (p, row_margin, row_holds) in enumerate(
+            zip(effective, margins.tolist(), holds.tolist())):
+        links = [LinkMargin(lhs, rhs, margin, held)
+                 for (lhs, rhs), margin, held in zip(names, row_margin,
+                                                     row_holds)]
+        ok = all(row_holds)
         report = ChainReport(suite=spec.name, trial_seed=trial_seeds[trial],
                              params=p, links=links,
                              verdict="pass" if ok else "fail")

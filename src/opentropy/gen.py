@@ -4,10 +4,12 @@ Per-trial randomness comes from an independent counter-based Philox stream
 keyed by ``(master_seed, trial * STREAMS + salt)``, so trials can be drawn
 in any order or thread count, alone or in stacks, and still reproduce bit
 for bit.  ``random_spd_stack`` and ``random_partner_stack`` draw a stack of
-trials that share one dim: each trial's scalars (its log-uniform spectrum
-and its Gaussians) come from its own streams, and the matrix work (QR,
+trials that share one dim: each trial's scalars come from its own stream
+in two generator calls, its uniforms and then its Gaussian (``_spd``), and
+a diagonal pair's from one.  Everything after the draw runs once per
+stack: the log-uniform map, the complex assembly and the matrix work (QR,
 frame products, the congruence by ``A^{beta/2}`` and the hypothesis
-confirmation) runs as stacked calls, each bitwise the per-matrix call.
+confirmation), each bitwise the per-trial arithmetic.
 ``random_spd``, ``random_partner`` and ``random_diag_pair`` are the
 one-trial cases of ``random_spd_stack``, ``random_partner_stack`` and
 ``random_diag_pair_stack``.
@@ -83,39 +85,45 @@ def _streams(cfg: GenConfig, trials, salt: int):
 
     It is one local ``Philox`` re-keyed per trial by assigning its state:
     the same bits as a new ``Philox(key=...)``, at a fraction of the cost
-    of building a ``Generator``.  Each yield re-keys the generator the
-    previous one returned, so use it up before taking the next.
+    of building a ``Generator``.  The ``(T, 2)`` keys are built once per
+    stack, and each re-key assigns one row of them.  Each yield re-keys
+    the generator the previous one returned, so use it up before taking
+    the next.
     """
+    keys = np.array([(cfg.master_seed, (trial * _STREAMS + salt) & _MASK)
+                     for trial in trials], dtype=np.uint64)
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     state = bits.state  # counter 0, empty buffer: a freshly keyed stream
     rng = np.random.Generator(bits)
-    for trial in trials:
-        state["state"]["key"] = np.array(
-            [cfg.master_seed, (trial * _STREAMS + salt) & _MASK],
-            dtype=np.uint64)
+    for key in keys:
+        state["state"]["key"] = key
         bits.state = state
         yield rng
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
-                 size: int) -> np.ndarray:
-    return lo * (hi / lo) ** rng.uniform(0.0, 1.0, size=size)
-
-
 def _spd(rngs, ranges, dim: int, field: str) -> np.ndarray:
     """``U diag(lambda) U*``, raw, for each stream of ``rngs`` and its
-    ``(lo, hi)`` of ``ranges``: each stream draws its log-uniform spectrum
-    ``lambda`` in ``[lo, hi]``, then the Gaussian that is QR'd into ``U``.
-    ``U`` keeps LAPACK's column phases: the phase fix that would make it
-    Haar is a diagonal unitary on the right, which commutes with
-    ``diag(lambda)`` and so cancels in the product."""
-    vals, gauss = [], []
-    for rng, (lo, hi) in zip(rngs, ranges):
-        vals.append(_log_uniform(rng, lo, hi, dim))
-        g = rng.standard_normal((dim, dim))
-        gauss.append(g + 1j * rng.standard_normal((dim, dim))
-                     if field == "complex" else g)
-    return _compose(np.linalg.qr(np.array(gauss))[0], np.array(vals))
+    ``(lo, hi)`` of ``ranges``.
+
+    Each stream yields, in this order, ``dim`` uniform doubles ``u`` and
+    then the Gaussian that is QR'd into ``U``: ``dim**2`` normals, row
+    major, for a real ``U``, and ``2 dim**2`` for a complex one, its real
+    parts and then its imaginary parts.  That is two generator calls per
+    stream.  The log-uniform map ``lambda = lo (hi/lo)**u`` and the complex
+    assembly then run once on the whole stack, bitwise the per-trial
+    arithmetic.  ``U`` keeps LAPACK's column phases: the phase fix that
+    would make it Haar is a diagonal unitary on the right, which commutes
+    with ``diag(lambda)`` and so cancels in the product."""
+    size = dim * dim
+    k = 2 * size if field == "complex" else size
+    draws = [(rng.random(dim), rng.standard_normal(k)) for rng in rngs]
+    u = np.array([d[0] for d in draws]).reshape(-1, dim)
+    g = np.array([d[1] for d in draws]).reshape(-1, k)
+    if field == "complex":
+        g = g[:, :size] + 1j * g[:, size:]
+    lo, hi = np.reshape(ranges, (-1, 2)).T[:, :, None]
+    return _compose(np.linalg.qr(g.reshape(-1, dim, dim))[0],
+                    lo * (hi / lo) ** u)
 
 
 def random_spd_stack(cfg: GenConfig, trials, salt: int = 0) -> np.ndarray:
@@ -152,6 +160,11 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
     for delta in deltas:
         if not delta > 0.0:
             raise OperatorError(f"delta must be positive, got {delta!r}")
+        if delta == np.inf:
+            raise OperatorError(f"delta must be finite, got {delta!r}")
+    for beta in betas:
+        if not np.isfinite(beta):
+            raise OperatorError(f"beta must be finite, got {beta!r}")
     dim, field = a.shape[-1], "complex" if np.iscomplexobj(a) else "real"
     inner = (np.array(deltas, dtype=np.float64)[:, None, None]
              * np.eye(dim, dtype=a.dtype))
@@ -200,9 +213,11 @@ def random_partner(a: SymMatrix, beta: float, delta: float, direction: str,
 def random_diag_pair_stack(cfg: GenConfig, trials):
     """``random_diag_pair(cfg, trial)`` of each of ``trials``, as two
     ``(T, n, n)`` arrays symmetrized as ``SymMatrix`` stores them."""
-    vals = np.array([[_log_uniform(rng, cfg.spectrum_lo, cfg.spectrum_hi,
-                                   cfg.dim) for _ in "ab"]
-                     for rng in _streams(cfg, trials, _SALT_DIAG)])
+    # each stream draws A's spectrum, then B's, in one call
+    u = np.array([rng.random(2 * cfg.dim)
+                  for rng in _streams(cfg, trials, _SALT_DIAG)])
+    lo, hi = cfg.spectrum_lo, cfg.spectrum_hi
+    vals = lo * (hi / lo) ** u.reshape(-1, 2, cfg.dim)
     dtype = np.complex128 if cfg.field == "complex" else np.float64
     pair = np.zeros((2, len(trials), cfg.dim, cfg.dim), dtype=dtype)
     pair[..., range(cfg.dim), range(cfg.dim)] = vals.swapaxes(0, 1)

@@ -35,6 +35,8 @@ def _rows(fn, x: np.ndarray, keys) -> np.ndarray:
     groups: dict = {}
     for t, key in enumerate(keys):
         groups.setdefault(key, []).append(t)
+    if not groups:  # no rows: no call
+        return np.empty_like(x, dtype=np.float64)
     if len(groups) == 1:
         return fn(x, next(iter(groups)))
     # one gather puts each group's rows together, one scatter undoes it

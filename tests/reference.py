@@ -1,8 +1,9 @@
 """Reference routes the tests check the package against.
 
 Nothing in ``src/opentropy`` imports this module.  It holds two routes to
-the operators that ``opentropy.bound`` evaluates as perspectives, and the
-one-row-at-a-time scalar evaluation the package groups by parameter:
+the operators that ``opentropy.bound`` evaluates as perspectives, the
+one-row-at-a-time scalar evaluation the package groups by parameter, and
+the one-trial draw the package stacks:
 
 * the explicit route: the weighted means in closed form
   (``closed_form_means``) and every bound from geometric means,
@@ -16,7 +17,11 @@ one-row-at-a-time scalar evaluation the package groups by parameter:
 * ``rows_one_at_a_time`` and ``oracle_closed_forms``: every scalar
   function called on one matrix's values with that matrix's own
   parameters, as the checker did before it called each function once per
-  parameter group (``opentropy.perspective._rows``).
+  parameter group (``opentropy.perspective._rows``);
+* ``spd_one_trial``: one trial's spectrum and Gaussian drawn from a fresh
+  generator on its own stream, with numpy's plain per-array calls, as
+  ``opentropy.gen`` drew them before it took two generator calls per
+  stream and mapped each stack at once.
 """
 
 from __future__ import annotations
@@ -213,3 +218,23 @@ def oracle_closed_forms(p, avals: np.ndarray, bvals: np.ndarray) -> dict:
     out["geometric_mean"] = avals ** (1.0 - lam) * bvals ** lam
     out["arithmetic_mean"] = (1.0 - lam) * avals + lam * bvals
     return out
+
+
+# ---------------------------------------------------------------------------
+# one trial's draw
+
+
+def spd_one_trial(seed: int, trial: int, salt: int, dim: int, field: str,
+                  lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The log-uniform spectrum in ``[lo, hi]`` and the ``(dim, dim)``
+    Gaussian of trial ``trial``'s stream ``salt``: a fresh ``Philox``
+    keyed ``(seed, trial * 4 + salt)``, then ``dim`` uniforms, then one
+    ``(dim, dim)`` normal draw, and a second for the imaginary part of a
+    complex Gaussian."""
+    rng = np.random.Generator(np.random.Philox(key=np.array(
+        [seed, (trial * 4 + salt) % 2 ** 64], dtype=np.uint64)))
+    u = rng.uniform(0.0, 1.0, dim)
+    g = rng.standard_normal((dim, dim))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((dim, dim))
+    return lo * (hi / lo) ** u, g

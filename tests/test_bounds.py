@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -228,6 +230,17 @@ def test_each_generator_reads_exactly_its_listed_parameters(kind):
     # a delta is checked where it is not read too
     with pytest.raises(op.OperatorError, match="delta must be positive"):
         scalar_generator(kind, delta=0.0)
+
+
+def test_scalar_generator_keeps_its_object_after_the_caller_drops_it():
+    # each CLI call builds its generators anew; a cache that lived only as
+    # long as some caller held the object missed on every call
+    g = scalar_generator("I'", alpha=0.75, delta=2.5)
+    kept = weakref.ref(g)
+    del g
+    gc.collect()
+    assert kept() is not None
+    assert scalar_generator("I'", alpha=0.75, delta=2.5) is kept()
 
 
 # ---------------------------------------------------------------------------

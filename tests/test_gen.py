@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import opentropy as op
+from opentropy import gen
 from opentropy.gen import (
     BOUNDARY_EVERY,
     GenConfig,
@@ -13,6 +14,8 @@ from opentropy.gen import (
     random_spd,
     random_spd_stack,
 )
+from opentropy.matcore import _admit, _compose
+from reference import spd_one_trial
 
 
 def test_dim_one_degenerate_spectrum():
@@ -145,6 +148,30 @@ def test_partner_rejects_bad_arguments():
         random_partner(a, 1.0, float("nan"), "dominated", cfg, 1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("beta, delta, message", [
+    (NAN, 1.0, "beta must be finite, got nan"),
+    (INF, 1.0, "beta must be finite, got inf"),
+    (-INF, 1.0, "beta must be finite, got -inf"),
+    (1.0, INF, "delta must be finite, got inf"),
+    (1.0, NAN, "delta must be positive, got nan"),
+    (1.0, 0.0, "delta must be positive, got 0.0"),
+    (1.0, -INF, "delta must be positive, got -inf"),
+    (NAN, 0.0, "delta must be positive, got 0.0"),
+])
+def test_partner_names_a_bad_beta_or_delta(beta, delta, message):
+    # a non-finite beta failed in A's frame, naming only an eigenvalue's
+    # power, and an infinite delta at admission, as a NaN Frobenius norm
+    cfg = GenConfig(dim=2, master_seed=4)
+    a = random_spd(cfg, 1)
+    for direction in ("dominating", "dominated"):
+        for trial in (1, BOUNDARY_EVERY):
+            with pytest.raises(op.OperatorError, match=f"^{message}$"):
+                random_partner(a, beta, delta, direction, cfg, trial)
+
+
 def test_config_validation():
     with pytest.raises(op.OperatorError):
         GenConfig(dim=0)
@@ -199,6 +226,125 @@ def test_diag_pair_stack_gives_the_bits_of_one_trial_draws(field):
             for stack, alone, want in zip((a, b), one, pair):
                 assert stack[i].tobytes() == want.data.tobytes()
                 assert alone.data.tobytes() == want.data.tobytes()
+
+
+# non-consecutive, with the boundary trials 0 and 20 and trials whose key
+# word 4 * trial + salt needs the full 64 bits
+TRIALS = [0, 3, 1, 20, 64, 41, 2 ** 40, 2 ** 62 + 3]
+
+
+def _raw_spd(lam, g):
+    """``U diag(lam) U*``, raw, for the ``U`` of ``qr(g)``, through the
+    package's QR and product on a stack of one."""
+    return _compose(np.linalg.qr(g[None])[0], lam[None])[0]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_spd_stack_gives_the_bits_of_fresh_one_trial_draws(field, seed):
+    # a stack takes two generator calls per stream and maps its spectra
+    # at once; each matrix must still be the draw of a fresh generator on
+    # its own stream, one plain numpy call per array
+    for dim in (1, 2, 5, 32):
+        cfg = GenConfig(dim=dim, field=field, spectrum_lo=0.5,
+                        spectrum_hi=2000.0, master_seed=seed)
+        for salt in (0, 1):
+            stack = random_spd_stack(cfg, TRIALS, salt)
+            for i, trial in enumerate(TRIALS):
+                want = _admit(_raw_spd(*spd_one_trial(
+                    seed, trial, salt, dim, field, 0.5, 2000.0))[None])[0]
+                assert stack[i].tobytes() == want.tobytes(), (dim, salt, i)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_partner_stack_draws_each_c_as_a_fresh_one_trial_draw(field, seed):
+    # B = A^{beta/2} C A^{beta/2}; every C but the exact boundary ones is
+    # the one-trial draw of the partner stream, spectrum in its span
+    betas = [(0.5, 1.0, 2.0)[i % 3] for i in range(len(TRIALS))]
+    spans = {"dominating": [1.0, 2.0, 1.5, 3.0, 1.0, 7.0, 1.25, 4.0],
+             "dominated": [1.0, 0.5, 0.25, 0.9, 0.1, 1.0, 0.7, 0.3]}
+    for dim in (1, 2, 5, 32):
+        cfg = GenConfig(dim=dim, field=field, master_seed=seed)
+        a = random_spd_stack(cfg, TRIALS)
+        for direction, deltas in spans.items():
+            b, frame, _ = random_partner_stack(a, betas, deltas, direction,
+                                               cfg, TRIALS)
+            inner = []
+            for trial, delta in zip(TRIALS, deltas):
+                if trial % BOUNDARY_EVERY == 0:
+                    inner.append(delta * np.eye(dim, dtype=a.dtype))
+                    continue
+                lo, hi = ((delta, delta * gen.PARTNER_SPREAD)
+                          if direction == "dominating"
+                          else (delta / gen.PARTNER_SPREAD, delta))
+                inner.append(_raw_spd(*spd_one_trial(
+                    seed, trial, gen._SALT_PARTNER, dim, field, lo, hi)))
+            want = _admit(frame.conjugate(_admit(np.array(inner))))
+            assert b.tobytes() == want.tobytes(), (dim, direction)
+
+
+class _Counting:
+    """A generator that logs the name of each method called on it."""
+
+    def __init__(self, rng, calls: list):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_each_stream_takes_two_draw_calls_or_one_for_a_diag_pair(
+        monkeypatch, field):
+    # the draw's Python-level cost is its calls per stream: a spectrum and
+    # one Gaussian, real and imaginary parts in one call; a diagonal pair
+    # draws both spectra in one call
+    cfg = GenConfig(dim=3, field=field, master_seed=8)
+    trials = [0, 3, 1, 20, 41]
+    a = random_spd_stack(cfg, trials)
+    b = random_partner_stack(a, [1.0] * 5, [2.0] * 5, "dominating", cfg,
+                             trials)[0]
+    pair = random_diag_pair_stack(cfg, trials)
+    streams, log = gen._streams, []
+
+    def counting(*args):
+        for rng in streams(*args):
+            log.append([])
+            yield _Counting(rng, log[-1])
+    monkeypatch.setattr(gen, "_streams", counting)
+    assert random_spd_stack(cfg, trials).tobytes() == a.tobytes()
+    assert log == [["random", "standard_normal"]] * 5
+    log.clear()
+    counted = random_partner_stack(a, [1.0] * 5, [2.0] * 5, "dominating",
+                                   cfg, trials)[0]
+    assert counted.tobytes() == b.tobytes()
+    # trials 0 and 20 keep the exact boundary and draw nothing
+    assert log == [["random", "standard_normal"]] * 3
+    log.clear()
+    for new, old in zip(random_diag_pair_stack(cfg, trials), pair):
+        assert new.tobytes() == old.tobytes()
+    assert log == [["random"]] * 5
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_empty_trial_lists_give_empty_stacks(field):
+    cfg = GenConfig(dim=3, field=field, master_seed=2)
+    dtype = np.complex128 if field == "complex" else np.float64
+    a = random_spd_stack(cfg, [])
+    stacks = [a, *random_diag_pair_stack(cfg, [])]
+    for direction in ("dominating", "dominated"):
+        b, _, (margin, scale) = random_partner_stack(a, [], [], direction,
+                                                     cfg, [])
+        assert margin.shape == scale.shape == (0,)
+        stacks.append(b)
+    for stack in stacks:
+        assert stack.shape == (0, 3, 3) and stack.dtype == dtype
 
 
 def test_generation_error_is_operator_error():
