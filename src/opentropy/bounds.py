@@ -23,6 +23,7 @@ from .matcore import (
     OperatorError,
     SymMatrix,
     _admit,
+    _check_finite,
     _fro,
     _loewner,
 )
@@ -420,8 +421,11 @@ def chain_check_stack(suite: str | SuiteSpec, a: np.ndarray, b: np.ndarray,
     so it is never what fails.  On a stack of one that is exactly
     the error ``chain_check`` raises; a longer stack may fail at an
     earlier stage on a later trial, so callers that must blame the lowest
-    failing trial check the trials again one at a time.
+    failing trial check the trials again one at a time.  A non-finite
+    ``tol`` raises ``OperatorError`` before any stage; a negative one
+    fails more links.
     """
+    _check_finite("tol", tol)
     spec = SUITES[suite] if isinstance(suite, str) else suite
     effective = [spec.resolve(p) for p in params]
     betas = [p.beta for p in effective]

@@ -42,7 +42,8 @@ from .gen import (
     random_spd_stack,
 )
 from .hermite import grid_verify, hh_record
-from .matcore import DEFAULT_LOEWNER_TOL, OperatorError
+from .matcore import (DEFAULT_LOEWNER_TOL, OperatorError, _check_finite,
+                      _check_int)
 from .matio import json_text, load_matrix, matrix_to_obj
 from .perspective import Frame, _each, _rows
 
@@ -108,6 +109,8 @@ class RunConfig:
     lams: tuple[float, ...] = (0.5,)
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            _check_int(name, getattr(self, name))
         if self.trials < 0:
             raise OperatorError(
                 f"trials must be nonnegative, got {self.trials!r}")
@@ -164,27 +167,35 @@ def _config_from_args(args, suite: str = "",
     )
 
 
-def _draw(cfg: RunConfig, trials) -> list:
-    """Draw ``trials`` as one stack per dim; each trial's A and B are
-    bitwise those of the one-trial ``gen.random_spd`` and
-    ``gen.random_partner``.
-
-    Each trial's parameters are resolved by ``SuiteSpec.resolve`` as it
-    is decoded, so a value the suite forbids raises ``HypothesisError``
-    before any matrix is drawn.  Returns one ``(group, a, b, params,
-    frame, hypothesis)`` per dim: the group's trials, their A and B as
-    ``(T, n, n)`` arrays, their resolved parameters and, for a suite with
-    a dominance hypothesis, the A frame and hypothesis margins the partner
-    draw computed (``None`` otherwise), for ``chain_check_stack``.
-    """
-    spec = SUITES[cfg.suite]
+def _by_dim(cfg: RunConfig, trials, resolve) -> list:
+    """Decode ``trials`` and group them by ``GenConfig``, in first-seen
+    order: one ``(gcfg, group, params)`` per dim, its trials and what
+    ``resolve`` returns for each trial's parameters.  Every trial is
+    resolved before the caller draws anything, so a parameter that
+    ``resolve`` rejects raises first."""
     by_dim: dict[GenConfig, list] = {}
     for trial in trials:
         gcfg, params = cfg.decode(trial)
-        by_dim.setdefault(gcfg, []).append((trial, spec.resolve(params)))
+        by_dim.setdefault(gcfg, []).append((trial, resolve(params)))
+    return [(gcfg, *map(list, zip(*drawn))) for gcfg, drawn in by_dim.items()]
+
+
+def _draw(cfg: RunConfig, trials) -> list:
+    """Draw ``trials`` as one ``_by_dim`` stack per dim; each trial's A and
+    B are bitwise those of the one-trial ``gen.random_spd`` and
+    ``gen.random_partner``.
+
+    Each trial's parameters are resolved by ``SuiteSpec.resolve``, so a
+    value the suite forbids raises ``HypothesisError`` before any matrix
+    is drawn.  Returns one ``(group, a, b, params, frame, hypothesis)``
+    per dim: the group's trials, their A and B as ``(T, n, n)`` arrays,
+    their resolved parameters and, for a suite with a dominance
+    hypothesis, the A frame and hypothesis margins the partner draw
+    computed (``None`` otherwise), for ``chain_check_stack``.
+    """
+    spec = SUITES[cfg.suite]
     stacks = []
-    for gcfg, drawn in by_dim.items():
-        group, params = map(list, zip(*drawn))
+    for gcfg, group, params in _by_dim(cfg, trials, spec.resolve):
         a = random_spd_stack(gcfg, group)
         if spec.relation == "none":
             b = random_spd_stack(gcfg, group, salt=1)
@@ -291,9 +302,10 @@ def _oracle_generators(alpha: float, delta: float, lam: float):
 def _oracle_table(params: list[ChainParams], a: np.ndarray,
                   b: np.ndarray) -> list:
     """The oracle rows of a stack of diagonal pairs ``a[t]``, ``b[t]`` at
-    ``params[t]``, whose betas are all 1 or all not, grouped by h
-    exponent: ``[(exponents, names, fns, closed)]``, the ``t^beta`` rows,
-    then the ``t^1`` rows, as one group when beta is 1.  Row ``k``'s
+    ``params[t]``, grouped by h exponent: ``[(exponents, names, fns,
+    closed)]``, the ``t^beta`` rows, then the ``t^1`` rows, as one group
+    when every trial's beta is 1.  In a stack that mixes betas, a trial at
+    beta 1 takes both groups, each on a frame of its own.  Row ``k``'s
     matrix ``A^{e/2} f(C) A^{e/2}``, ``C = A^{-e/2} B A^{-e/2}``, is
     assembled with trial ``t``'s ``f = fns[t][k]`` as
     ``chain_check_stack`` assembles terms, and compared with its closed
@@ -326,7 +338,7 @@ def _oracle_table(params: list[ChainParams], a: np.ndarray,
               (1.0 - lam) * avals + lam * bvals]
     rows = [(betas, _AT_BETA_ROWS, at_beta_fns, at_beta),
             ([1.0] * len(params), _AT_ONE_ROWS, at_one_fns, at_one)]
-    if betas[0] == 1.0:
+    if all(beta == 1.0 for beta in betas):
         rows = [(betas, _AT_BETA_ROWS + _AT_ONE_ROWS,
                  [f + g for f, g in zip(at_beta_fns, at_one_fns)],
                  at_beta + at_one)]
@@ -347,39 +359,41 @@ def _oracle_deviation(terms: np.ndarray, expected: np.ndarray) -> np.ndarray:
         1.0, np.abs(expected).max(axis=-1))
 
 
+def _admit_lam(params: ChainParams) -> ChainParams:
+    """``params`` unchanged, once ``prop-means``'s ``resolve`` admits its
+    lambda."""
+    SUITES["prop-means"].resolve(params)
+    return params
+
+
 def _oracle_check(cfg: RunConfig, trials) -> list:
-    """Check ``trials`` as one stack per dim and row layout (whether beta
-    is 1); one record per trial, in order.
+    """Check ``trials`` as one ``_by_dim`` stack per dim, as ``verify``
+    draws them; one record per trial, in order.
 
     Each stack is drawn by one ``random_diag_pair_stack`` call and gets
-    one ``Frame`` of its A's per h exponent, ``t^beta`` then ``t^1`` (one
-    frame when beta is 1), both from one decomposition of A, and one
-    ``Frame.assemble`` call on each, on the stacked ``_oracle_table``
-    rows as they are; the records are bitwise those of checking each trial
-    alone.  The mean rows are ``prop-means``'s terms, so that suite's
-    ``resolve`` admits each trial's lambda.
+    one ``Frame`` of its A's per ``_oracle_table`` group, ``t^beta`` then
+    ``t^1`` (one frame when every beta is 1), both from one decomposition
+    of A, and one ``Frame.assemble`` call on each, on the stacked rows as
+    they are; the records are bitwise those of checking each trial alone,
+    as every stage acts on each trial's rows alone.  The mean rows are
+    ``prop-means``'s terms, so that suite's ``resolve`` admits each
+    trial's lambda; the records keep the parameters as decoded.
     """
-    stacks: dict[tuple, list] = {}
-    for trial in trials:
-        gcfg, p = cfg.decode(trial)
-        SUITES["prop-means"].resolve(p)
-        stacks.setdefault((gcfg, p.beta == 1.0), []).append((trial, p))
     records = {}
-    for (gcfg, _), drawn in stacks.items():
-        a, b = random_diag_pair_stack(gcfg, [trial for trial, _ in drawn])
-        devs: list[dict[str, float]] = [{} for _ in drawn]
+    for gcfg, group, params in _by_dim(cfg, trials, _admit_lam):
+        a, b = random_diag_pair_stack(gcfg, group)
+        devs: list[dict[str, float]] = [{} for _ in group]
         # one frame stack and one assembly per h = t^e: t^beta, then t^1,
         # both from one decomposition of the A stack
         frame = None
-        for exponents, names, fns, closed in _oracle_table(
-                [p for _, p in drawn], a, b):
+        for exponents, names, fns, closed in _oracle_table(params, a, b):
             frame = Frame(a, exponents) if frame is None else frame.at(
                 exponents)
             dev = _oracle_deviation(
                 frame.assemble(b, fns, "the whitened B"), closed)
             for d, row in zip(devs, dev.tolist()):
                 d.update(zip(names, row))
-        for (trial, p), d in zip(drawn, devs):
+        for trial, p, d in zip(group, params, devs):
             records[trial] = {
                 "trial_seed": trial,
                 "params": {**p.to_json_dict(), "dim": gcfg.dim},
@@ -437,8 +451,7 @@ def _compute(args) -> dict:
     flags = {"alpha": alpha, "beta": beta, "delta": args.delta_f,
              "lam": args.lam_f}
     for flag, value in flags.items():
-        if not np.isfinite(value):
-            raise OperatorError(f"--{flag} must be finite, got {value!r}")
+        _check_finite(f"--{flag}", value)
     a = load_matrix(args.A)
     b = load_matrix(args.B)
     if args.expr == "means":

@@ -22,7 +22,8 @@ import dataclasses
 import numpy as np
 
 from .bounds import _relation_margin
-from .matcore import OperatorError, SymMatrix, _admit, _compose
+from .matcore import (OperatorError, SymMatrix, _admit, _check_finite,
+                      _check_int, _compose)
 from .perspective import Frame
 
 CONDITION_CAP = 1e4
@@ -57,6 +58,8 @@ class GenConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _check_int("dim", self.dim)
+        _check_int("master_seed", self.master_seed)
         if not 1 <= self.dim <= DIM_CAP:
             raise OperatorError(f"dim must be in 1..{DIM_CAP}, got {self.dim!r}")
         if not 0 <= self.master_seed <= _MASK:
@@ -74,10 +77,8 @@ class GenConfig:
             raise OperatorError(
                 f"condition cap exceeded: hi/lo = "
                 f"{self.spectrum_hi / self.spectrum_lo:.3e} > {CONDITION_CAP:.0e}")
-        if not np.isfinite(self.spectrum_hi):
-            # a NaN passes every comparison above, as does lo = hi = inf
-            raise OperatorError(
-                f"spectrum_hi must be finite, got {self.spectrum_hi!r}")
+        # a NaN passes every comparison above, as does lo = hi = inf
+        _check_finite("spectrum_hi", self.spectrum_hi)
 
 
 def _streams(cfg: GenConfig, trials, salt: int):
@@ -160,11 +161,9 @@ def random_partner_stack(a: np.ndarray, betas, deltas, direction: str,
     for delta in deltas:
         if not delta > 0.0:
             raise OperatorError(f"delta must be positive, got {delta!r}")
-        if delta == np.inf:
-            raise OperatorError(f"delta must be finite, got {delta!r}")
+        _check_finite("delta", delta)
     for beta in betas:
-        if not np.isfinite(beta):
-            raise OperatorError(f"beta must be finite, got {beta!r}")
+        _check_finite("beta", beta)
     dim, field = a.shape[-1], "complex" if np.iscomplexobj(a) else "real"
     inner = (np.array(deltas, dtype=np.float64)[:, None, None]
              * np.eye(dim, dtype=a.dtype))

@@ -10,6 +10,8 @@ threads.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -321,6 +323,20 @@ def _check_domain(eigenvalues: np.ndarray, name: str) -> None:
         )
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Reject a non-finite number ``value``, naming it ``name``; cheap
+    enough for a check per trial."""
+    if not math.isfinite(value):
+        raise OperatorError(f"{name} must be finite, got {value!r}")
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a ``value`` that is a bool or not integral, naming it
+    ``name``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OperatorError(f"{name} must be an integer, got {value!r}")
+
+
 def apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray],
              name: str = "") -> SymMatrix:
     """Functional calculus: ``f(M) = U f(diag) U*`` from the spectral form.
@@ -377,7 +393,9 @@ def _loewner(diff: np.ndarray, lhs_fro, rhs_fro):
 
 def loewner_leq(a: SymMatrix, b: SymMatrix,
                 tol: float = DEFAULT_LOEWNER_TOL) -> OrderVerdict:
-    """Decide ``A <= B`` in the Loewner order, with a signed margin."""
+    """Decide ``A <= B`` in the Loewner order, with a signed margin; a
+    non-finite ``tol`` is rejected, a negative one fails more pairs."""
+    _check_finite("tol", tol)
     a._same_shape(b)
     margin, scale = (float(x) for x in _loewner(
         b.data - a.data, _fro(a.data), _fro(b.data)))

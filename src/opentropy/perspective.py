@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .matcore import (OperatorError, SymMatrix, _admit, _check_domain,
-                      _compose, _eigh, _fro)
+                      _check_finite, _compose, _eigh, _fro)
 
 
 def _rows(fn, x: np.ndarray, keys) -> np.ndarray:
@@ -160,8 +160,7 @@ def perspective(f: Callable[[np.ndarray], np.ndarray], x: SymMatrix,
     checker builds, on a stack of one, so the result is bitwise the term
     the checker assembles for ``f``.
     """
-    if not np.isfinite(beta):
-        raise OperatorError(f"beta must be finite, got {beta!r}")
+    _check_finite("beta", beta)
     x._same_shape(y)
     frame = Frame(y.data[None], [beta], "the perspective base")
     name = getattr(f, "name", "f")

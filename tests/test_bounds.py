@@ -269,6 +269,20 @@ def test_chain_check_rejects_a_nan_the_suite_reads():
     assert report.passed and report.params == ChainParams()
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["prop-bounds", "thm-main1"])
+def test_chain_check_rejects_a_non_finite_tolerance(name, tol):
+    # a NaN tolerance would fail links and hypotheses that hold, and an
+    # infinite one pass every link; a negative finite one still fails links
+    a, b = op.SymMatrix.identity(2), op.SymMatrix.diagonal([2.0, 3.0])
+    assert chain_check(name, a, b).passed
+    assert not chain_check("prop-bounds", a, b, tol=-10.0).passed
+    with pytest.raises(op.OperatorError) as err:
+        chain_check(name, a, b, tol=tol)
+    assert not isinstance(err.value, HypothesisError)
+    assert str(err.value) == f"tol must be finite, got {tol!r}"
+
+
 def test_identity_pair_passes_every_suite_with_zero_margins():
     eye = op.SymMatrix.identity(3)
     for name, spec in SUITES.items():

@@ -154,6 +154,26 @@ def test_malformed_files_rejected(tmp_path, capsys):
                                        "plain number: '1_0'\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    (" \n\n", "empty matrix file"),
+    ("2\n1 x\n0 1\n",
+     "malformed text matrix: could not convert string to float: 'x'"),
+    ('{"field": "quaternion", "dim": 1, "data": [[1]]}',
+     "field must be 'real' or 'complex', got 'quaternion'"),
+    ('{"dim": 1, "data": [[1]]}', "malformed matrix object: 'field'"),
+], ids=["empty", "text-token", "field", "no-field"])
+def test_malformed_file_exits_2_with_its_message(body, message, tmp_path,
+                                                 capsys):
+    bad = tmp_path / "bad"
+    bad.write_text(body)
+    with pytest.raises(op.OperatorError) as err:
+        load_matrix(bad)
+    assert str(err.value) == message
+    assert main(["compute", "--expr", "S", "--A", str(bad),
+                 "--B", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -266,6 +286,28 @@ def test_malformed_flags_are_usage_errors(argv, capsys):
     assert "trials pass" not in captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "thm-main1", "--dim", "4-2"],
+     "bad dim range '4-2'"),
+    (["verify", "--suite", "thm-main1", "--dim", ","], "no dims in ','"),
+    (["oracle", "--alpha", ","], "no values in ','"),
+    (["oracle", "--spec-lo", "2", "--spec-hi", "1"],
+     "spectrum_hi must be >= spectrum_lo"),
+    # a tolerance of -1 asks for a hypothesis margin of at least the scale
+    (["verify", "--suite", "thm-main2", "--trials", "2", "--dim", "3",
+      "--tol=-1"],
+     "suite thm-main2: hypothesis B <= delta*A^beta (delta=1.0, beta=1.0) "
+     "fails with margin "),
+], ids=["dim-range", "no-dims", "no-values", "spectrum", "dominated"])
+def test_rejected_flags_exit_2_with_their_message(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    # a message cut after "margin " is checked up to its numbers
+    if not message.endswith(" "):
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, name", [
     (["verify", "--suite", "thm-main1", "--field", "real", "--dim", "4"],
      "the whitened B of suite thm-main1, which must be strictly positive"),
@@ -316,6 +358,33 @@ def test_decode_follows_product_order(lengths, k):
     gcfg, p = cfg.decode(k)
     assert ((gcfg.dim, p.alpha, p.beta, p.delta, p.lam)
             == combos[k % len(combos)])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"dims": (2.5,)}, "dim must be an integer, got 2.5"),
+], ids=["trials-float", "trials-bool", "seed-float", "dim-float"])
+def test_run_config_rejects_non_integral_counts(fields, message):
+    with pytest.raises(op.OperatorError) as err:
+        RunConfig(suite="thm-main1", **fields)
+    assert str(err.value) == message
+
+
+def test_run_config_keeps_its_range_messages_for_integers():
+    from opentropy import cli
+
+    cfg = RunConfig(suite="thm-main1", trials=np.int64(2), seed=np.int64(3),
+                    dims=(np.int64(3),))
+    assert cli.run_suite(cfg)["summary"]["passed"] == 2
+    for fields, message in (
+            ({"trials": -1}, "trials must be nonnegative, got -1"),
+            ({"seed": -1}, f"seed must be in 0..{2 ** 64 - 1}, got -1"),
+            ({"dims": (0,)}, "dim must be in 1..32, got 0")):
+        with pytest.raises(op.OperatorError) as err:
+            RunConfig(suite="thm-main1", **fields)
+        assert str(err.value) == message
 
 
 def test_config_json_is_every_field_with_lists():
@@ -386,6 +455,25 @@ def test_chunk_raises_the_lowest_failing_trial(plant_draws, draw_alone, bad,
 
     plant_draws(draw_trial)
     with pytest.raises(op.OperatorError, match=message):
+        cli.run_suite(cfg)
+
+
+def test_chunk_that_fails_only_as_a_chunk_raises_its_own_error(monkeypatch):
+    # every trial passes alone, so no rerun raises, and the chunk's own
+    # error is the one the run raises
+    from opentropy import cli
+
+    check = cli._check
+
+    def fails_as_a_chunk(cfg, trials):
+        if len(trials) > 1:
+            raise op.OperatorError("the chunk failed")
+        return check(cfg, trials)
+
+    monkeypatch.setattr(cli, "_check", fails_as_a_chunk)
+    cfg = RunConfig(suite="thm-main1", trials=3, dims=(2,))
+    assert cli._run_trial(cfg, 2).passed
+    with pytest.raises(op.OperatorError, match="^the chunk failed$"):
         cli.run_suite(cfg)
 
 
@@ -961,18 +1049,20 @@ def _spy_oracle_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("dims, trials, size", [
+@pytest.mark.parametrize("dims, trials, size, betas", [
     # the dim-32 cap keeps 4 trials per chunk, each of dims 2, 5 and 32
-    ((2, 5, 32), 30, 4),
+    ((2, 5, 32), 30, 4, (0.5, 1.0, 2.0)),
     # at dims up to 8 the chunks hold 64 trials, as verify's do
-    ((2, 5), 70, 64),
-])
+    ((2, 5), 70, 64, (0.5, 1.0, 2.0)),
+    # every beta 1: each stack puts all its rows on one frame
+    ((2, 5), 12, 64, (1.0,)),
+], ids=["dims0-30-4", "dims1-70-64", "all-beta-1"])
 def test_stacked_oracle_gives_the_bits_of_one_trial_at_a_time(
-        field, dims, trials, size, monkeypatch):
+        field, dims, trials, size, betas, monkeypatch):
     from opentropy import cli
 
     cfg = RunConfig(trials=trials, dims=dims, field=field, alphas=(0.5, 2.0),
-                    betas=(0.5, 1.0, 2.0), deltas=(2.0,), lams=(0.3,))
+                    betas=betas, deltas=(2.0,), lams=(0.3,))
     chunks = _spy_oracle_chunks(monkeypatch)
     report = cli.oracle_compare(cfg)
     assert chunks == [list(range(start, min(start + size, trials)))
@@ -1016,11 +1106,12 @@ def test_stacked_oracle_deviation_gives_the_bits_of_the_scalar_formula(
 
 @pytest.mark.parametrize("trials", [3, 12, 64])
 def test_oracle_chunk_decomposes_one_stack_per_frame(trials, monkeypatch):
-    # a chunk draws one stack per row layout, beta 1 or not, and makes a
-    # fixed number of eigh calls on (T_g, n, n) stacks however many trials
-    # it holds: A, whose frames at t^beta and at t^1 share it, and the
-    # whitened B at each, 3 matrices per trial, and at beta 1 one frame, 2
-    # matrices per trial
+    # a chunk draws one stack per dim, whatever its betas, and makes a
+    # fixed number of eigh calls on (T, n, n) stacks however many trials
+    # it holds: A, whose frames at t^beta and at t^1 share it, then the
+    # whitened B at t^beta and at t^1, or, when every beta is 1, A and the
+    # whitened B on the one frame; so a trial at beta 1 in a stack that
+    # mixes betas takes 3 decompositions, not 2
     from opentropy import cli
 
     real_eigh, calls = np.linalg.eigh, []
@@ -1029,16 +1120,16 @@ def test_oracle_chunk_decomposes_one_stack_per_frame(trials, monkeypatch):
         calls.append(arr.shape)
         return real_eigh(arr, *args, **kwargs)
 
-    cfg = RunConfig(trials=trials, dims=(3,), alphas=(0.5,),
-                    betas=(0.5, 1.0, 2.0), deltas=(2.0,), lams=(0.3,))
     chunks = _spy_oracle_chunks(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    cli.oracle_compare(cfg)
-    assert chunks == [list(range(trials))]
-    at_one = len(range(1, trials, 3))
-    others = trials - at_one
-    assert calls == [(others, 3, 3)] * 3 + [(at_one, 3, 3)] * 2
-    assert sum(shape[0] for shape in calls) == 3 * others + 2 * at_one
+    for betas, count in (((0.5, 1.0, 2.0), 3), ((1.0,), 2)):
+        cfg = RunConfig(trials=trials, dims=(3,), alphas=(0.5,),
+                        betas=betas, deltas=(2.0,), lams=(0.3,))
+        chunks.clear()
+        calls.clear()
+        cli.oracle_compare(cfg)
+        assert chunks == [list(range(trials))]
+        assert calls == [(trials, 3, 3)] * count, betas
 
 
 @pytest.mark.parametrize("flags, plant, failing", [

@@ -33,6 +33,29 @@ def test_seed_outside_64_bits_is_rejected(seed):
     GenConfig(master_seed=2 ** 64 - 1)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"dim": 2.5}, "dim"), ({"dim": True}, "dim"), ({"dim": 3.0}, "dim"),
+    ({"master_seed": 1.5}, "master_seed"),
+    ({"master_seed": False}, "master_seed")])
+def test_non_integral_counts_are_rejected(fields, name):
+    # a float seed would draw the instances of its integer part, and a
+    # float dim would fail inside numpy
+    with pytest.raises(op.OperatorError) as err:
+        GenConfig(**fields)
+    assert str(err.value) == (f"{name} must be an integer, got "
+                              f"{fields[name]!r}")
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = GenConfig(dim=np.int64(3), master_seed=np.uint64(7))
+    same = GenConfig(dim=3, master_seed=7)
+    assert random_spd(cfg, 2).data.tobytes() == (
+        random_spd(same, 2).data.tobytes())
+    with pytest.raises(op.OperatorError) as err:
+        GenConfig(dim=np.int64(33))
+    assert str(err.value) == f"dim must be in 1..32, got {np.int64(33)!r}"
+
+
 def test_bit_identical_reproduction():
     cfg = GenConfig(dim=6, field="complex", master_seed=99)
     first = random_spd(cfg, 7)

@@ -520,6 +520,28 @@ def test_loewner_mismatch_names_a_first(b, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_loewner_rejects_a_non_finite_tolerance(tol):
+    # a NaN tolerance would fail A <= 2A and an infinite one pass any pair
+    a = op.SymMatrix.identity(2)
+    with pytest.raises(op.OperatorError) as err:
+        op.loewner_leq(a, 2.0 * a, tol)
+    assert str(err.value) == f"tol must be finite, got {tol!r}"
+
+
+def test_loewner_negative_tolerance_fails_a_holding_pair():
+    a = op.SymMatrix.identity(2)
+    assert op.loewner_leq(a, 2.0 * a, 0.0)
+    assert not op.loewner_leq(a, 2.0 * a, -10.0)
+
+
+def test_negation_flips_the_loewner_order():
+    a = op.SymMatrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    assert (-a).data.tobytes() == (-a.data).tobytes()
+    assert bool(op.loewner_leq(-a, a)) is True
+    assert bool(op.loewner_leq(a, -a)) is False
+
+
 def _random_pairs(field):
     """Random self-adjoint pairs at dims 1-8, 17 and 32: most differences
     indefinite, and one per dim a singular PSD difference, margin ~0."""
