@@ -52,10 +52,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 ORACLE_CONTRACT = 1e-10
-# trials per stacked check, and matrix entries T * n**2 per stack at the
-# run's largest dim n: 64 trials up to dim 8, 4 at dim 32; bounds the
-# (T, K, n, n) term stacks
-CHUNK_TRIALS = 64
+# matrix entries T * n**2 per stacked check at the run's largest dim n:
+# 4 trials at dim 32, 64 at dim 8, 4096 at dim 1; bounds the (T, K, n, n)
+# term stacks and the work a chunk does before a failure shows
 CHUNK_ENTRIES = 4096
 
 
@@ -109,16 +108,25 @@ class RunConfig:
     lams: tuple[float, ...] = (0.5,)
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
-            _check_int(name, getattr(self, name))
+        # every number is stored as a Python int or float, which a report
+        # can write: a numpy integer or float32 is no JSON number
+        for key in ("trials", "seed"):
+            object.__setattr__(self, key, _check_int(key, getattr(self, key)))
         if self.trials < 0:
             raise OperatorError(
                 f"trials must be nonnegative, got {self.trials!r}")
+        for name in ("dims", "alphas", "betas", "deltas", "lams"):
+            if not len(getattr(self, name)):
+                raise OperatorError(f"{name} must not be empty")
         for name in ("tol", "spectrum_lo", "spectrum_hi", "alphas", "betas",
                      "deltas", "lams"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise OperatorError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value) if np.isscalar(value)
+                               else tuple(map(float, value)))
+        object.__setattr__(self, "dims", tuple(
+            _check_int("dim", dim) for dim in self.dims))
         # one validated GenConfig per dims entry, which decode hands out;
         # an attribute, not a field, so equality and to_json_dict ignore it
         object.__setattr__(self, "_gen_configs", tuple(
@@ -225,13 +233,13 @@ def _run_trial(cfg: RunConfig, trial: int):
 
 def _chunked(cfg: RunConfig, check, alone) -> list:
     """``check(cfg, chunk)`` on each run of consecutive trials, results
-    concatenated in trial order.  A chunk holds at most ``CHUNK_TRIALS``
-    trials, and at most ``CHUNK_ENTRIES / n**2`` at the run's largest dim
-    ``n``.  ``check`` must give the bits of ``alone(cfg, trial)`` on each
-    trial.  When a chunk raises ``OperatorError``, its trials are run again
-    one at a time through ``alone`` and the first error is raised: that of
-    the lowest failing trial."""
-    size = min(CHUNK_TRIALS, CHUNK_ENTRIES // max(cfg.dims) ** 2)
+    concatenated in trial order.  A chunk holds ``CHUNK_ENTRIES // n**2``
+    trials at the run's largest dim ``n``, and the last chunk the rest.
+    ``check`` must give the bits of ``alone(cfg, trial)`` on each trial.
+    When a chunk raises ``OperatorError``, its trials are run again one at
+    a time through ``alone`` and the first error is raised: that of the
+    lowest failing trial."""
+    size = CHUNK_ENTRIES // max(cfg.dims) ** 2
     results = []
     for start in range(0, cfg.trials, size):
         chunk = range(start, min(start + size, cfg.trials))

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .matcore import OperatorError
+from .matcore import OperatorError, _check_int
 
 # Below this distance from x = 1 the 0/0 integral-average form is replaced
 # by its limit; every chain quantity vanishes there.
@@ -151,6 +151,7 @@ GRID_CAP = 10**6  # a few arrays of this many floats take tens of MB
 def grid_verify(alpha: float, x: float, n: int = 1001) -> GridVerdict:
     """Check sup/inf closed forms against an ``n``-point lambda grid and the
     pointwise sandwich ``l(lambda) <= integral_avg <= L(lambda)``."""
+    n = _check_int("n", n)
     if n < 3:
         raise OperatorError(f"grid needs at least 3 points, got {n!r}")
     if n > GRID_CAP:

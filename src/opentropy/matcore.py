@@ -330,11 +330,12 @@ def _check_finite(name: str, value: float) -> None:
         raise OperatorError(f"{name} must be finite, got {value!r}")
 
 
-def _check_int(name: str, value) -> None:
-    """Reject a ``value`` that is a bool or not integral, naming it
-    ``name``; numpy integers pass."""
+def _check_int(name: str, value) -> int:
+    """``value`` as a Python ``int``; reject a ``value`` that is a bool or
+    not integral, naming it ``name``.  numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise OperatorError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray],

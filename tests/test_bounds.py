@@ -463,21 +463,23 @@ def _serial_margins(spec, a, b, params, tol):
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_stacked_run_matches_per_trial_chain_check(name, field, monkeypatch,
                                                    draw_alone):
-    # both runs span two chunks (trials 63/64) and hold the exact-boundary
-    # trials 0, 20, 40 and 60; with dims outermost in the parameter cycle,
-    # the first run's 73 trials all fall on dim 1, and the second run's 9
-    # combos per dim put trials 0-71 on dims 1-8
+    # at the largest dim 8 a chunk holds 64 trials, so both runs span two
+    # chunks (trials 63/64); both hold the exact-boundary trials 0, 20, 40
+    # and 60; with dims outermost in the parameter cycle, the first run's
+    # 73 trials all fall on dim 1, and the second run's 9 combos per dim
+    # put trials 0-71 on dims 1-8
     from opentropy import cli
 
     deltas = ((1.0, 1.0 / 1.5, 1.0 / 3.0) if name.endswith("-ge")
               else (1.0, 1.5, 3.0))
     dims = tuple(range(1, 9))
+    trials = cli.CHUNK_ENTRIES // 8 ** 2 + 9
     configs = (
-        cli.RunConfig(suite=name, trials=cli.CHUNK_TRIALS + 9, dims=dims,
+        cli.RunConfig(suite=name, trials=trials, dims=dims,
                       field=field, seed=77, alphas=(0.0, 0.5, 2.0),
                       betas=(0.5, 1.0, 2.0), deltas=deltas,
                       lams=(0.0, 0.3, 1.0)),
-        cli.RunConfig(suite=name, trials=cli.CHUNK_TRIALS + 9, dims=dims,
+        cli.RunConfig(suite=name, trials=trials, dims=dims,
                       field=field, seed=78, alphas=(0.0, 0.5, 2.0),
                       betas=(0.5, 1.0, 2.0), deltas=deltas[1:2],
                       lams=(0.3,)))

@@ -387,6 +387,37 @@ def test_run_config_keeps_its_range_messages_for_integers():
         assert str(err.value) == message
 
 
+def test_numpy_numbers_give_the_report_of_python_numbers():
+    # a config of numpy numbers is stored as Python numbers, so its report
+    # can be written, and it is the report of the same values given as
+    # Python numbers
+    from opentropy import cli
+    from opentropy.matio import json_text
+
+    cfg = RunConfig(suite="thm-main1", trials=np.int64(3),
+                    seed=np.uint64(5), dims=(np.int64(2), np.int32(3)),
+                    tol=np.float32(1e-9), spectrum_lo=np.float32(0.5),
+                    spectrum_hi=np.float64(4.0),
+                    alphas=(np.float32(0.5), 2), betas=(np.float32(1.0),),
+                    deltas=(np.float32(1.5),), lams=(np.float32(0.25),))
+    same = RunConfig(suite="thm-main1", trials=3, seed=5, dims=(2, 3),
+                     tol=float(np.float32(1e-9)), spectrum_lo=0.5,
+                     spectrum_hi=4.0, alphas=(0.5, 2.0), betas=(1.0,),
+                     deltas=(1.5,), lams=(0.25,))
+    assert cfg == same
+    for run in (cli.run_suite, cli.oracle_compare):
+        assert json_text(run(cfg)) == json_text(run(same))
+
+
+@pytest.mark.parametrize("name", ["dims", "alphas", "betas", "deltas",
+                                  "lams"])
+def test_run_config_rejects_an_empty_list(name):
+    # an empty list would fail inside the run, outside the package's errors
+    with pytest.raises(op.OperatorError) as err:
+        RunConfig(suite="thm-main1", **{name: ()})
+    assert str(err.value) == f"{name} must not be empty"
+
+
 def test_config_json_is_every_field_with_lists():
     # the report's config block: each field by name, each tuple as a list
     cfg = RunConfig(suite="thm-main1", trials=7, dims=(2, 5), seed=3,
@@ -567,6 +598,8 @@ def test_passing_run_never_reruns(monkeypatch):
     # same bytes more slowly
     from opentropy import cli
 
+    # a largest dim of 8 makes 64-trial chunks
+    size = cli.CHUNK_ENTRIES // 8 ** 2
     draws, stacked = [], []
     decomposed = {"eigh": 0, "eigvalsh": 0}
     draw, stack_check = cli._draw, cli.chain_check_stack
@@ -578,20 +611,18 @@ def test_passing_run_never_reruns(monkeypatch):
     def chain_check_stack(suite, a, b, params, tol, trial_seeds, frame,
                           hypothesis):
         assert frame is not None and hypothesis is not None
-        stacked.append((trial_seeds[0] // cli.CHUNK_TRIALS, a.shape[-1]))
+        stacked.append((trial_seeds[0] // size, a.shape[-1]))
         return stack_check(suite, a, b, params, tol, trial_seeds, frame,
                            hypothesis)
 
     monkeypatch.setattr(cli, "_draw", counting_draw)
     monkeypatch.setattr(cli, "chain_check_stack", chain_check_stack)
     _count_solvers(monkeypatch, lambda: decomposed)
-    cfg = RunConfig(suite="cor-delta-le", trials=cli.CHUNK_TRIALS + 9,
-                    dims=(2, 3, 4), field="complex", seed=3,
-                    deltas=(1.0, 2.0))
+    cfg = RunConfig(suite="cor-delta-le", trials=size + 9, dims=(2, 3, 8),
+                    field="complex", seed=3, deltas=(1.0, 2.0))
     assert cli.run_suite(cfg)["summary"]["all_pass"]
-    assert draws == [list(range(cli.CHUNK_TRIALS)),
-                     list(range(cli.CHUNK_TRIALS, cfg.trials))]
-    assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 4)]
+    assert draws == [list(range(size)), list(range(size, cfg.trials))]
+    assert sorted(stacked) == [(c, d) for c in (0, 1) for d in (2, 3, 8)]
     # per trial, exact-boundary or not, full decompositions: A's frame and
     # the whitened B; eigenvalues only: the hypothesis margin and the 8
     # links
@@ -622,6 +653,40 @@ def test_large_dim_run_chunks_by_matrix_entries(field, monkeypatch):
         alone = cli._run_trial(cfg, trial).to_json_dict()
         assert json.dumps(record, sort_keys=True) == json.dumps(
             alone, sort_keys=True), trial
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_chunks_hold_chunk_entries_over_n_squared_trials(dim, monkeypatch):
+    # one bound at every dim: verify and oracle cut each chunk at
+    # CHUNK_ENTRIES / n**2 trials of the run's largest dim n, and in the
+    # biggest chunk the first, the last and an exact-boundary trial keep
+    # the bits of checking each trial alone
+    from opentropy import cli
+    from opentropy.gen import BOUNDARY_EVERY
+
+    size = cli.CHUNK_ENTRIES // dim ** 2
+    draws, draw = [], cli._draw
+
+    def counting_draw(cfg, trials):
+        draws.append(list(trials))
+        return draw(cfg, trials)
+
+    monkeypatch.setattr(cli, "_draw", counting_draw)
+    oracle_chunks = _spy_oracle_chunks(monkeypatch)
+    cfg = RunConfig(suite="cor-delta-le", trials=size + 1, dims=(dim,),
+                    seed=6, deltas=(1.0, 2.0))
+    report = cli.run_suite(cfg)
+    records = cli.oracle_compare(cfg)["trials"]
+    assert draws == oracle_chunks == [list(range(size)), [size]]
+    monkeypatch.undo()
+    boundary = (size - 1) // BOUNDARY_EVERY * BOUNDARY_EVERY
+    for trial in (0, boundary, size - 1):
+        alone = cli._run_trial(cfg, trial).to_json_dict()
+        assert json.dumps(report["trials"][trial], sort_keys=True) == (
+            json.dumps(alone, sort_keys=True)), trial
+    for trial in (0, size - 1):
+        assert json.dumps(records[trial], sort_keys=True) == json.dumps(
+            _oracle_trial(cfg, trial), sort_keys=True), trial
 
 
 def test_failing_chunk_reruns_each_trial_through_the_stacked_path(
@@ -1052,10 +1117,10 @@ def _spy_oracle_chunks(monkeypatch):
 @pytest.mark.parametrize("dims, trials, size, betas", [
     # the dim-32 cap keeps 4 trials per chunk, each of dims 2, 5 and 32
     ((2, 5, 32), 30, 4, (0.5, 1.0, 2.0)),
-    # at dims up to 8 the chunks hold 64 trials, as verify's do
-    ((2, 5), 70, 64, (0.5, 1.0, 2.0)),
+    # at a largest dim of 8 the chunks hold 64 trials, as verify's do
+    ((2, 8), 70, 64, (0.5, 1.0, 2.0)),
     # every beta 1: each stack puts all its rows on one frame
-    ((2, 5), 12, 64, (1.0,)),
+    ((2, 5), 12, 163, (1.0,)),
 ], ids=["dims0-30-4", "dims1-70-64", "all-beta-1"])
 def test_stacked_oracle_gives_the_bits_of_one_trial_at_a_time(
         field, dims, trials, size, betas, monkeypatch):

@@ -178,6 +178,19 @@ def test_grid_verify_rejects_tiny_grid():
         grid_verify(0.0, 4.0, 2)
 
 
+@pytest.mark.parametrize("n", [5.5, 5.0, True])
+def test_grid_verify_rejects_a_non_integral_grid(n):
+    with pytest.raises(op.OperatorError) as err:
+        grid_verify(0.0, 4.0, n)
+    assert str(err.value) == f"n must be an integer, got {n!r}"
+
+
+def test_grid_verify_takes_numpy_integers_as_python_ints():
+    verdict = grid_verify(0.0, 4.0, np.int64(11))
+    assert verdict == grid_verify(0.0, 4.0, 11)
+    assert type(verdict.n) is int
+
+
 def test_grid_verify_rejects_grid_past_the_cap():
     # the cap must admit the 100001-point grid the benchmark runs
     assert grid_verify(0.0, 4.0, 100001).passed

@@ -69,8 +69,10 @@ VERIFY = (
     ["--trials", "20", "--dim", "2", "--alpha", "0,1", "--beta", "0.5,2",
      "--delta", "0.5,1", "--seed", "12"],
     ["--trials", "20", "--dim", "3", "--lam", "0,0.3,1", "--seed", "13"],
-    # crosses the 64-trial chunk boundary
+    # one 70-trial chunk: a chunk holds 1024 trials at dim 2
     ["--trials", "70", "--dim", "2", "--seed", "3"],
+    # crosses the 64-trial chunk boundary of dim 8
+    ["--trials", "70", "--dim", "8", "--seed", "3"],
     ["--trials", "3", "--dim", "32", "--seed", "5"],
     # at dim 32 a chunk holds 4 trials, so 9 trials make 3 chunks
     ["--trials", "9", "--dim", "32", "--seed", "5"],
@@ -130,6 +132,8 @@ ORACLE = (
     # one 64-trial dim-8 chunk over 36 parameter sets, as in verify
     ["--trials", "64", "--dim", "8", "--alpha", "0,0.5,2", "--beta",
      "0.5,1,2", "--delta", "1,1.5", "--lam", "0.3,1", "--seed", "19"],
+    # crosses the 1024-trial chunk boundary of dim 2
+    ["--trials", "1030", "--dim", "2", "--beta", "0.5,1,2"],
 ) + EDGES
 HH = (
     ["--alpha", "0", "--x", "4"],
