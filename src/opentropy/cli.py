@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
+import numbers
 import operator
 import sys
 
@@ -108,6 +110,10 @@ class RunConfig:
     lams: tuple[float, ...] = (0.5,)
 
     def __post_init__(self):
+        # "" is the oracle's config, which runs no suite
+        if self.suite and self.suite not in SUITES:
+            raise OperatorError(f"unknown suite {self.suite!r}; expected one "
+                                f"of {list(SUITE_NAMES)}")
         # every number is stored as a Python int or float, which a report
         # can write: a numpy integer or float32 is no JSON number
         for key in ("trials", "seed"):
@@ -121,10 +127,18 @@ class RunConfig:
         for name in ("tol", "spectrum_lo", "spectrum_hi", "alphas", "betas",
                      "deltas", "lams"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            scalar = name in ("tol", "spectrum_lo", "spectrum_hi")
+            items = (value,) if scalar else value
+            if not all(isinstance(v, numbers.Real)
+                       and not isinstance(v, bool) for v in items):
+                raise OperatorError(f"{name} must be real, got {value!r}")
+            try:
+                floats = tuple(map(float, items))
+            except OverflowError:  # an int past the float range
+                floats = (math.inf,)
+            if not all(map(math.isfinite, floats)):
                 raise OperatorError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value) if np.isscalar(value)
-                               else tuple(map(float, value)))
+            object.__setattr__(self, name, floats[0] if scalar else floats)
         object.__setattr__(self, "dims", tuple(
             _check_int("dim", dim) for dim in self.dims))
         # one validated GenConfig per dims entry, which decode hands out;
@@ -260,6 +274,8 @@ def run_suite(cfg: RunConfig) -> dict:
     stacked per-dim batches, and a failing chunk is rerun one trial at a
     time.  The report is byte-identical for fixed flags on one build.
     """
+    if not cfg.suite:
+        raise OperatorError("run_suite needs a config with a suite")
     reports = _chunked(cfg, _check, _run_trial)
     passed = sum(1 for r in reports if r.passed)
     worst: dict[str, float] = {}

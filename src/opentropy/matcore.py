@@ -169,6 +169,10 @@ def _admit(arr: np.ndarray) -> np.ndarray:
     An infinite norm would make an infinite Loewner scale, which every
     link passes, so finite entries whose norm overflows are rejected too,
     and named.  Returns ``arr`` symmetrized as ``SymMatrix`` stores it."""
+    # one matrix: np.linalg.norm is _fro's value, bitwise, in one call; a
+    # non-finite norm takes the stack path, which names the failure
+    if arr.ndim == 2 and math.isfinite(np.linalg.norm(arr)):
+        return _resym(arr)
     fro = _fro(arr)
     finite = np.isfinite(fro)
     if not finite.all():

@@ -21,7 +21,11 @@ the one-trial draw the package stacks:
 * ``spd_one_trial``: one trial's spectrum and Gaussian drawn from a fresh
   generator on its own stream, with numpy's plain per-array calls, as
   ``opentropy.gen`` drew them before it took two generator calls per
-  stream and mapped each stack at once.
+  stream and mapped each stack at once;
+* ``l_closed_form``, ``L_closed_form`` and ``grid_verdict_full``: the
+  Hermite-Hadamard interpolants as literal expressions and the grid
+  verdict from whole-grid arrays, as ``opentropy.hermite`` computed them
+  before it shared their pieces and checked the grid in blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from mpmath import mp
 
 from opentropy import (BOUND_KINDS, OperatorError, PowerFrame, ScalarFn,
                        SymMatrix, apply_fn, geo_mean, mat_pow)
+from opentropy.hermite import GridVerdict, hh_record
 
 # ---------------------------------------------------------------------------
 # the explicit route
@@ -238,3 +243,46 @@ def spd_one_trial(seed: int, trial: int, salt: int, dim: int, field: str,
     if field == "complex":
         g = g + 1j * rng.standard_normal((dim, dim))
     return lo * (hi / lo) ** u, g
+
+
+# ---------------------------------------------------------------------------
+# the Hermite-Hadamard interpolants and the whole-grid verdict
+
+
+def l_closed_form(alpha: float, x: float, lam: np.ndarray) -> np.ndarray:
+    """The lower interpolant l(lam) as one expression per branch."""
+    xa = x ** alpha
+    if x >= 1.0:
+        return (2.0 * lam * xa / (lam * (x - 1.0) + 2.0)
+                + 2.0 * (1.0 - lam) * xa / (lam * (x - 1.0) + x + 1.0) - 1.0)
+    return (2.0 * lam * xa / (lam * (1.0 - x) + 2.0 * x)
+            + 2.0 * (1.0 - lam) * xa / (lam * (1.0 - x) + x + 1.0) - 1.0)
+
+
+def L_closed_form(alpha: float, x: float, lam: np.ndarray) -> np.ndarray:
+    """The upper interpolant L(lam) as one expression per branch."""
+    xa = x ** alpha
+    if x >= 1.0:
+        return 0.5 * (xa / (lam * (x - 1.0) + 1.0)
+                      + lam * xa + (1.0 - lam) * x ** (alpha - 1.0)) - 1.0
+    return 0.5 * (xa / (lam * (1.0 - x) + x)
+                  + lam * x ** (alpha - 1.0) + (1.0 - lam) * xa) - 1.0
+
+
+def grid_verdict_full(alpha: float, x: float, n: int,
+                      tol: float) -> GridVerdict:
+    """The grid verdict at tolerance ``tol`` from l and L on the whole
+    ``n``-point grid at once, the sandwich tested point by point."""
+    rec = hh_record(alpha, x)
+    grid = np.linspace(0.0, 1.0, n)
+    lvals = l_closed_form(alpha, x, grid)
+    gvals = L_closed_form(alpha, x, grid)
+    max_l, min_L = float(np.max(lvals)), float(np.min(gvals))
+    sup_ok = max_l <= rec.sup_l + tol
+    inf_ok = min_L >= rec.inf_L - tol
+    sandwich = bool(np.all(lvals <= rec.integral_avg + tol)
+                    and np.all(gvals >= rec.integral_avg - tol))
+    return GridVerdict(passed=bool(sup_ok and inf_ok and sandwich), n=n,
+                       max_l_grid=max_l, min_L_grid=min_L,
+                       sup_l_closed=rec.sup_l, inf_L_closed=rec.inf_L,
+                       sandwich_ok=sandwich)

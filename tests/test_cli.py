@@ -409,6 +409,41 @@ def test_numpy_numbers_give_the_report_of_python_numbers():
         assert json_text(run(cfg)) == json_text(run(same))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"tol": "1e-9"}, "tol must be real, got '1e-9'"),
+    ({"tol": True}, "tol must be real, got True"),
+    ({"spectrum_lo": None}, "spectrum_lo must be real, got None"),
+    ({"alphas": ("x",)}, "alphas must be real, got ('x',)"),
+    ({"betas": (1.0, False)}, "betas must be real, got (1.0, False)"),
+    ({"lams": (0.5j,)}, "lams must be real, got (0.5j,)"),
+    ({"tol": float("nan")}, "tol must be finite, got nan"),
+    ({"spectrum_hi": np.inf}, "spectrum_hi must be finite, got inf"),
+    ({"deltas": [1.0, -np.inf]}, "deltas must be finite, got [1.0, -inf]"),
+    ({"alphas": (10 ** 400,)}, f"alphas must be finite, got {(10 ** 400,)!r}"),
+], ids=["tol-str", "tol-bool", "lo-none", "alphas-str", "betas-bool",
+        "lams-complex", "tol-nan", "hi-inf", "deltas-list", "alphas-bigint"])
+def test_run_config_rejects_a_non_number_or_non_finite_number(fields,
+                                                              message):
+    with pytest.raises(op.OperatorError) as err:
+        RunConfig(suite="thm-main1", **fields)
+    assert str(err.value) == message
+
+
+def test_run_config_rejects_an_unknown_suite():
+    from opentropy import cli
+
+    with pytest.raises(op.OperatorError) as err:
+        RunConfig(suite="nope")
+    assert str(err.value) == (
+        f"unknown suite 'nope'; expected one of {list(op.SUITE_NAMES)}")
+    # "" is the oracle's config, which run_suite refuses by name
+    cfg = RunConfig(trials=2, dims=(2,))
+    assert cli.oracle_compare(cfg)["summary"]["all_pass"]
+    with pytest.raises(op.OperatorError) as err:
+        cli.run_suite(cfg)
+    assert str(err.value) == "run_suite needs a config with a suite"
+
+
 @pytest.mark.parametrize("name", ["dims", "alphas", "betas", "deltas",
                                   "lams"])
 def test_run_config_rejects_an_empty_list(name):

@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from reference import L_closed_form, grid_verdict_full, l_closed_form
 
 import opentropy as op
+from opentropy import hermite
 from opentropy.hermite import (
+    GRID_BLOCK,
     GRID_CAP,
     GridVerdict,
     L_of_lambda,
@@ -58,6 +64,27 @@ def test_lambda_outside_unit_interval_rejected():
             fn(0.0, 4.0, float("nan"))
         with pytest.raises(op.OperatorError, match="lambda"):
             fn(0.0, 0.25, [0.5, float("nan")])
+
+
+# both branches, x = 1 exactly and a hair either side of it
+KERNEL_CASES = [(alpha, x) for alpha in (0.0, 0.5, 1.3, 3.0)
+                for x in (0.05, 0.7, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 4.0, 81.0)]
+
+
+@pytest.mark.parametrize("alpha, x", KERNEL_CASES)
+def test_interpolants_have_the_bits_of_their_closed_forms(alpha, x):
+    grid = np.linspace(0.0, 1.0, 1001)
+    lams = np.concatenate([grid, [1.0 / 3.0, extremizer(x), 0.1 + 0.2]])
+    for fn, ref in ((l_of_lambda, l_closed_form), (L_of_lambda, L_closed_form)):
+        got = fn(alpha, x, lams)
+        assert got.tobytes() == ref(alpha, x, lams).tobytes()
+        square = fn(alpha, x, lams[:4].reshape(2, 2))
+        assert square.shape == (2, 2)
+        assert square.tobytes() == got[:4].tobytes()
+        for lam in (0.0, 0.37, 1.0):
+            value = fn(alpha, x, lam)
+            assert type(value) is float
+            assert value.hex() == float(ref(alpha, x, np.float64(lam))).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +224,61 @@ def test_grid_verify_rejects_grid_past_the_cap():
     assert grid_verify(0.0, 4.0, GRID_CAP).n == GRID_CAP
     with pytest.raises(op.OperatorError, match=f"at most {GRID_CAP} points"):
         grid_verify(0.0, 4.0, GRID_CAP + 1)
+
+
+GRID_CASES = [(0.0, 4.0), (2.0, 0.3), (1.3, 0.05), (0.5, 1.0),
+              (3.0, 1.0 + 1e-10), (0.7, 81.0)]
+BLOCK_EDGES = [GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("alpha, x", GRID_CASES)
+def test_blocked_grid_gives_the_whole_grid_verdict(alpha, x, n):
+    verdict = grid_verify(alpha, x, n)
+    assert verdict.passed
+    # repr tells the bits of each float apart, -0.0 from 0.0 included
+    assert repr(verdict) == repr(
+        grid_verdict_full(alpha, x, n, hermite.GRID_TOL))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_blocked_grid_gives_the_whole_grid_failing_verdicts(monkeypatch, n):
+    # no grid case fails at the real tolerance: a negative one makes the
+    # grid miss the closed forms, and misses the sandwich where the
+    # interpolants come close to the integral average
+    tol = -2e-3
+    monkeypatch.setattr(hermite, "GRID_TOL", tol)
+    seen = set()
+    for alpha, x in GRID_CASES + [(1.0, 1.5), (0.0, 0.5)]:
+        verdict = grid_verify(alpha, x, n)
+        assert repr(verdict) == repr(grid_verdict_full(alpha, x, n, tol))
+        seen.add((verdict.passed, verdict.sandwich_ok))
+    assert seen == {(False, False), (False, True)}
+
+
+def test_a_nan_in_a_later_block_fails_the_sandwich(monkeypatch):
+    kernel = hermite._interpolants
+
+    def planted(alpha, x, lam):
+        lvals, gvals = kernel(alpha, x, lam)
+        if lam[0] > 0.0:
+            lvals[-1] = np.nan
+        return lvals, gvals
+
+    monkeypatch.setattr(hermite, "_interpolants", planted)
+    verdict = grid_verify(0.0, 4.0, 2 * GRID_BLOCK + 1)
+    assert math.isnan(verdict.max_l_grid)
+    assert not verdict.sandwich_ok
+    assert not verdict.passed
+
+
+def test_grid_verify_memory_is_bounded_by_the_grid():
+    # the 100001-point grid is 800 KB; whole-grid temporaries peaked at 3.1 MB
+    grid_verify(1.3, 0.05, 100001)
+    tracemalloc.start()
+    try:
+        grid_verify(1.3, 0.05, 100001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20

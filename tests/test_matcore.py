@@ -186,6 +186,31 @@ def test_overflowing_norm_of_finite_entries_is_named():
             op.SymMatrix(np.diag([1e160, np.inf]))
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[1.0, np.nan], [np.nan, 2.0]],
+     "matrix entries must be finite: Frobenius norm is nan"),
+    ([[np.inf, 0.0], [0.0, 1.0]],
+     "matrix entries must be finite: Frobenius norm is inf"),
+    ([[1.0, 0.0], [0.0, 1e160]],
+     "matrix Frobenius norm overflows: every entry is finite, the largest "
+     "magnitude is 1e+160"),
+], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_admission_messages_of_one_matrix_and_of_a_stack(entries, message,
+                                                         dtype):
+    # one matrix takes the norm fast path, a stack the stacked norms; both
+    # name the failure in the same words (squares past 1e308 warn, as
+    # test_overflowing_norm_of_finite_entries_is_named allows)
+    arr = np.array(entries, dtype=dtype)
+    for admitted in (arr, np.stack([np.eye(2, dtype=dtype), arr, arr])):
+        with np.errstate(over="ignore"), pytest.raises(
+                op.OperatorError) as err:
+            _admit(admitted)
+        assert str(err.value) == message
+    ok = np.array([[2.0, 1.0 + 1e-15], [1.0, 3.0]], dtype=dtype)
+    assert _admit(ok).tobytes() == _resym(ok).tobytes()
+
+
 _ENTRIES = {
     "real": st.floats(-1e6, 1e6),
     "complex": st.complex_numbers(max_magnitude=1e6, allow_nan=False,

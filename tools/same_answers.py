@@ -143,6 +143,13 @@ HH = (
     ["--alpha", "600", "--x", "4"],
     ["--alpha", "nan", "--x", "4"],
     ["--alpha", "0", "--x", "4", "--grid", "100000000000"],
+    # the benchmark's grid on both branches; 8193 points end one past the
+    # first block of grid_verify
+    ["--alpha", "3.7", "--x", "0.02", "--grid", "100001"],
+    ["--alpha", "1.3", "--x", "55", "--grid", "100001"],
+    ["--alpha", "0.5", "--x", "0.3", "--grid", "8193"],
+    # near x = 1 the absolute grid tolerance exceeds every chain value
+    ["--alpha", "0", "--x", "1.0000000001"],
 )
 # beta 2, and two betas whose half exponents 0.25 and 0.75 np.power
 # computes without a special case
